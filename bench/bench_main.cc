@@ -5,8 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "schemes/access_path.h"
-
 namespace airindex {
 
 namespace {
@@ -135,23 +133,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
         std::exit(2);
       }
       options.shard = spec.value();
-    } else if (std::strcmp(argv[i], "--access-path") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "--access-path requires a value (arena or pointer)\n");
-        std::exit(2);
-      }
-      ++i;
-      if (std::strcmp(argv[i], "arena") == 0) {
-        SetGlobalAccessPath(AccessPath::kArena);
-      } else if (std::strcmp(argv[i], "pointer") == 0) {
-        SetGlobalAccessPath(AccessPath::kPointer);
-      } else {
-        std::fprintf(stderr,
-                     "unknown access path '%s' (want arena or pointer)\n",
-                     argv[i]);
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--scheduler") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--scheduler requires a name\n");
@@ -278,7 +259,7 @@ BenchReporter::BenchReporter(std::string bench_name,
   // partials and committed baselines state the run they describe. The
   // conditional keys above are kept for readers that learned them.
   // Run-variant knobs are deliberately absent: --json, --shard,
-  // --program-cache, --access-path and --jobs never change results, and
+  // --program-cache and --jobs never change results, and
   // the cold-vs-warm and sharded-merge CI gates byte-compare reports
   // across them (MergeShardedReports also requires config equality
   // across shards).

@@ -49,12 +49,6 @@
 //                  for tools/bench_merge to combine. Sweep benches
 //                  honour it; fig_fleet rejects it (the fleet engine has
 //                  its own internal sharding)
-//   --access-path P  client walk implementation: arena (default, offset
-//                  arithmetic over the flattened program) or pointer
-//                  (the original Bucket-object walk). Observably
-//                  identical by construction — the flag exists for
-//                  micro-benchmarking and bisection, and is deliberately
-//                  kept out of the JSON config block
 //   --scheduler S  slot scheduler: flat (default, the paper's layouts),
 //                  sqrt (square-root-rule broadcast disks over the
 //                  workload skew) or online (sqrt start + per-run
@@ -69,7 +63,7 @@
 // Every report's config block also embeds the fully-resolved shared-flag
 // set under `resolved.*` keys, so sharded partials and committed
 // baselines are self-describing; result-neutral knobs (--json, --shard,
-// --program-cache, --access-path, --jobs) are excluded so the CI
+// --program-cache, --jobs) are excluded so the CI
 // byte-identity gates keep holding across them. Readers tolerate
 // reports without these keys (config is an open key/value list).
 

@@ -21,7 +21,6 @@
 #include "des/event_queue.h"
 #include "des/random.h"
 #include "dynamic/dynamic_program.h"
-#include "schemes/access_path.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
@@ -88,39 +87,6 @@ void BM_Access(benchmark::State& state, SchemeKind kind) {
     benchmark::DoNotOptimize(scheme->Access(dataset->record(record).key, t));
   }
   state.SetItemsProcessed(state.iterations());
-}
-
-/// The tentpole comparison: the same client walk over the same channel,
-/// once through the arena-native offset walk (schemes/channel_view.h)
-/// and once through the original Bucket-object pointer walk. Items
-/// processed = queries, so google-benchmark's items/s column reads
-/// directly as queries per second; the two variants must return
-/// identical AccessResults (tests/invariants_test.cc holds that line),
-/// so any items/s gap is pure implementation speed.
-void AccessPathWalk(benchmark::State& state, SchemeKind kind,
-                    AccessPath path) {
-  const int n = static_cast<int>(state.range(0));
-  const auto dataset = BenchDataset(n);
-  const BucketGeometry geometry;
-  auto scheme = BuildScheme(kind, dataset, geometry).value();
-  const ScopedAccessPath scoped(path);
-  Rng rng(1);
-  Bytes t = 0;
-  for (auto _ : state) {
-    const int record = static_cast<int>(
-        rng.NextBounded(static_cast<std::uint64_t>(n)));
-    t += 12345;
-    benchmark::DoNotOptimize(scheme->Access(dataset->record(record).key, t));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_ArenaAccess(benchmark::State& state, SchemeKind kind) {
-  AccessPathWalk(state, kind, AccessPath::kArena);
-}
-
-void BM_PointerAccess(benchmark::State& state, SchemeKind kind) {
-  AccessPathWalk(state, kind, AccessPath::kPointer);
 }
 
 void BM_EventQueue(benchmark::State& state) {
@@ -301,22 +267,7 @@ BENCHMARK_CAPTURE(BM_Access, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, hashing, SchemeKind::kHashing)->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, signature, SchemeKind::kSignature)->Arg(34000);
-
-BENCHMARK_CAPTURE(BM_ArenaAccess, one_m, SchemeKind::kOneM)->Arg(34000);
-BENCHMARK_CAPTURE(BM_PointerAccess, one_m, SchemeKind::kOneM)->Arg(34000);
-BENCHMARK_CAPTURE(BM_ArenaAccess, broadcast_disks,
-                  SchemeKind::kBroadcastDisks)
-    ->Arg(34000);
-BENCHMARK_CAPTURE(BM_PointerAccess, broadcast_disks,
-                  SchemeKind::kBroadcastDisks)
-    ->Arg(34000);
-BENCHMARK_CAPTURE(BM_ArenaAccess, distributed, SchemeKind::kDistributed)
-    ->Arg(34000);
-BENCHMARK_CAPTURE(BM_PointerAccess, distributed, SchemeKind::kDistributed)
-    ->Arg(34000);
-BENCHMARK_CAPTURE(BM_ArenaAccess, signature, SchemeKind::kSignature)
-    ->Arg(34000);
-BENCHMARK_CAPTURE(BM_PointerAccess, signature, SchemeKind::kSignature)
+BENCHMARK_CAPTURE(BM_Access, broadcast_disks, SchemeKind::kBroadcastDisks)
     ->Arg(34000);
 
 BENCHMARK_CAPTURE(BM_RunReplication, flat, SchemeKind::kFlat)->Arg(7000);

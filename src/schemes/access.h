@@ -2,15 +2,12 @@
 #define AIRINDEX_SCHEMES_ACCESS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 
 #include "common/types.h"
 #include "broadcast/channel.h"
 
 namespace airindex {
-
-class ProgramArena;
 
 /// Outcome of one client access-protocol run.
 ///
@@ -87,17 +84,6 @@ class BroadcastScheme {
 
   /// Human-readable scheme name ("distributed indexing", ...).
   virtual const char* name() const = 0;
-
-  /// Offers the scheme its flattened program (broadcast/arena.h) so
-  /// Access() can run arena-native — offset arithmetic over the
-  /// contiguous buffer instead of pointer chasing. Schemes that accept
-  /// keep the arena alive and verify it mirrors their channel; the
-  /// default ignores the offer, which simply keeps the pointer walk.
-  /// Attaching never changes results, only implementation speed
-  /// (schemes/channel_view.h).
-  virtual void AttachArena(std::shared_ptr<const ProgramArena> arena) {
-    (void)arena;
-  }
 };
 
 }  // namespace airindex

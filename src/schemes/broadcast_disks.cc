@@ -8,11 +8,13 @@
 namespace airindex {
 
 BroadcastDisks::BroadcastDisks(std::shared_ptr<const Dataset> dataset,
-                               BroadcastDisksParams params, Channel channel,
+                               BroadcastDisksParams params,
+                               ArenaChannelView view, Channel channel,
                                std::vector<std::vector<Bytes>> occurrences,
                                std::vector<int> disk_of)
     : dataset_(std::move(dataset)),
       params_(std::move(params)),
+      view_(std::move(view)),
       channel_(std::move(channel)),
       occurrences_(std::move(occurrences)),
       disk_of_(std::move(disk_of)) {}
@@ -49,7 +51,8 @@ Result<BroadcastDisks> BroadcastDisks::Build(
 
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
-  return BroadcastDisks(std::move(dataset), std::move(params),
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  return BroadcastDisks(std::move(dataset), std::move(params), std::move(view),
                         std::move(channel).value(), std::move(occurrences),
                         assignment.value().DiskOfRecord());
 }
@@ -64,12 +67,11 @@ int BroadcastDisks::DiskOf(int record) const {
 
 namespace {
 
-// Closed-form multi-disk scan over either channel view
-// (schemes/channel_view.h); the per-record occurrence table is build-time
-// state shared by both paths.
-template <typename View>
+// Closed-form multi-disk scan over the bound arena
+// (schemes/channel_view.h), using the build-time per-record occurrence
+// table.
 AccessResult BroadcastDisksWalk(
-    const View& view, std::string_view key, Bytes tune_in,
+    const ArenaChannelView& view, std::string_view key, Bytes tune_in,
     const Dataset& dataset,
     const std::vector<std::vector<Bytes>>& occurrences) {
   const Bytes dt = view.bucket(0).size();
@@ -104,11 +106,7 @@ AccessResult BroadcastDisksWalk(
 
 AccessResult BroadcastDisks::Access(std::string_view key,
                                     Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return BroadcastDisksWalk(*arena, key, tune_in, *dataset_, occurrences_);
-  }
-  return BroadcastDisksWalk(PointerChannelView(channel_), key, tune_in,
-                            *dataset_, occurrences_);
+  return BroadcastDisksWalk(view_, key, tune_in, *dataset_, occurrences_);
 }
 
 AccessResult BroadcastDisks::AccessReference(std::string_view key,
@@ -137,7 +135,7 @@ AccessResult BroadcastDisks::AccessReference(std::string_view key,
 
 Result<BroadcastDisks> BroadcastDisks::Restore(
     std::shared_ptr<const Dataset> dataset, BroadcastDisksParams params,
-    Channel channel) {
+    ArenaChannelView view, Channel channel) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "broadcast disks restore needs a non-empty dataset");
@@ -166,7 +164,7 @@ Result<BroadcastDisks> BroadcastDisks::Restore(
           "broadcast disks restore: record missing from the major cycle");
     }
   }
-  return BroadcastDisks(std::move(dataset), std::move(params),
+  return BroadcastDisks(std::move(dataset), std::move(params), std::move(view),
                         std::move(channel), std::move(occurrences),
                         assignment.value().DiskOfRecord());
 }

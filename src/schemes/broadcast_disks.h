@@ -46,13 +46,14 @@ class BroadcastDisks : public BroadcastScheme {
                                       const BucketGeometry& geometry,
                                       BroadcastDisksParams params = {});
 
-  /// Reattaches a channel inflated from a program arena. The per-record
-  /// occurrence table is recovered by one scan of the channel (Build
-  /// emits occurrences in phase order) and the record→disk map is
-  /// recomputed from `params` with Build's assignment rule.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena. The per-record occurrence
+  /// table is recovered by one scan of the channel (Build emits
+  /// occurrences in phase order) and the record→disk map is recomputed
+  /// from `params` with Build's assignment rule.
   static Result<BroadcastDisks> Restore(std::shared_ptr<const Dataset> dataset,
                                         BroadcastDisksParams params,
-                                        Channel channel);
+                                        ArenaChannelView view, Channel channel);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "broadcast disks"; }
@@ -62,10 +63,6 @@ class BroadcastDisks : public BroadcastScheme {
 
   /// Bucket-by-bucket reference walker (property tests).
   AccessResult AccessReference(std::string_view key, Bytes tune_in) const;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Number of times `record` appears in one major cycle.
   int OccurrencesOf(int record) const;
@@ -77,17 +74,17 @@ class BroadcastDisks : public BroadcastScheme {
 
  private:
   BroadcastDisks(std::shared_ptr<const Dataset> dataset,
-                 BroadcastDisksParams params, Channel channel,
-                 std::vector<std::vector<Bytes>> occurrences,
+                 BroadcastDisksParams params, ArenaChannelView view,
+                 Channel channel, std::vector<std::vector<Bytes>> occurrences,
                  std::vector<int> disk_of);
 
   std::shared_ptr<const Dataset> dataset_;
   BroadcastDisksParams params_;
+  ArenaChannelView view_;
   Channel channel_;
   /// Per record: sorted start phases of its buckets in the major cycle.
   std::vector<std::vector<Bytes>> occurrences_;
   std::vector<int> disk_of_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

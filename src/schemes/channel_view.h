@@ -1,22 +1,18 @@
 // Layer: 4 (schemes) — see docs/ARCHITECTURE.md for the layer map.
 //
-// Channel views: the two representations a client access walk can
-// traverse. Every scheme's protocol is written once as a function
-// template over a View; instantiating it with
+// The channel view every client access walk traverses: a flattened
+// single-channel program (broadcast/arena.h) read by 32-bit offset
+// arithmetic — buckets, index entries and signature words resolved from
+// the arena's pools, with no rebuilt trees, no per-bucket heap vectors
+// and no pointer chasing. Every scheme binds one when it is constructed
+// (Build flattens its own channel, Restore binds the arena it was
+// restored from), so each scheme's Access() is one walk over this view.
 //
-//  - PointerChannelView walks the inflated Channel/Bucket structures
-//    (the original pointer-chasing path), while
-//  - ArenaChannelView resolves buckets, index entries and signature
-//    words via 32-bit offset arithmetic over the flattened program
-//    buffer (broadcast/arena.h) — no rebuilt trees, no per-bucket heap
-//    vectors, no pointer chasing.
-//
-// Both views expose the same duck-typed interface and are observably
-// identical: the arena's bucket pool is written in cycle order and its
-// entry pool in local-before-control order (ProgramArena::Flatten), so
-// span [first, first+count) of the pools is exactly the corresponding
-// bucket's vector. tests/invariants_test.cc shadows every randomized
-// walk on both views and asserts field-by-field equality.
+// The arena's bucket pool is written in cycle order and its entry pool
+// in local-before-control order (ProgramArena::Flatten), so span
+// [first, first+count) of the pools is exactly the corresponding
+// bucket's vector in the inflated Channel: bucket indices and phases
+// agree with the scheme's channel().
 #ifndef AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
 #define AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
 
@@ -26,10 +22,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "broadcast/arena.h"
 #include "broadcast/channel.h"
-#include "schemes/access_path.h"
-#include "schemes/entry_search.h"
 
 namespace airindex {
 
@@ -41,84 +36,11 @@ struct EntryView {
   Bytes target_phase = kInvalidPhase;
 };
 
-/// View over the inflated Channel — thin delegation, zero overhead.
-class PointerChannelView {
- public:
-  /// Proxy over one Bucket.
-  class BucketRef {
-   public:
-    explicit BucketRef(const Bucket* b) : b_(b) {}
-
-    Bytes size() const { return b_->size; }
-    BucketKind kind() const { return b_->kind; }
-    int level() const { return b_->level; }
-    std::int64_t record_id() const { return b_->record_id; }
-    Bytes next_index_segment_phase() const {
-      return b_->next_index_segment_phase;
-    }
-    std::int64_t hash_value() const { return b_->hash_value; }
-    Bytes shift_phase() const { return b_->shift_phase; }
-    std::string_view range_lo() const { return b_->range_lo; }
-    std::string_view range_hi() const { return b_->range_hi; }
-    std::string_view last_broadcast_key() const {
-      return b_->last_broadcast_key;
-    }
-
-    /// Local index: the entry covering `key`, or not-found.
-    EntryView FindLocal(std::string_view key) const {
-      const PointerEntry* entry = FindCoveringEntry(b_->local, key);
-      if (entry == nullptr) return {};
-      return {true, entry->target_phase};
-    }
-
-    /// Control index (distributed indexing): the nearest ancestor whose
-    /// range still covers `key` — first entry, in nearest-first order,
-    /// with key <= key_hi.
-    EntryView FindControlUp(std::string_view key) const {
-      for (const PointerEntry& entry : b_->control) {
-        if (key <= entry.key_hi) return {true, entry.target_phase};
-      }
-      return {};
-    }
-
-    const std::uint64_t* signature_words() const {
-      return b_->signature.data();
-    }
-    int signature_word_count() const {
-      return static_cast<int>(b_->signature.size());
-    }
-
-   private:
-    const Bucket* b_;
-  };
-
-  explicit PointerChannelView(const Channel& channel) : channel_(&channel) {}
-
-  Bytes cycle_bytes() const { return channel_->cycle_bytes(); }
-  std::size_t num_buckets() const { return channel_->num_buckets(); }
-  BucketRef bucket(std::size_t i) const {
-    return BucketRef(&channel_->bucket(i));
-  }
-  Bytes start_phase(std::size_t i) const { return channel_->start_phase(i); }
-  std::size_t BucketAtPhase(Bytes phase) const {
-    return channel_->BucketAtPhase(phase);
-  }
-  Bytes NextBoundaryTime(Bytes now) const {
-    return channel_->NextBoundaryTime(now);
-  }
-  Bytes NextArrivalOfPhase(Bytes phase, Bytes now) const {
-    return channel_->NextArrivalOfPhase(phase, now);
-  }
-
- private:
-  const Channel* channel_;
-};
-
-/// View over a flattened single-channel program. Holds raw base pointers
-/// into the arena buffer (stable across moves — the buffer is heap
-/// storage kept alive by the scheme's shared_ptr owner) and resolves
-/// every walk step by offset arithmetic. Phase math mirrors Channel
-/// exactly, including the uniform-size fast path.
+/// View over a flattened single-channel program. Co-owns the arena and
+/// holds raw base pointers into its buffer (stable across moves of the
+/// view — the buffer is heap storage), resolving every walk step by
+/// offset arithmetic. Phase math mirrors Channel exactly, including the
+/// uniform-size fast path.
 class ArenaChannelView {
  public:
   /// Proxy over one ArenaBucket.
@@ -185,45 +107,61 @@ class ArenaChannelView {
     const ArenaBucket* b_;
   };
 
-  ArenaChannelView() = default;
+  /// Flattens `channel` into a fresh untagged arena and binds it — the
+  /// Build path. A fresh flatten always mirrors its channel.
+  static ArenaChannelView Flatten(const Channel& channel) {
+    return Bind(std::make_shared<const ProgramArena>(ProgramArena::Flatten(
+                    {&channel}, /*switch_cost_bytes=*/0, /*scheme_kind=*/-1,
+                    /*dataset_fingerprint=*/0, /*params_fingerprint=*/0,
+                    /*aux=*/{})),
+                channel)
+        .value();
+  }
 
-  /// Binds the view to channel 0 of `arena`. Returns false (leaving the
-  /// view unbound) unless the arena is a single-channel program whose
-  /// bucket pool matches `channel` in count and cycle length — the
-  /// callers' signal to stay on the pointer path.
-  bool Bind(const ProgramArena& arena, const Channel& channel) {
-    if (arena.num_channels() != 1) return false;
-    const ArenaChannelDesc& desc = arena.channel_desc(0);
-    if (desc.first_bucket != 0 ||
+  /// Binds channel 0 of `arena`, the program `channel` was inflated from
+  /// — the Restore path. InvalidArgument unless the arena is a
+  /// single-channel program whose bucket pool matches `channel` in count
+  /// and cycle length.
+  static Result<ArenaChannelView> Bind(
+      std::shared_ptr<const ProgramArena> arena, const Channel& channel) {
+    const auto mismatch = [] {
+      return Status::InvalidArgument(
+          "arena view: the arena does not mirror the scheme's channel");
+    };
+    if (arena == nullptr || arena->num_channels() != 1) return mismatch();
+    const ArenaChannelDesc& desc = arena->channel_desc(0);
+    if (desc.first_bucket != 0 || desc.bucket_count == 0 ||
         desc.bucket_count != channel.num_buckets() ||
-        arena.num_buckets() != desc.bucket_count) {
-      return false;
+        arena->num_buckets() != desc.bucket_count) {
+      return mismatch();
     }
-    const ArenaHeader& header = arena.header();
-    const std::uint8_t* base = arena.bytes().data();
-    buckets_ = reinterpret_cast<const ArenaBucket*>(base +
-                                                    header.buckets_offset);
-    entries_ = reinterpret_cast<const ArenaPointerEntry*>(
+    ArenaChannelView view;
+    const ArenaHeader& header = arena->header();
+    const std::uint8_t* base = arena->bytes().data();
+    view.buckets_ =
+        reinterpret_cast<const ArenaBucket*>(base + header.buckets_offset);
+    view.entries_ = reinterpret_cast<const ArenaPointerEntry*>(
         base + header.entries_offset);
-    words_ =
+    view.words_ =
         reinterpret_cast<const std::uint64_t*>(base + header.words_offset);
-    strings_ = reinterpret_cast<const char*>(base + header.strings_offset);
-    num_buckets_ = desc.bucket_count;
-    starts_.clear();
-    starts_.reserve(num_buckets_);
+    view.strings_ =
+        reinterpret_cast<const char*>(base + header.strings_offset);
+    view.num_buckets_ = desc.bucket_count;
+    view.starts_.reserve(view.num_buckets_);
     Bytes at = 0;
     bool uniform = true;
-    const Bytes first_size = buckets_[0].size;
-    for (std::uint32_t i = 0; i < num_buckets_; ++i) {
-      starts_.push_back(at);
-      at += buckets_[i].size;
-      uniform = uniform && buckets_[i].size == first_size;
+    const Bytes first_size = view.buckets_[0].size;
+    for (std::uint32_t i = 0; i < view.num_buckets_; ++i) {
+      view.starts_.push_back(at);
+      at += view.buckets_[i].size;
+      uniform = uniform && view.buckets_[i].size == first_size;
     }
-    cycle_bytes_ = at;
-    uniform_ = uniform;
-    uniform_size_ = first_size;
-    if (cycle_bytes_ != channel.cycle_bytes()) return false;
-    return true;
+    view.cycle_bytes_ = at;
+    view.uniform_ = uniform;
+    view.uniform_size_ = first_size;
+    if (view.cycle_bytes_ != channel.cycle_bytes()) return mismatch();
+    view.arena_ = std::move(arena);
+    return view;
   }
 
   Bytes cycle_bytes() const { return cycle_bytes_; }
@@ -263,19 +201,23 @@ class ArenaChannelView {
     return now + delta;
   }
 
-  /// First word of the whole signature-word pool. For record-ordered
-  /// signature tables (SignatureIndexing) the pool layout equals the
-  /// packed table, so the walk can scan it as one contiguous base
-  /// pointer.
+  /// First word of the whole signature-word pool. For SignatureIndexing's
+  /// alternating cycle the pool is the row-major record signature table
+  /// (its Restore checks the layout), so one base pointer scans it.
   const std::uint64_t* word_pool() const { return words_; }
 
  private:
   friend class BucketRef;
 
+  ArenaChannelView() = default;
+
   std::string_view str(const ArenaStrRef& ref) const {
     return std::string_view(strings_ + ref.offset, ref.length);
   }
 
+  /// Keeps the buffer behind the raw pool pointers below alive (and, on a
+  /// restored scheme, the inflated channel's key views too).
+  std::shared_ptr<const ProgramArena> arena_;
   const ArenaBucket* buckets_ = nullptr;
   const ArenaPointerEntry* entries_ = nullptr;
   const std::uint64_t* words_ = nullptr;
@@ -285,35 +227,6 @@ class ArenaChannelView {
   bool uniform_ = false;
   Bytes uniform_size_ = 0;
   std::vector<Bytes> starts_;
-};
-
-/// Per-scheme plumbing for the arena-native path: owns the attached
-/// arena (keeping the buffer alive for the view's raw pointers) and
-/// hands walks a bound ArenaChannelView — or nullptr when no arena is
-/// attached, the arena does not mirror the channel, or the process-wide
-/// access path is kPointer.
-class ArenaWalkSupport {
- public:
-  void Attach(std::shared_ptr<const ProgramArena> arena,
-              const Channel& channel) {
-    bound_ = false;
-    arena_ = std::move(arena);
-    if (arena_ != nullptr) bound_ = view_.Bind(*arena_, channel);
-    if (!bound_) arena_.reset();
-  }
-
-  const ArenaChannelView* view_or_null() const {
-    return bound_ && UseArenaAccessPath() ? &view_ : nullptr;
-  }
-
-  /// True when an arena is attached and mirrors the channel (independent
-  /// of the process-wide path selection).
-  bool bound() const { return bound_; }
-
- private:
-  std::shared_ptr<const ProgramArena> arena_;
-  ArenaChannelView view_;
-  bool bound_ = false;
 };
 
 }  // namespace airindex

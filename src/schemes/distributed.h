@@ -38,28 +38,25 @@ class DistributedIndexing : public BroadcastScheme {
   /// Access-time-optimal replicated-level count for this configuration.
   static int OptimalR(int num_records, const BucketGeometry& geometry);
 
-  /// Reattaches a channel inflated from a program arena. `r` and
-  /// `num_segments` are the resolved values recorded at flatten time;
-  /// the index tree is rebuilt deterministically.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena. `r` and `num_segments` are the
+  /// resolved values recorded at flatten time; the index tree is rebuilt
+  /// deterministically.
   static Result<DistributedIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      Channel channel, int r, int num_segments);
+      ArenaChannelView view, Channel channel, int r, int num_segments);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "distributed indexing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
-  /// As Access, additionally appending one ProbeEvent per protocol step
-  /// to `trace` (pass nullptr to disable). Exposes the walk —
-  /// waits, probes, climbs, restarts, dozes — for debugging and for the
+  /// As Access — the same walk — additionally appending one ProbeEvent per
+  /// protocol step to `trace` (pass nullptr to disable). Exposes the walk
+  /// — waits, probes, climbs, restarts, dozes — for debugging and for the
   /// trace_explorer example.
   AccessResult AccessTraced(std::string_view key, Bytes tune_in,
                             AccessTrace* trace) const;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Replicated-level count actually used.
   int replicated_levels() const { return r_; }
@@ -72,19 +69,21 @@ class DistributedIndexing : public BroadcastScheme {
 
  private:
   DistributedIndexing(std::shared_ptr<const Dataset> dataset, BTree tree,
-                      Channel channel, int r, int num_segments)
+                      ArenaChannelView view, Channel channel, int r,
+                      int num_segments)
       : dataset_(std::move(dataset)),
         tree_(std::move(tree)),
+        view_(std::move(view)),
         channel_(std::move(channel)),
         r_(r),
         num_segments_(num_segments) {}
 
   std::shared_ptr<const Dataset> dataset_;
   BTree tree_;
+  ArenaChannelView view_;
   Channel channel_;
   int r_;
   int num_segments_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

@@ -22,15 +22,16 @@ Result<FlatBroadcast> FlatBroadcast::Build(
   }
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
-  return FlatBroadcast(std::move(dataset), std::move(channel).value());
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  return FlatBroadcast(std::move(dataset), std::move(view),
+                       std::move(channel).value());
 }
 
 namespace {
 
-// Closed-form flat walk over either channel view (schemes/channel_view.h).
-template <typename View>
-AccessResult FlatWalk(const View& view, std::string_view key, Bytes tune_in,
-                      const Dataset& dataset) {
+// Closed-form flat walk over the bound arena (schemes/channel_view.h).
+AccessResult FlatWalk(const ArenaChannelView& view, std::string_view key,
+                      Bytes tune_in, const Dataset& dataset) {
   const Bytes dt = view.bucket(0).size();
   const auto num = static_cast<Bytes>(view.num_buckets());
 
@@ -59,10 +60,7 @@ AccessResult FlatWalk(const View& view, std::string_view key, Bytes tune_in,
 }  // namespace
 
 AccessResult FlatBroadcast::Access(std::string_view key, Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return FlatWalk(*arena, key, tune_in, *dataset_);
-  }
-  return FlatWalk(PointerChannelView(channel_), key, tune_in, *dataset_);
+  return FlatWalk(view_, key, tune_in, *dataset_);
 }
 
 FilterResult FlatBroadcast::Filter(std::string_view value,
@@ -104,7 +102,8 @@ AccessResult FlatBroadcast::AccessReference(std::string_view key,
 }
 
 Result<FlatBroadcast> FlatBroadcast::Restore(
-    std::shared_ptr<const Dataset> dataset, Channel channel) {
+    std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
+    Channel channel) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("flat restore needs a non-empty dataset");
   }
@@ -113,7 +112,8 @@ Result<FlatBroadcast> FlatBroadcast::Restore(
         "flat restore: channel has " + std::to_string(channel.num_buckets()) +
         " buckets for " + std::to_string(dataset->size()) + " records");
   }
-  return FlatBroadcast(std::move(dataset), std::move(channel));
+  return FlatBroadcast(std::move(dataset), std::move(view),
+                       std::move(channel));
 }
 
 }  // namespace airindex

@@ -27,11 +27,12 @@ class FlatBroadcast : public BroadcastScheme {
   static Result<FlatBroadcast> Build(std::shared_ptr<const Dataset> dataset,
                                      const BucketGeometry& geometry);
 
-  /// Reattaches a channel inflated from a program arena (the scheme
-  /// holds no derived state beyond the channel). Validates that the
-  /// channel covers the dataset.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena (the scheme holds no derived
+  /// state beyond the channel). Validates that the channel covers the
+  /// dataset.
   static Result<FlatBroadcast> Restore(std::shared_ptr<const Dataset> dataset,
-                                       Channel channel);
+                                       ArenaChannelView view, Channel channel);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "flat broadcast"; }
@@ -47,17 +48,16 @@ class FlatBroadcast : public BroadcastScheme {
   /// client must listen to every data bucket of one full cycle.
   FilterResult Filter(std::string_view value, Bytes tune_in) const;
 
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
  private:
-  FlatBroadcast(std::shared_ptr<const Dataset> dataset, Channel channel)
-      : dataset_(std::move(dataset)), channel_(std::move(channel)) {}
+  FlatBroadcast(std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
+                Channel channel)
+      : dataset_(std::move(dataset)),
+        view_(std::move(view)),
+        channel_(std::move(channel)) {}
 
   std::shared_ptr<const Dataset> dataset_;
+  ArenaChannelView view_;
   Channel channel_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

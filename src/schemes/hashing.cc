@@ -82,16 +82,17 @@ Result<SimpleHashing> SimpleHashing::Build(
 
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
-  return SimpleHashing(std::move(dataset), std::move(channel).value(),
-                       allocated);
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  return SimpleHashing(std::move(dataset), std::move(view),
+                       std::move(channel).value(), allocated);
 }
 
 namespace {
 
-// The hashing protocol over either channel view (schemes/channel_view.h).
-template <typename View>
-AccessResult HashingWalk(const View& view, std::string_view key, Bytes tune_in,
-                         std::int64_t hash, const Dataset& dataset) {
+// The hashing protocol over the bound arena (schemes/channel_view.h).
+AccessResult HashingWalk(const ArenaChannelView& view, std::string_view key,
+                         Bytes tune_in, std::int64_t hash,
+                         const Dataset& dataset) {
   AccessResult result;
   const Bytes dt = view.bucket(0).size();
   const Bytes cycle = view.cycle_bytes();
@@ -159,16 +160,12 @@ AccessResult HashingWalk(const View& view, std::string_view key, Bytes tune_in,
 }  // namespace
 
 AccessResult SimpleHashing::Access(std::string_view key, Bytes tune_in) const {
-  const std::int64_t hash = HashKey(key);
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return HashingWalk(*arena, key, tune_in, hash, *dataset_);
-  }
-  return HashingWalk(PointerChannelView(channel_), key, tune_in, hash,
-                     *dataset_);
+  return HashingWalk(view_, key, tune_in, HashKey(key), *dataset_);
 }
 
 Result<SimpleHashing> SimpleHashing::Restore(
-    std::shared_ptr<const Dataset> dataset, Channel channel, int allocated) {
+    std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
+    Channel channel, int allocated) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("hashing restore needs a non-empty dataset");
   }
@@ -177,7 +174,8 @@ Result<SimpleHashing> SimpleHashing::Restore(
     return Status::InvalidArgument(
         "hashing restore: resolved slot count out of range");
   }
-  return SimpleHashing(std::move(dataset), std::move(channel), allocated);
+  return SimpleHashing(std::move(dataset), std::move(view), std::move(channel),
+                       allocated);
 }
 
 }  // namespace airindex

@@ -33,19 +33,17 @@ class SimpleHashing : public BroadcastScheme {
                                      const BucketGeometry& geometry,
                                      double allocation_factor = 1.0);
 
-  /// Reattaches a channel inflated from a program arena. `allocated` is
-  /// the resolved slot count Na recorded at flatten time.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena. `allocated` is the resolved
+  /// slot count Na recorded at flatten time.
   static Result<SimpleHashing> Restore(std::shared_ptr<const Dataset> dataset,
-                                       Channel channel, int allocated);
+                                       ArenaChannelView view, Channel channel,
+                                       int allocated);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "simple hashing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Number of allocated slots Na.
   int allocated() const { return allocated_; }
@@ -60,16 +58,17 @@ class SimpleHashing : public BroadcastScheme {
   std::int64_t HashKey(std::string_view key) const;
 
  private:
-  SimpleHashing(std::shared_ptr<const Dataset> dataset, Channel channel,
-                int allocated)
+  SimpleHashing(std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
+                Channel channel, int allocated)
       : dataset_(std::move(dataset)),
+        view_(std::move(view)),
         channel_(std::move(channel)),
         allocated_(allocated) {}
 
   std::shared_ptr<const Dataset> dataset_;
+  ArenaChannelView view_;
   Channel channel_;
   int allocated_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

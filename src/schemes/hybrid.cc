@@ -154,18 +154,18 @@ Result<HybridIndexing> HybridIndexing::Build(
 
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
   return HybridIndexing(std::move(dataset), generator,
-                        std::move(tree), std::move(channel).value(),
-                        group_size, m);
+                        std::move(tree), std::move(view),
+                        std::move(channel).value(), group_size, m);
 }
 
 namespace {
 
-// The hybrid tree-descent + in-group signature sift over either channel
-// view (schemes/channel_view.h).
-template <typename View>
-AccessResult HybridWalk(const View& view, std::string_view key, Bytes tune_in,
-                        const Dataset& dataset,
+// The hybrid tree-descent + in-group signature sift over the bound arena
+// (schemes/channel_view.h).
+AccessResult HybridWalk(const ArenaChannelView& view, std::string_view key,
+                        Bytes tune_in, const Dataset& dataset,
                         const SignatureGenerator& generator, int tree_height,
                         int group_size) {
   AccessResult result;
@@ -246,12 +246,8 @@ AccessResult HybridWalk(const View& view, std::string_view key, Bytes tune_in,
 
 AccessResult HybridIndexing::Access(std::string_view key,
                                     Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return HybridWalk(*arena, key, tune_in, *dataset_, generator_,
-                      tree_.height(), group_size_);
-  }
-  return HybridWalk(PointerChannelView(channel_), key, tune_in, *dataset_,
-                    generator_, tree_.height(), group_size_);
+  return HybridWalk(view_, key, tune_in, *dataset_, generator_,
+                    tree_.height(), group_size_);
 }
 
 FilterResult HybridIndexing::Filter(std::string_view value,
@@ -317,7 +313,8 @@ FilterResult HybridIndexing::Filter(std::string_view value,
 
 Result<HybridIndexing> HybridIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, Channel channel, int group_size, int m) {
+    SignatureParams params, ArenaChannelView view, Channel channel,
+    int group_size, int m) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("hybrid restore needs a non-empty dataset");
   }
@@ -334,8 +331,8 @@ Result<HybridIndexing> HybridIndexing::Restore(
   Result<BTree> tree = BTree::Build(num_groups, geometry.index_fanout());
   if (!tree.ok()) return tree.status();
   return HybridIndexing(std::move(dataset), generator,
-                        std::move(tree).value(), std::move(channel),
-                        group_size, m);
+                        std::move(tree).value(), std::move(view),
+                        std::move(channel), group_size, m);
 }
 
 }  // namespace airindex

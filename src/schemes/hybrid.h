@@ -41,12 +41,14 @@ class HybridIndexing : public BroadcastScheme {
                                       SignatureParams params = {},
                                       int group_size = 16, int m = 0);
 
-  /// Reattaches a channel inflated from a program arena. `group_size`
-  /// and `m` are the resolved values recorded at flatten time; the
-  /// group tree is rebuilt deterministically.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena. `group_size` and `m` are the
+  /// resolved values recorded at flatten time; the group tree is rebuilt
+  /// deterministically.
   static Result<HybridIndexing> Restore(std::shared_ptr<const Dataset> dataset,
                                         const BucketGeometry& geometry,
-                                        SignatureParams params, Channel channel,
+                                        SignatureParams params,
+                                        ArenaChannelView view, Channel channel,
                                         int group_size, int m);
 
   const Channel& channel() const override { return channel_; }
@@ -59,21 +61,18 @@ class HybridIndexing : public BroadcastScheme {
   /// index segments.
   FilterResult Filter(std::string_view value, Bytes tune_in) const;
 
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
   int group_size() const { return group_size_; }
   int m() const { return m_; }
   const BTree& tree() const { return tree_; }
 
  private:
   HybridIndexing(std::shared_ptr<const Dataset> dataset,
-                 SignatureGenerator generator, BTree tree, Channel channel,
-                 int group_size, int m)
+                 SignatureGenerator generator, BTree tree,
+                 ArenaChannelView view, Channel channel, int group_size, int m)
       : dataset_(std::move(dataset)),
         generator_(generator),
         tree_(std::move(tree)),
+        view_(std::move(view)),
         channel_(std::move(channel)),
         group_size_(group_size),
         m_(m) {}
@@ -81,10 +80,10 @@ class HybridIndexing : public BroadcastScheme {
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
   BTree tree_;  // indexes groups: "record" i of the tree is group i
+  ArenaChannelView view_;
   Channel channel_;
   int group_size_;
   int m_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

@@ -57,16 +57,17 @@ Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Build(
 
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
   return IntegratedSignatureIndexing(std::move(dataset), generator,
+                                     std::move(view),
                                      std::move(channel).value(), group_size);
 }
 
 namespace {
 
-// The integrated-signature sift over either channel view
+// The integrated-signature sift over the bound arena
 // (schemes/channel_view.h).
-template <typename View>
-AccessResult IntegratedWalk(const View& view, std::string_view key,
+AccessResult IntegratedWalk(const ArenaChannelView& view, std::string_view key,
                             Bytes tune_in, const Dataset& dataset,
                             const SignatureGenerator& generator,
                             int group_size) {
@@ -136,17 +137,14 @@ AccessResult IntegratedWalk(const View& view, std::string_view key,
 
 AccessResult IntegratedSignatureIndexing::Access(std::string_view key,
                                                  Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return IntegratedWalk(*arena, key, tune_in, *dataset_, generator_,
-                          group_size_);
-  }
-  return IntegratedWalk(PointerChannelView(channel_), key, tune_in, *dataset_,
-                        generator_, group_size_);
+  return IntegratedWalk(view_, key, tune_in, *dataset_, generator_,
+                        group_size_);
 }
 
 Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, Channel channel, int group_size) {
+    SignatureParams params, ArenaChannelView view, Channel channel,
+    int group_size) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "integrated signature restore needs a non-empty dataset");
@@ -158,7 +156,8 @@ Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Restore(
   SignatureGenerator generator(
       ResolveGroupSignatureBytes(geometry, params, group_size), params);
   return IntegratedSignatureIndexing(std::move(dataset), generator,
-                                     std::move(channel), group_size);
+                                     std::move(view), std::move(channel),
+                                     group_size);
 }
 
 }  // namespace airindex

@@ -32,38 +32,38 @@ class IntegratedSignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params = SignatureParams(), int group_size = 16);
 
-  /// Reattaches a channel inflated from a program arena; the generator
-  /// is reconstructed from geometry + params (pure configuration).
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena; the generator is
+  /// reconstructed from geometry + params (pure configuration).
   static Result<IntegratedSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, Channel channel, int group_size);
+      SignatureParams params, ArenaChannelView view, Channel channel,
+      int group_size);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "integrated signature"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
   /// Records per signature group.
   int group_size() const { return group_size_; }
 
  private:
   IntegratedSignatureIndexing(std::shared_ptr<const Dataset> dataset,
-                              SignatureGenerator generator, Channel channel,
+                              SignatureGenerator generator,
+                              ArenaChannelView view, Channel channel,
                               int group_size)
       : dataset_(std::move(dataset)),
         generator_(generator),
+        view_(std::move(view)),
         channel_(std::move(channel)),
         group_size_(group_size) {}
 
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
+  ArenaChannelView view_;
   Channel channel_;
   int group_size_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

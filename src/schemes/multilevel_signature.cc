@@ -76,17 +76,17 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Build(
 
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
   return MultiLevelSignatureIndexing(std::move(dataset), record_generator,
-                                     group_generator,
+                                     group_generator, std::move(view),
                                      std::move(channel).value(), group_size);
 }
 
 namespace {
 
-// The two-level signature sift over either channel view
+// The two-level signature sift over the bound arena
 // (schemes/channel_view.h).
-template <typename View>
-AccessResult MultiLevelWalk(const View& view, std::string_view key,
+AccessResult MultiLevelWalk(const ArenaChannelView& view, std::string_view key,
                             Bytes tune_in, const Dataset& dataset,
                             const SignatureGenerator& record_generator,
                             const SignatureGenerator& group_generator,
@@ -173,17 +173,14 @@ AccessResult MultiLevelWalk(const View& view, std::string_view key,
 
 AccessResult MultiLevelSignatureIndexing::Access(std::string_view key,
                                                  Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return MultiLevelWalk(*arena, key, tune_in, *dataset_, record_generator_,
-                          group_generator_, group_size_);
-  }
-  return MultiLevelWalk(PointerChannelView(channel_), key, tune_in, *dataset_,
-                        record_generator_, group_generator_, group_size_);
+  return MultiLevelWalk(view_, key, tune_in, *dataset_, record_generator_,
+                        group_generator_, group_size_);
 }
 
 Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, Channel channel, int group_size) {
+    SignatureParams params, ArenaChannelView view, Channel channel,
+    int group_size) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "multi-level signature restore needs a non-empty dataset");
@@ -196,8 +193,8 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Restore(
   SignatureGenerator group_generator(
       ResolveGroupSignatureBytes(geometry, params, group_size), params);
   return MultiLevelSignatureIndexing(std::move(dataset), record_generator,
-                                     group_generator, std::move(channel),
-                                     group_size);
+                                     group_generator, std::move(view),
+                                     std::move(channel), group_size);
 }
 
 }  // namespace airindex

@@ -30,20 +30,18 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params = SignatureParams(), int group_size = 16);
 
-  /// Reattaches a channel inflated from a program arena; both
-  /// generators are reconstructed from geometry + params.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena; both generators are
+  /// reconstructed from geometry + params.
   static Result<MultiLevelSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, Channel channel, int group_size);
+      SignatureParams params, ArenaChannelView view, Channel channel,
+      int group_size);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "multi-level signature"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// Records per group signature.
   int group_size() const { return group_size_; }
@@ -52,10 +50,12 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
   MultiLevelSignatureIndexing(std::shared_ptr<const Dataset> dataset,
                               SignatureGenerator record_generator,
                               SignatureGenerator group_generator,
-                              Channel channel, int group_size)
+                              ArenaChannelView view, Channel channel,
+                              int group_size)
       : dataset_(std::move(dataset)),
         record_generator_(record_generator),
         group_generator_(group_generator),
+        view_(std::move(view)),
         channel_(std::move(channel)),
         group_size_(group_size) {}
 
@@ -64,9 +64,9 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
   SignatureGenerator record_generator_;
   /// Group-level signatures (wider; see ResolveGroupSignatureBytes).
   SignatureGenerator group_generator_;
+  ArenaChannelView view_;
   Channel channel_;
   int group_size_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

@@ -115,17 +115,17 @@ Result<OneMIndexing> OneMIndexing::Build(std::shared_ptr<const Dataset> dataset,
 
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
-  return OneMIndexing(std::move(dataset), std::move(tree),
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  return OneMIndexing(std::move(dataset), std::move(tree), std::move(view),
                       std::move(channel).value(), m);
 }
 
 namespace {
 
-// The (1,m) access protocol over either channel view
+// The (1,m) access protocol over the bound arena
 // (schemes/channel_view.h).
-template <typename View>
-AccessResult OneMWalk(const View& view, std::string_view key, Bytes tune_in,
-                      int tree_height) {
+AccessResult OneMWalk(const ArenaChannelView& view, std::string_view key,
+                      Bytes tune_in, int tree_height) {
   AccessResult result;
   // Initial wait: listen until the first complete bucket.
   Bytes t = view.NextBoundaryTime(tune_in);
@@ -179,15 +179,12 @@ AccessResult OneMWalk(const View& view, std::string_view key, Bytes tune_in,
 }  // namespace
 
 AccessResult OneMIndexing::Access(std::string_view key, Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return OneMWalk(*arena, key, tune_in, tree_.height());
-  }
-  return OneMWalk(PointerChannelView(channel_), key, tune_in, tree_.height());
+  return OneMWalk(view_, key, tune_in, tree_.height());
 }
 
 Result<OneMIndexing> OneMIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    Channel channel, int m) {
+    ArenaChannelView view, Channel channel, int m) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("(1,m) restore needs a non-empty dataset");
   }
@@ -197,7 +194,7 @@ Result<OneMIndexing> OneMIndexing::Restore(
   Result<BTree> tree = BTree::Build(dataset->size(), geometry.index_fanout());
   if (!tree.ok()) return tree.status();
   return OneMIndexing(std::move(dataset), std::move(tree).value(),
-                      std::move(channel), m);
+                      std::move(view), std::move(channel), m);
 }
 
 }  // namespace airindex

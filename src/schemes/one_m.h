@@ -33,22 +33,20 @@ class OneMIndexing : public BroadcastScheme {
   /// The m* the paper's analysis prescribes for this dataset/geometry.
   static int OptimalM(int num_records, const BucketGeometry& geometry);
 
-  /// Reattaches a channel inflated from a program arena. `m` is the
-  /// *resolved* replication count recorded at flatten time (never 0);
-  /// the index tree is rebuilt — BTree::Build is deterministic and
-  /// integer-only, so the restored scheme is observably identical.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena. `m` is the *resolved*
+  /// replication count recorded at flatten time (never 0); the index
+  /// tree is rebuilt — BTree::Build is deterministic and integer-only,
+  /// so the restored scheme is observably identical.
   static Result<OneMIndexing> Restore(std::shared_ptr<const Dataset> dataset,
                                       const BucketGeometry& geometry,
-                                      Channel channel, int m);
+                                      ArenaChannelView view, Channel channel,
+                                      int m);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "(1,m) indexing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// The replication count actually used.
   int m() const { return m_; }
@@ -58,17 +56,18 @@ class OneMIndexing : public BroadcastScheme {
 
  private:
   OneMIndexing(std::shared_ptr<const Dataset> dataset, BTree tree,
-               Channel channel, int m)
+               ArenaChannelView view, Channel channel, int m)
       : dataset_(std::move(dataset)),
         tree_(std::move(tree)),
+        view_(std::move(view)),
         channel_(std::move(channel)),
         m_(m) {}
 
   std::shared_ptr<const Dataset> dataset_;
   BTree tree_;
+  ArenaChannelView view_;
   Channel channel_;
   int m_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

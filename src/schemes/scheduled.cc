@@ -48,7 +48,7 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Build(
       ScheduleAssignmentFor(params.schedule, dataset->size());
   if (!assignment.ok()) return assignment.status();
   return Assemble(base_kind, std::move(dataset), geometry, params,
-                  std::move(assignment).value(), nullptr);
+                  std::move(assignment).value(), nullptr, nullptr);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::BuildWithAssignment(
@@ -64,13 +64,14 @@ Result<ScheduledBroadcast> ScheduledBroadcast::BuildWithAssignment(
         "scheduled broadcast: assignment does not cover the dataset");
   }
   return Assemble(base_kind, std::move(dataset), geometry, params,
-                  std::move(assignment), nullptr);
+                  std::move(assignment), nullptr, nullptr);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::Restore(
     SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params,
-    Channel channel, const std::vector<std::int64_t>& aux) {
+    ArenaChannelView view, Channel channel,
+    const std::vector<std::int64_t>& aux) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "scheduled restore needs a non-empty dataset");
@@ -122,13 +123,14 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Restore(
   SchemeParams resolved = params;
   resolved.schedule.rotation_slots = static_cast<int>(aux.back());
   return Assemble(base_kind, std::move(dataset), geometry, resolved,
-                  std::move(assignment), &channel);
+                  std::move(assignment), &channel, &view);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
     SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params,
-    DiskAssignment assignment, Channel* existing) {
+    DiskAssignment assignment, Channel* existing,
+    ArenaChannelView* existing_view) {
   const int num_records = dataset->size();
   const Bytes dt = geometry.data_bucket_bytes();
 
@@ -282,8 +284,11 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
     return Channel::Create(std::move(buckets));
   }();
   if (!final_channel.ok()) return final_channel.status();
+  ArenaChannelView view = existing_view != nullptr
+                              ? std::move(*existing_view)
+                              : ArenaChannelView::Flatten(final_channel.value());
 
-  ScheduledBroadcast scheme(std::move(final_channel).value());
+  ScheduledBroadcast scheme(std::move(view), std::move(final_channel).value());
   scheme.style_ = style;
   scheme.rotation_slots_ = rotation_slots;
   scheme.tree_height_ = tree_height;
@@ -319,8 +324,8 @@ int ScheduledBroadcast::DescentProbes(int record) const {
   return 0;
 }
 
-template <typename View>
-AccessResult ScheduledBroadcast::Walk(const View& view, std::string_view key,
+AccessResult ScheduledBroadcast::Walk(const ArenaChannelView& view,
+                                      std::string_view key,
                                       Bytes tune_in) const {
   const Bytes dt = view.bucket(0).size();
   const Bytes cycle = view.cycle_bytes();
@@ -385,10 +390,7 @@ AccessResult ScheduledBroadcast::Walk(const View& view, std::string_view key,
 
 AccessResult ScheduledBroadcast::Access(std::string_view key,
                                         Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return Walk(*arena, key, tune_in);
-  }
-  return Walk(PointerChannelView(channel_), key, tune_in);
+  return Walk(view_, key, tune_in);
 }
 
 std::vector<std::int64_t> ScheduledBroadcast::FlattenAux() const {

@@ -72,22 +72,21 @@ class ScheduledBroadcast : public BroadcastScheme {
       const BucketGeometry& geometry, const SchemeParams& params,
       DiskAssignment assignment);
 
-  /// Reattaches a channel inflated from a program arena. `aux` is
-  /// FlattenAux()'s resolved assignment (tag, boundaries, frequencies,
-  /// rotation); the identity record order is assumed — the arena cache
-  /// only ever stores planned (not online-evolved) programs — and the
-  /// channel is validated slot-by-slot against the recomputed layout.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena. `aux` is FlattenAux()'s
+  /// resolved assignment (tag, boundaries, frequencies, rotation); the
+  /// identity record order is assumed — the arena cache only ever stores
+  /// planned (not online-evolved) programs — and the channel is validated
+  /// slot-by-slot against the recomputed layout.
   static Result<ScheduledBroadcast> Restore(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
-      Channel channel, const std::vector<std::int64_t>& aux);
+      ArenaChannelView view, Channel channel,
+      const std::vector<std::int64_t>& aux);
 
   const Channel& channel() const override { return channel_; }
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
   const char* name() const override { return name_.c_str(); }
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
 
   /// The slot assignment in effect.
   const DiskAssignment& assignment() const { return assignment_; }
@@ -128,12 +127,11 @@ class ScheduledBroadcast : public BroadcastScheme {
   std::vector<std::int64_t> FlattenAux() const;
 
  private:
-  explicit ScheduledBroadcast(Channel channel)
-      : channel_(std::move(channel)) {}
+  ScheduledBroadcast(ArenaChannelView view, Channel channel)
+      : view_(std::move(view)), channel_(std::move(channel)) {}
 
-  /// The closed-form client walk over either channel view.
-  template <typename View>
-  AccessResult Walk(const View& view, std::string_view key,
+  /// The closed-form client walk over the bound arena.
+  AccessResult Walk(const ArenaChannelView& view, std::string_view key,
                     Bytes tune_in) const;
 
   /// Index buckets an index descent reads for the present record
@@ -141,15 +139,18 @@ class ScheduledBroadcast : public BroadcastScheme {
   int DescentProbes(int record) const;
 
   /// Shared Build/Restore core: derives every table from the assignment
-  /// and either emits the channel (Build) or validates `existing`
-  /// against the expected layout (Restore).
+  /// and either emits and flattens the channel (Build; both pointers
+  /// null) or validates `existing` against the expected layout and keeps
+  /// its bound `existing_view` (Restore).
   static Result<ScheduledBroadcast> Assemble(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
-      DiskAssignment assignment, Channel* existing);
+      DiskAssignment assignment, Channel* existing,
+      ArenaChannelView* existing_view);
 
   std::shared_ptr<const Dataset> dataset_;
   std::string name_;
+  ArenaChannelView view_;
   Channel channel_;
   DiskAssignment assignment_;
   std::vector<int> disk_of_;
@@ -167,7 +168,6 @@ class ScheduledBroadcast : public BroadcastScheme {
   std::vector<std::vector<int>> record_buckets_;
   /// Sorted start phases of the index segments (empty for kNone).
   std::vector<Bytes> segment_starts_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

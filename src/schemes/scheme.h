@@ -74,12 +74,13 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
 /// Rebuilds a ready-to-query scheme from a flattened arena without
 /// re-running the channel construction: the channel is inflated from the
 /// arena (bucket key views point into the arena's string pool — the
-/// returned scheme co-owns `arena` to keep them alive) and cheap
-/// deterministic auxiliaries (index trees, signature generators, packed
-/// signature tables, occurrence maps) are reconstructed from `dataset`,
-/// `geometry`, `params` and the arena's aux scalars. Observably
-/// identical to the freshly built scheme: every Access() walk returns
-/// the same result, so simulation output stays bit-identical.
+/// returned scheme co-owns `arena` to keep them alive), the arena itself
+/// is bound as the walk surface without flattening again, and cheap
+/// deterministic auxiliaries (index trees, signature generators,
+/// occurrence maps) are reconstructed from `dataset`, `geometry`,
+/// `params` and the arena's aux scalars. Observably identical to the
+/// freshly built scheme: every Access() walk returns the same result, so
+/// simulation output stays bit-identical.
 Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(
     std::shared_ptr<const ProgramArena> arena,
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,

@@ -76,13 +76,13 @@ bool SignatureGenerator::Matches(const std::uint64_t* record_sig,
   return true;
 }
 
-SignatureIndexing::SignatureIndexing(
-    std::shared_ptr<const Dataset> dataset, SignatureGenerator generator,
-    Channel channel, std::vector<std::uint64_t> packed_signatures)
+SignatureIndexing::SignatureIndexing(std::shared_ptr<const Dataset> dataset,
+                                     SignatureGenerator generator,
+                                     ArenaChannelView view, Channel channel)
     : dataset_(std::move(dataset)),
       generator_(generator),
-      channel_(std::move(channel)),
-      packed_(std::move(packed_signatures)) {}
+      view_(std::move(view)),
+      channel_(std::move(channel)) {}
 
 Result<SignatureIndexing> SignatureIndexing::Build(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
@@ -100,21 +100,14 @@ Result<SignatureIndexing> SignatureIndexing::Build(
   }
 
   SignatureGenerator generator(geometry, params);
-  const int words = generator.words();
-  std::vector<std::uint64_t> packed;
-  packed.reserve(static_cast<std::size_t>(dataset->size() * words));
-
   std::vector<Bucket> buckets;
   buckets.reserve(static_cast<std::size_t>(2 * dataset->size()));
   for (const Record& record : dataset->records()) {
-    std::vector<std::uint64_t> sig = generator.RecordSignature(record);
-    packed.insert(packed.end(), sig.begin(), sig.end());
-
     Bucket sig_bucket;
     sig_bucket.kind = BucketKind::kSignature;
     sig_bucket.size = geometry.signature_bucket_bytes();
     sig_bucket.record_id = static_cast<std::int64_t>(record.id);
-    sig_bucket.signature = std::move(sig);
+    sig_bucket.signature = generator.RecordSignature(record);
     buckets.push_back(std::move(sig_bucket));
 
     Bucket data_bucket;
@@ -126,24 +119,9 @@ Result<SignatureIndexing> SignatureIndexing::Build(
 
   Result<Channel> channel = Channel::Create(std::move(buckets));
   if (!channel.ok()) return channel.status();
-  return SignatureIndexing(std::move(dataset), generator,
-                           std::move(channel).value(), std::move(packed));
-}
-
-int SignatureIndexing::CountMatches(const std::uint64_t* query, int first,
-                                    int count) const {
-  const int num = dataset_->size();
-  const int words = generator_.words();
-  int matches = 0;
-  int position = first;
-  for (int i = 0; i < count; ++i) {
-    const std::uint64_t* sig =
-        packed_.data() + static_cast<std::size_t>(position) *
-                             static_cast<std::size_t>(words);
-    if (SignatureGenerator::Matches(sig, query, words)) ++matches;
-    if (++position == num) position = 0;
-  }
-  return matches;
+  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  return SignatureIndexing(std::move(dataset), generator, std::move(view),
+                           std::move(channel).value());
 }
 
 namespace {
@@ -164,15 +142,11 @@ int CountTableMatches(const std::uint64_t* table, const std::uint64_t* query,
   return matches;
 }
 
-// Closed-form signature sift over either channel view; `table` is the
-// row-major signature table — the scheme's packed copy on the pointer
-// path, the arena's word pool (same layout: the flatten order appends the
-// alternating cycle's signature buckets in record order) on the arena
-// path.
-template <typename View>
-AccessResult SignatureWalk(const View& view, std::string_view key,
-                           Bytes tune_in, const std::uint64_t* table,
-                           const Dataset& dataset,
+// Closed-form signature sift over the bound arena, whose word pool is the
+// row-major record signature table: the flatten order appends the
+// alternating cycle's signature buckets in record order.
+AccessResult SignatureWalk(const ArenaChannelView& view, std::string_view key,
+                           Bytes tune_in, const Dataset& dataset,
                            const SignatureGenerator& generator) {
   const Bytes it = view.bucket(0).size();   // signature bucket
   const Bytes dt = view.bucket(1).size();   // data bucket
@@ -180,6 +154,7 @@ AccessResult SignatureWalk(const View& view, std::string_view key,
   const int pairs = dataset.size();
   const Bytes cycle = view.cycle_bytes();
   const int words = generator.words();
+  const std::uint64_t* table = view.word_pool();
 
   AccessResult result;
   // Listen until the next complete signature bucket.
@@ -221,9 +196,8 @@ AccessResult SignatureWalk(const View& view, std::string_view key,
   result.tuning_time +=
       static_cast<Bytes>(pairs) * it + static_cast<Bytes>(matches) * dt;
   const int last = (start + pairs - 1) % pairs;
-  const bool last_matched = SignatureGenerator::Matches(
-      table + static_cast<std::size_t>(last) * static_cast<std::size_t>(words),
-      query.data(), words);
+  const bool last_matched =
+      CountTableMatches(table, query.data(), last, 1, pairs, words) == 1;
   result.access_time += static_cast<Bytes>(pairs - 1) * period + it +
                         (last_matched ? dt : 0);
   return result;
@@ -233,12 +207,7 @@ AccessResult SignatureWalk(const View& view, std::string_view key,
 
 AccessResult SignatureIndexing::Access(std::string_view key,
                                        Bytes tune_in) const {
-  if (const ArenaChannelView* arena = arena_walk_.view_or_null()) {
-    return SignatureWalk(*arena, key, tune_in, arena->word_pool(), *dataset_,
-                         generator_);
-  }
-  return SignatureWalk(PointerChannelView(channel_), key, tune_in,
-                       packed_.data(), *dataset_, generator_);
+  return SignatureWalk(view_, key, tune_in, *dataset_, generator_);
 }
 
 AccessResult SignatureIndexing::AccessReference(std::string_view key,
@@ -326,10 +295,8 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
   bool last_pair_downloaded = false;
   int position = start;
   for (int scanned = 0; scanned < pairs; ++scanned) {
-    const std::uint64_t* sig =
-        packed_.data() + static_cast<std::size_t>(position) *
-                             static_cast<std::size_t>(words);
-    const bool match = SignatureGenerator::Matches(sig, query.data(), words);
+    const bool match = CountTableMatches(view_.word_pool(), query.data(),
+                                         position, 1, pairs, words) == 1;
     if (match) {
       result.tuning_time += dt;
       ++result.probes;
@@ -370,7 +337,8 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
         static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(num)));
     const std::vector<std::uint64_t> query =
         generator_.QuerySignature(dataset_->record(target).key);
-    const int matches = CountMatches(query.data(), 0, num);
+    const int matches = CountTableMatches(view_.word_pool(), query.data(), 0,
+                                          num, num, generator_.words());
     drops += matches - 1;
     pairs_checked += num - 1;
   }
@@ -379,7 +347,7 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
 
 Result<SignatureIndexing> SignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, Channel channel) {
+    SignatureParams params, ArenaChannelView view, Channel channel) {
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument(
         "signature restore needs a non-empty dataset");
@@ -387,33 +355,34 @@ Result<SignatureIndexing> SignatureIndexing::Restore(
   SignatureGenerator generator(geometry, params);
   const int words = generator.words();
   const int num_records = dataset->size();
-  std::vector<std::uint64_t> packed(
-      static_cast<std::size_t>(num_records) * static_cast<std::size_t>(words),
-      0);
-  std::vector<bool> seen(static_cast<std::size_t>(num_records), false);
-  int recovered = 0;
-  for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
-    const Bucket& bucket = channel.bucket(i);
-    if (bucket.kind != BucketKind::kSignature) continue;
-    if (bucket.record_id < 0 || bucket.record_id >= num_records ||
-        bucket.signature.size() != static_cast<std::size_t>(words) ||
-        seen[static_cast<std::size_t>(bucket.record_id)]) {
-      return Status::InvalidArgument(
-          "signature restore: malformed signature bucket");
-    }
-    std::copy(bucket.signature.begin(), bucket.signature.end(),
-              packed.begin() + static_cast<std::size_t>(bucket.record_id) *
-                                   static_cast<std::size_t>(words));
-    seen[static_cast<std::size_t>(bucket.record_id)] = true;
-    ++recovered;
-  }
-  if (recovered != num_records) {
+  if (view.num_buckets() != 2 * static_cast<std::size_t>(num_records)) {
     return Status::InvalidArgument(
-        "signature restore: channel carries " + std::to_string(recovered) +
-        " record signatures for " + std::to_string(num_records) + " records");
+        "signature restore: channel has " +
+        std::to_string(view.num_buckets()) + " buckets for " +
+        std::to_string(num_records) + " records");
   }
-  return SignatureIndexing(std::move(dataset), generator, std::move(channel),
-                           std::move(packed));
+  // The closed-form walk, Filter and MeasureFalseDropRate read record k's
+  // signature as row k of the word pool, one (It, Dt) pair per record:
+  // accept only the alternating cycle Build lays out.
+  const Bytes it = view.bucket(0).size();
+  const Bytes dt = view.bucket(1).size();
+  for (int k = 0; k < num_records; ++k) {
+    const auto sig = view.bucket(2 * static_cast<std::size_t>(k));
+    const auto data = view.bucket(2 * static_cast<std::size_t>(k) + 1);
+    if (sig.kind() != BucketKind::kSignature || sig.record_id() != k ||
+        sig.size() != it || sig.signature_word_count() != words ||
+        sig.signature_words() !=
+            view.word_pool() + static_cast<std::size_t>(k) *
+                                   static_cast<std::size_t>(words) ||
+        data.kind() != BucketKind::kData || data.record_id() != k ||
+        data.size() != dt) {
+      return Status::InvalidArgument(
+          "signature restore: pair " + std::to_string(k) +
+          " is not (signature, data) of record " + std::to_string(k));
+    }
+  }
+  return SignatureIndexing(std::move(dataset), generator, std::move(view),
+                           std::move(channel));
 }
 
 }  // namespace airindex

@@ -91,17 +91,19 @@ class SignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params = SignatureParams());
 
-  /// Reattaches a channel inflated from a program arena. The packed
-  /// signature table is recovered from the channel's signature buckets
-  /// (each carries its record's full signature), so no rehashing runs.
+  /// Reattaches a channel inflated from a program arena, walked through
+  /// `view`, which is bound to that arena. The record signature table is
+  /// the arena's word pool, so no rehashing runs; the channel must be the
+  /// alternating cycle Build lays out — pair k is (signature of record k,
+  /// data of record k) — or the restore fails with InvalidArgument.
   static Result<SignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, Channel channel);
+      SignatureParams params, ArenaChannelView view, Channel channel);
 
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "signature indexing"; }
 
-  /// Closed-form protocol walk: O(range words) via the packed signature
+  /// Closed-form protocol walk: O(range words) via the record signature
   /// table instead of bucket-by-bucket simulation.
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
@@ -122,27 +124,17 @@ class SignatureIndexing : public BroadcastScheme {
 
   const SignatureGenerator& generator() const { return generator_; }
 
-  /// The arena walk scans the arena's signature word pool, whose layout
-  /// for this alternating sig/data cycle equals the packed table.
-  void AttachArena(std::shared_ptr<const ProgramArena> arena) override {
-    arena_walk_.Attach(std::move(arena), channel_);
-  }
-
  private:
   SignatureIndexing(std::shared_ptr<const Dataset> dataset,
-                    SignatureGenerator generator, Channel channel,
-                    std::vector<std::uint64_t> packed_signatures);
-
-  /// Matches of `query` among the `count` records starting at key-order
-  /// position `first` (circular).
-  int CountMatches(const std::uint64_t* query, int first, int count) const;
+                    SignatureGenerator generator, ArenaChannelView view,
+                    Channel channel);
 
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
+  /// Its word pool is the record signature table: the alternating cycle
+  /// flattens record k's signature as row k (words() per record).
+  ArenaChannelView view_;
   Channel channel_;
-  /// Record signatures packed row-major: words() per record.
-  std::vector<std::uint64_t> packed_;
-  ArenaWalkSupport arena_walk_;
 };
 
 }  // namespace airindex

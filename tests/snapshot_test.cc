@@ -23,6 +23,7 @@
 #include "broadcast/snapshot.h"
 #include "core/program_cache.h"
 #include "data/dataset.h"
+#include "schemes/channel_view.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
@@ -234,6 +235,38 @@ TEST(SnapshotTest, GoldenSnapshotLoadsAndMatchesRebuild) {
   EXPECT_TRUE(from_golden.found);
   EXPECT_EQ(from_golden.access_time, from_build.access_time);
   EXPECT_EQ(from_golden.tuning_time, from_build.tuning_time);
+}
+
+// The signature walk reads record k's signature as row k of the arena's
+// word pool, so a restore must reject a cycle whose pairs are out of
+// record order — here pairs 0 and 1 swapped — rather than serve a walk
+// that disagrees with the channel.
+TEST(SnapshotTest, SignatureRestoreRejectsMisorderedPairs) {
+  const Built built = BuildProgram(SchemeKind::kSignature, 16);
+  std::vector<Bucket> buckets;
+  for (std::size_t i = 0; i < built.scheme->channel().num_buckets(); ++i) {
+    buckets.push_back(built.scheme->channel().bucket(i));
+  }
+  std::swap(buckets[0], buckets[2]);
+  std::swap(buckets[1], buckets[3]);
+  const Channel swapped = Channel::Create(std::move(buckets)).value();
+  auto arena = std::make_shared<const ProgramArena>(ProgramArena::Flatten(
+      {&swapped}, 0, static_cast<int>(SchemeKind::kSignature), 0, 0, {}));
+  auto restored = RestoreSchemeFromArena(arena, built.dataset,
+                                         BucketGeometry{}, SchemeParams{});
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotTest, ArenaViewBindsOnlyTheChannelItMirrors) {
+  const Built small = BuildProgram(SchemeKind::kFlat, 16);
+  const Built large = BuildProgram(SchemeKind::kFlat, 17);
+  auto arena = std::make_shared<const ProgramArena>(small.arena);
+  EXPECT_TRUE(ArenaChannelView::Bind(arena, small.scheme->channel()).ok());
+  const auto wrong = ArenaChannelView::Bind(arena, large.scheme->channel());
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ArenaChannelView::Bind(nullptr, small.scheme->channel()).ok());
 }
 
 TEST(SnapshotTest, ProgramCacheMemoryOnly) {

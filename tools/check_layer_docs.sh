@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation convention check, run from ctest (see tests/CMakeLists.txt).
 #
-# Enforces four invariants that keep the docs and CI anchored to the code:
+# Enforces five invariants that keep the docs and CI anchored to the code:
 #   1. every src/<module>/ has at least one header carrying a
 #      "// Layer: <n> (<module>)" comment naming its layer,
 #   2. every module name appears in docs/ARCHITECTURE.md (so a new module
@@ -13,7 +13,11 @@
 #   4. every airindex_add_bench(...) driver either appears in the CI
 #      smoke-bench matrix (.github/workflows/ci.yml) or carries a
 #      "# ci-exempt" marker on its registration line (so a new bench
-#      cannot silently land ungated).
+#      cannot silently land ungated), and
+#   5. the shared-flag table in docs/BENCHMARKS.md has a "| `--flag"
+#      row for exactly the flags bench/bench_main.cc parses (so a new
+#      flag cannot land undocumented, nor a deleted one leave a stale
+#      row).
 #
 # Usage: tools/check_layer_docs.sh [repo-root]
 
@@ -78,9 +82,26 @@ for bench in $gated; do
   fi
 done
 
+bench_main="$root/bench/bench_main.cc"
+parsed="$(sed -n 's/.*strcmp(argv\[i\], "\(--[a-z-]*\)").*/\1/p' \
+  "$bench_main" | sort -u)"
+documented="$(sed -n 's/^| `\(--[a-z-]*\)[ `].*/\1/p' "$bench_doc" | sort -u)"
+for flag in $(comm -23 <(echo "$parsed") <(echo "$documented")); do
+  echo "FAIL: bench/bench_main.cc parses '$flag' but docs/BENCHMARKS.md" \
+       "has no flag-table row for it (want a line starting" \
+       "\"| \`$flag\")" >&2
+  status=1
+done
+for flag in $(comm -13 <(echo "$parsed") <(echo "$documented")); do
+  echo "FAIL: docs/BENCHMARKS.md documents '$flag', which" \
+       "bench/bench_main.cc does not parse; drop the stale row" >&2
+  status=1
+done
+
 if [ "$status" -eq 0 ]; then
   echo "OK: every src/ module names its layer, docs/ARCHITECTURE.md covers" \
-       "every module, docs/BENCHMARKS.md covers every bench binary, and" \
-       "every non-exempt bench is gated by the CI smoke-bench matrix"
+       "every module, docs/BENCHMARKS.md covers every bench binary and" \
+       "exactly the shared flags, and every non-exempt bench is gated by" \
+       "the CI smoke-bench matrix"
 fi
 exit $status
