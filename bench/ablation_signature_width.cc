@@ -16,6 +16,7 @@
 #include "bench_main.h"
 #include "core/experiment.h"
 #include "core/report.h"
+#include "core/simulator.h"
 #include "core/testbed_config.h"
 #include "data/dataset.h"
 #include "schemes/signature.h"
@@ -56,12 +57,10 @@ int Main(int argc, char** argv) {
     reporter.AddSimulationPoint(
         {{"signature_bytes", std::to_string(width)}}, sim);
 
-    // Measure the realized false-drop rate on the actual channel.
-    DatasetConfig dataset_config;
-    dataset_config.num_records = num_records;
-    dataset_config.key_width = static_cast<int>(config.geometry.key_bytes);
-    auto dataset = std::make_shared<const Dataset>(
-        Dataset::Generate(dataset_config).value());
+    // Measure the realized false-drop rate on the actual channel: the
+    // dataset the simulation broadcast, drawn from the config's seed.
+    const std::shared_ptr<const Dataset> dataset =
+        BuildTestbedDataset(config).value();
     const SignatureIndexing scheme =
         SignatureIndexing::Build(dataset, config.geometry).value();
     const double measured_rate = scheme.MeasureFalseDropRate(200, 11);

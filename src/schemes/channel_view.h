@@ -203,7 +203,8 @@ class ArenaChannelView {
 
   /// First word of the whole signature-word pool. For SignatureIndexing's
   /// alternating cycle the pool is the row-major record signature table
-  /// (its Restore checks the layout), so one base pointer scans it.
+  /// (its Restore checks the layout), from which the scheme derives its
+  /// bit-sliced counting table once, at construction.
   const std::uint64_t* word_pool() const { return words_; }
 
  private:

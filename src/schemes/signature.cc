@@ -1,6 +1,7 @@
 #include "schemes/signature.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -76,14 +77,6 @@ bool SignatureGenerator::Matches(const std::uint64_t* record_sig,
   return true;
 }
 
-SignatureIndexing::SignatureIndexing(std::shared_ptr<const Dataset> dataset,
-                                     SignatureGenerator generator,
-                                     ArenaChannelView view, Channel channel)
-    : dataset_(std::move(dataset)),
-      generator_(generator),
-      view_(std::move(view)),
-      channel_(std::move(channel)) {}
-
 Result<SignatureIndexing> SignatureIndexing::Build(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
     SignatureParams params) {
@@ -126,35 +119,99 @@ Result<SignatureIndexing> SignatureIndexing::Build(
 
 namespace {
 
-// Matches of `query` among `count` records starting at key-order position
-// `first` (circular) in a row-major signature table.
-int CountTableMatches(const std::uint64_t* table, const std::uint64_t* query,
-                      int first, int count, int num, int words) {
-  int matches = 0;
-  int position = first;
-  for (int i = 0; i < count; ++i) {
-    const std::uint64_t* sig =
-        table + static_cast<std::size_t>(position) *
-                    static_cast<std::size_t>(words);
-    if (SignatureGenerator::Matches(sig, query, words)) ++matches;
-    if (++position == num) position = 0;
+// Words per slice: one bit per record.
+std::size_t SliceWords(int num_records) {
+  return (static_cast<std::size_t>(num_records) + 63) / 64;
+}
+
+// Transposes the row-major record signature table `rows` (record r's
+// `words` words at row r) into `bits` slices of SliceWords(num_records)
+// words each: slice b has bit r set when record r's signature has bit b.
+std::vector<std::uint64_t> SliceTable(const std::uint64_t* rows,
+                                      int num_records, int words, int bits) {
+  const std::size_t stride = SliceWords(num_records);
+  std::vector<std::uint64_t> slices(static_cast<std::size_t>(bits) * stride);
+  const std::uint64_t* row = rows;
+  for (int r = 0; r < num_records; ++r, row += words) {
+    const std::size_t column = static_cast<std::size_t>(r) / 64;
+    const std::uint64_t mask = 1ULL << (r % 64);
+    for (int w = 0; w < words; ++w) {
+      for (std::uint64_t x = row[w]; x != 0; x &= x - 1) {
+        const int b = w * 64 + std::countr_zero(x);
+        if (b >= bits) break;  // unused high bits of the last word
+        slices[static_cast<std::size_t>(b) * stride + column] |= mask;
+      }
+    }
   }
+  return slices;
+}
+
+// The slices a query selects, one per set query bit. A record matches
+// when every selected slice has its bit, so a query with no set bit
+// matches every record, as SignatureGenerator::Matches does.
+using SliceSet = std::vector<const std::uint64_t*>;
+
+SliceSet SelectSlices(const std::vector<std::uint64_t>& slices,
+                      int num_records,
+                      const std::vector<std::uint64_t>& query) {
+  const std::size_t stride = SliceWords(num_records);
+  int set_bits = 0;
+  for (const std::uint64_t word : query) set_bits += std::popcount(word);
+  SliceSet selected;
+  selected.reserve(static_cast<std::size_t>(set_bits));
+  for (std::size_t w = 0; w < query.size(); ++w) {
+    for (std::uint64_t x = query[w]; x != 0; x &= x - 1) {
+      const int b = static_cast<int>(w) * 64 + std::countr_zero(x);
+      selected.push_back(slices.data() + static_cast<std::size_t>(b) * stride);
+    }
+  }
+  return selected;
+}
+
+// The one counting core: calls visit(word_index, word) for every slice
+// word overlapping record positions [lo, hi), where `word` is the AND of
+// the selected slices' words, masked to [lo, hi).
+template <typename Visit>
+void ForEachMatchWord(const SliceSet& selected, int lo, int hi,
+                      Visit&& visit) {
+  if (lo >= hi) return;
+  const std::size_t first = static_cast<std::size_t>(lo) / 64;
+  const std::size_t last = static_cast<std::size_t>(hi - 1) / 64;
+  for (std::size_t w = first; w <= last; ++w) {
+    std::uint64_t word = ~0ULL;
+    for (const std::uint64_t* slice : selected) word &= slice[w];
+    if (w == first) word &= ~0ULL << (lo % 64);
+    if (w == last) word &= ~0ULL >> (63 - (hi - 1) % 64);
+    visit(w, word);
+  }
+}
+
+// Matches among `count` records starting at key-order position `first`
+// (circular, count <= num_records).
+int CountMatches(const SliceSet& selected, int num_records, int first,
+                 int count) {
+  int matches = 0;
+  const auto add = [&matches](std::size_t, std::uint64_t word) {
+    matches += std::popcount(word);
+  };
+  const int end = first + count;
+  ForEachMatchWord(selected, first, std::min(end, num_records), add);
+  if (end > num_records) ForEachMatchWord(selected, 0, end - num_records, add);
   return matches;
 }
 
-// Closed-form signature sift over the bound arena, whose word pool is the
-// row-major record signature table: the flatten order appends the
-// alternating cycle's signature buckets in record order.
-AccessResult SignatureWalk(const ArenaChannelView& view, std::string_view key,
-                           Bytes tune_in, const Dataset& dataset,
+// Closed-form signature sift: the bound arena gives the bucket sizes and
+// the cycle, the slices the match counts.
+AccessResult SignatureWalk(const ArenaChannelView& view,
+                           const std::vector<std::uint64_t>& slices,
+                           std::string_view key, Bytes tune_in,
+                           const Dataset& dataset,
                            const SignatureGenerator& generator) {
   const Bytes it = view.bucket(0).size();   // signature bucket
   const Bytes dt = view.bucket(1).size();   // data bucket
   const Bytes period = it + dt;
   const int pairs = dataset.size();
   const Bytes cycle = view.cycle_bytes();
-  const int words = generator.words();
-  const std::uint64_t* table = view.word_pool();
 
   AccessResult result;
   // Listen until the next complete signature bucket.
@@ -170,12 +227,12 @@ AccessResult SignatureWalk(const ArenaChannelView& view, std::string_view key,
   result.access_time = wait;
   result.tuning_time = wait;
 
-  const std::vector<std::uint64_t> query = generator.QuerySignature(key);
+  const SliceSet query =
+      SelectSlices(slices, pairs, generator.QuerySignature(key));
   const int target = dataset.FindIndex(key);
   if (target >= 0) {
     const int scanned = (target - start + pairs) % pairs + 1;
-    const int matches =
-        CountTableMatches(table, query.data(), start, scanned, pairs, words);
+    const int matches = CountMatches(query, pairs, start, scanned);
     result.false_drops = matches - 1;  // the target always matches
     result.probes = scanned + matches;
     result.index_probes = scanned;
@@ -188,16 +245,14 @@ AccessResult SignatureWalk(const ArenaChannelView& view, std::string_view key,
 
   // Not on air: the client concludes only after one full cycle of
   // signatures; every match it downloaded was a false drop.
-  const int matches =
-      CountTableMatches(table, query.data(), start, pairs, pairs, words);
+  const int matches = CountMatches(query, pairs, 0, pairs);
   result.false_drops = matches;
   result.probes = pairs + matches;
   result.index_probes = pairs;
   result.tuning_time +=
       static_cast<Bytes>(pairs) * it + static_cast<Bytes>(matches) * dt;
   const int last = (start + pairs - 1) % pairs;
-  const bool last_matched =
-      CountTableMatches(table, query.data(), last, 1, pairs, words) == 1;
+  const bool last_matched = CountMatches(query, pairs, last, 1) == 1;
   result.access_time += static_cast<Bytes>(pairs - 1) * period + it +
                         (last_matched ? dt : 0);
   return result;
@@ -205,9 +260,20 @@ AccessResult SignatureWalk(const ArenaChannelView& view, std::string_view key,
 
 }  // namespace
 
+SignatureIndexing::SignatureIndexing(std::shared_ptr<const Dataset> dataset,
+                                     SignatureGenerator generator,
+                                     ArenaChannelView view, Channel channel)
+    : dataset_(std::move(dataset)),
+      generator_(generator),
+      view_(std::move(view)),
+      channel_(std::move(channel)),
+      slices_(SliceTable(view_.word_pool(), dataset_->size(),
+                         generator_.words(),
+                         static_cast<int>(generator_.signature_bytes() * 8))) {}
+
 AccessResult SignatureIndexing::Access(std::string_view key,
                                        Bytes tune_in) const {
-  return SignatureWalk(view_, key, tune_in, *dataset_, generator_);
+  return SignatureWalk(view_, slices_, key, tune_in, *dataset_, generator_);
 }
 
 AccessResult SignatureIndexing::AccessReference(std::string_view key,
@@ -240,6 +306,7 @@ AccessResult SignatureIndexing::AccessReference(std::string_view key,
     t += sig_bucket.size;
     result.tuning_time += sig_bucket.size;
     ++result.probes;
+    ++result.index_probes;
     const bool match = SignatureGenerator::Matches(sig_bucket.signature.data(),
                                                    query.data(), words);
     if (match) {
@@ -274,7 +341,6 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
   const Bytes period = it + dt;
   const int pairs = dataset_->size();
   const Bytes cycle = channel_.cycle_bytes();
-  const int words = generator_.words();
 
   FilterResult result;
   // Listen until the next complete signature bucket (as in Access).
@@ -291,13 +357,14 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
   result.tuning_time = wait + static_cast<Bytes>(pairs) * it;
   result.probes = pairs;
 
-  const std::vector<std::uint64_t> query = generator_.QuerySignature(value);
-  bool last_pair_downloaded = false;
-  int position = start;
-  for (int scanned = 0; scanned < pairs; ++scanned) {
-    const bool match = CountTableMatches(view_.word_pool(), query.data(),
-                                         position, 1, pairs, words) == 1;
-    if (match) {
+  // One pass sifts every signature once, so the downloads are the matches
+  // of the whole table, visited in key order.
+  const SliceSet query =
+      SelectSlices(slices_, pairs, generator_.QuerySignature(value));
+  ForEachMatchWord(query, 0, pairs, [&](std::size_t w, std::uint64_t word) {
+    for (; word != 0; word &= word - 1) {
+      const int position =
+          static_cast<int>(w * 64) + std::countr_zero(word);
       result.tuning_time += dt;
       ++result.probes;
       const Record& record = dataset_->record(position);
@@ -314,14 +381,13 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
         ++result.false_drops;
       }
     }
-    last_pair_downloaded = match;
-    if (++position == pairs) position = 0;
-  }
+  });
   // The pass ends after the last pair's signature (plus its download when
   // the signature matched).
+  const int last = (start + pairs - 1) % pairs;
+  const bool last_pair_downloaded = CountMatches(query, pairs, last, 1) == 1;
   result.access_time += static_cast<Bytes>(pairs - 1) * period + it +
                         (last_pair_downloaded ? dt : 0);
-  std::sort(result.matches.begin(), result.matches.end());
   return result;
 }
 
@@ -335,11 +401,9 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
   for (int q = 0; q < sample_queries; ++q) {
     const int target =
         static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(num)));
-    const std::vector<std::uint64_t> query =
-        generator_.QuerySignature(dataset_->record(target).key);
-    const int matches = CountTableMatches(view_.word_pool(), query.data(), 0,
-                                          num, num, generator_.words());
-    drops += matches - 1;
+    const SliceSet query = SelectSlices(
+        slices_, num, generator_.QuerySignature(dataset_->record(target).key));
+    drops += CountMatches(query, num, 0, num) - 1;
     pairs_checked += num - 1;
   }
   return static_cast<double>(drops) / static_cast<double>(pairs_checked);
@@ -361,9 +425,9 @@ Result<SignatureIndexing> SignatureIndexing::Restore(
         std::to_string(view.num_buckets()) + " buckets for " +
         std::to_string(num_records) + " records");
   }
-  // The closed-form walk, Filter and MeasureFalseDropRate read record k's
-  // signature as row k of the word pool, one (It, Dt) pair per record:
-  // accept only the alternating cycle Build lays out.
+  // The bit slices are derived from record k's signature as row k of the
+  // word pool, and the closed-form walk and Filter assume one (It, Dt)
+  // pair per record: accept only the alternating cycle Build lays out.
   const Bytes it = view.bucket(0).size();
   const Bytes dt = view.bucket(1).size();
   for (int k = 0; k < num_records; ++k) {

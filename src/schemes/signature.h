@@ -103,8 +103,9 @@ class SignatureIndexing : public BroadcastScheme {
   const Channel& channel() const override { return channel_; }
   const char* name() const override { return "signature indexing"; }
 
-  /// Closed-form protocol walk: O(range words) via the record signature
-  /// table instead of bucket-by-bucket simulation.
+  /// Closed-form protocol walk instead of bucket-by-bucket simulation:
+  /// the sifted window's match count is a popcount over the query's bit
+  /// slices, O(k * n/64) words for a k-bit query over n records.
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
   /// Bucket-by-bucket reference implementation (property tests).
@@ -135,6 +136,12 @@ class SignatureIndexing : public BroadcastScheme {
   /// flattens record k's signature as row k (words() per record).
   ArenaChannelView view_;
   Channel channel_;
+  /// The same table bit-sliced (column-major), derived from the word pool
+  /// at construction: slice b is a bitmap over records, bit k set when
+  /// record k's signature has bit b. Access, Filter and
+  /// MeasureFalseDropRate count matches by ANDing only the query's set-bit
+  /// slices; the broadcast itself still carries the row-major pool.
+  std::vector<std::uint64_t> slices_;
 };
 
 }  // namespace airindex

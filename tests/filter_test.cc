@@ -1,8 +1,11 @@
 // Tests for attribute filtering (signature schemes vs the flat baseline)
 // and the channel describe utility.
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +66,97 @@ TEST(Filter, SignatureFindsExactlyTheCarriers) {
     EXPECT_EQ(result.matches, dataset->FindByAttribute(value));
     EXPECT_GE(result.false_drops, 0);
     EXPECT_LE(result.tuning_time, result.access_time);
+  }
+}
+
+// Bucket-by-bucket Filter oracle over the scheme's channel: from the
+// first complete signature bucket at or after tune-in, read one cycle of
+// signature buckets and download the data bucket after each match.
+FilterResult FilterOracle(const SignatureIndexing& scheme,
+                          const Dataset& dataset, const std::string& value,
+                          Bytes tune_in) {
+  const Channel& channel = scheme.channel();
+  const Bytes cycle = channel.cycle_bytes();
+  const std::size_t buckets = channel.num_buckets();
+  const std::vector<std::uint64_t> query =
+      scheme.generator().QuerySignature(value);
+  FilterResult result;
+  Bytes t = tune_in;
+  std::size_t i = channel.BucketAtPhase(t % cycle);
+  if (channel.start_phase(i) != t % cycle ||
+      channel.bucket(i).kind != BucketKind::kSignature) {
+    do {
+      i = (i + 1) % buckets;
+    } while (channel.bucket(i).kind != BucketKind::kSignature);
+    t = channel.NextArrivalOfPhase(channel.start_phase(i), t);
+  }
+  result.tuning_time = t - tune_in;
+  for (int scanned = 0; scanned < dataset.size(); ++scanned) {
+    const Bucket& signature = channel.bucket(i);
+    t += signature.size;
+    result.tuning_time += signature.size;
+    ++result.probes;
+    const std::size_t data = (i + 1) % buckets;
+    if (SignatureGenerator::Matches(signature.signature.data(), query.data(),
+                                    scheme.generator().words())) {
+      t += channel.bucket(data).size;
+      result.tuning_time += channel.bucket(data).size;
+      ++result.probes;
+      const int position = static_cast<int>(channel.bucket(data).record_id);
+      const std::vector<std::string>& attributes =
+          dataset.record(position).attributes;
+      if (std::find(attributes.begin(), attributes.end(), value) !=
+          attributes.end()) {
+        result.matches.push_back(position);
+      } else {
+        ++result.false_drops;
+      }
+    }
+    if (scanned + 1 == dataset.size()) break;
+    i = (data + 1) % buckets;
+    t = channel.NextArrivalOfPhase(channel.start_phase(i), t);
+  }
+  result.access_time = t - tune_in;
+  std::sort(result.matches.begin(), result.matches.end());
+  return result;
+}
+
+TEST(Filter, SignatureEqualsBucketOracle) {
+  for (const int n : {1, 2, 63, 64, 65, 129, 400}) {
+    const auto dataset = MakeDataset(n);
+    for (const Bytes width : {2, 4, 16}) {
+      BucketGeometry geometry = SmallGeometry();
+      geometry.signature_bytes = width;
+      const SignatureIndexing scheme =
+          SignatureIndexing::Build(dataset, geometry).value();
+      Rng rng(17);
+      for (int trial = 0; trial < 200; ++trial) {
+        const Bytes tune_in =
+            static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
+                3 * scheme.channel().cycle_bytes())));
+        // Carried values, and values no record carries ('!' is not in the
+        // attribute alphabet).
+        const std::string value =
+            rng.NextBernoulli(0.7)
+                ? dataset
+                      ->record(static_cast<int>(
+                          rng.NextBounded(static_cast<std::uint64_t>(n))))
+                      .attributes[rng.NextBounded(4)]
+                : "!" + std::to_string(trial);
+        const FilterResult fast = scheme.Filter(value, tune_in);
+        const FilterResult oracle =
+            FilterOracle(scheme, *dataset, value, tune_in);
+        const auto where = [&] {
+          return "n=" + std::to_string(n) + " It=" + std::to_string(width) +
+                 " " + value + " @" + std::to_string(tune_in);
+        };
+        ASSERT_EQ(fast.matches, oracle.matches) << where();
+        ASSERT_EQ(fast.false_drops, oracle.false_drops) << where();
+        ASSERT_EQ(fast.access_time, oracle.access_time) << where();
+        ASSERT_EQ(fast.tuning_time, oracle.tuning_time) << where();
+        ASSERT_EQ(fast.probes, oracle.probes) << where();
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 // channel layout, fast-path vs reference equivalence, false drops.
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -95,27 +96,54 @@ TEST(Signature, FindsEveryKey) {
   }
 }
 
+// Record counts on both sides of the 64-record slice words, and widths
+// that leave unused high bits (1 and 12 bytes) or span several words:
+// present keys exercise wrap-around windows, absent keys the full-cycle
+// count and the last-pair test.
 TEST(Signature, FastPathEqualsReferenceEverywhere) {
-  const auto dataset = MakeDataset(60);
-  const SignatureIndexing scheme =
-      SignatureIndexing::Build(dataset, SmallGeometry()).value();
-  Rng rng(2025);
-  for (int trial = 0; trial < 3000; ++trial) {
-    const Bytes tune_in =
-        static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            3 * scheme.channel().cycle_bytes())));
-    const bool present = rng.NextBernoulli(0.6);
-    const std::string key =
-        present
-            ? dataset->record(static_cast<int>(rng.NextBounded(60))).key
-            : dataset->AbsentKey(static_cast<int>(rng.NextBounded(61)));
-    const AccessResult fast = scheme.Access(key, tune_in);
-    const AccessResult reference = scheme.AccessReference(key, tune_in);
-    ASSERT_EQ(fast.found, reference.found) << key << " @" << tune_in;
-    ASSERT_EQ(fast.access_time, reference.access_time) << key << " @" << tune_in;
-    ASSERT_EQ(fast.tuning_time, reference.tuning_time) << key << " @" << tune_in;
-    ASSERT_EQ(fast.false_drops, reference.false_drops) << key << " @" << tune_in;
-    ASSERT_EQ(fast.probes, reference.probes) << key << " @" << tune_in;
+  for (const int n : {1, 2, 63, 64, 65, 129, 1000}) {
+    const auto dataset = MakeDataset(n);
+    for (const Bytes width : {1, 8, 12, 16, 64}) {
+      BucketGeometry geometry = SmallGeometry();
+      geometry.signature_bytes = width;
+      const SignatureIndexing scheme =
+          SignatureIndexing::Build(dataset, geometry).value();
+      Rng rng(2025);
+      for (int trial = 0; trial < 3000; ++trial) {
+        const Bytes tune_in =
+            static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
+                3 * scheme.channel().cycle_bytes())));
+        const bool present = rng.NextBernoulli(0.6);
+        const std::string key =
+            present ? dataset->record(static_cast<int>(rng.NextBounded(
+                                          static_cast<std::uint64_t>(n))))
+                          .key
+                    : dataset->AbsentKey(static_cast<int>(
+                          rng.NextBounded(static_cast<std::uint64_t>(n + 1))));
+        const AccessResult fast = scheme.Access(key, tune_in);
+        const AccessResult reference = scheme.AccessReference(key, tune_in);
+        const auto where = [&] {
+          return "n=" + std::to_string(n) + " It=" + std::to_string(width) +
+                 " " + key + " @" + std::to_string(tune_in);
+        };
+        ASSERT_EQ(fast.found, reference.found) << where();
+        ASSERT_EQ(fast.access_time, reference.access_time) << where();
+        ASSERT_EQ(fast.tuning_time, reference.tuning_time) << where();
+        ASSERT_EQ(fast.probes, reference.probes) << where();
+        ASSERT_EQ(fast.false_drops, reference.false_drops) << where();
+        ASSERT_EQ(fast.index_probes, reference.index_probes) << where();
+        ASSERT_EQ(fast.overflow_hops, reference.overflow_hops) << where();
+        ASSERT_EQ(fast.retries, reference.retries) << where();
+        ASSERT_EQ(fast.anomalies, reference.anomalies) << where();
+        ASSERT_EQ(fast.abandoned, reference.abandoned) << where();
+        ASSERT_EQ(fast.channel_hops, reference.channel_hops) << where();
+        ASSERT_EQ(fast.start_channel, reference.start_channel) << where();
+        ASSERT_EQ(fast.final_channel, reference.final_channel) << where();
+        ASSERT_EQ(fast.switch_bytes, reference.switch_bytes) << where();
+        ASSERT_EQ(fast.final_channel_tuning, reference.final_channel_tuning)
+            << where();
+      }
+    }
   }
 }
 
@@ -161,6 +189,46 @@ TEST(Signature, SmallerSignaturesDropMore) {
   const double rate_large = large.MeasureFalseDropRate(50, 1);
   EXPECT_GT(rate_small, rate_large);
   EXPECT_GT(rate_small, 0.0);
+}
+
+// MeasureFalseDropRate against a row scan of the channel's signature
+// buckets over the same sampled targets: both are exact integer ratios.
+TEST(Signature, FalseDropRateEqualsRowScan) {
+  for (const int n : {2, 63, 64, 65, 129, 1000}) {
+    const auto dataset = MakeDataset(n);
+    for (const Bytes width : {1, 4, 12}) {
+      BucketGeometry geometry = SmallGeometry();
+      geometry.signature_bytes = width;
+      const SignatureIndexing scheme =
+          SignatureIndexing::Build(dataset, geometry).value();
+      const SignatureGenerator& generator = scheme.generator();
+      const Channel& channel = scheme.channel();
+      for (const std::uint64_t seed : {1, 11, 77}) {
+        Rng rng(seed);
+        std::int64_t drops = 0;
+        std::int64_t pairs_checked = 0;
+        for (int q = 0; q < 40; ++q) {
+          const int target = static_cast<int>(
+              rng.NextBounded(static_cast<std::uint64_t>(n)));
+          const auto query =
+              generator.QuerySignature(dataset->record(target).key);
+          for (std::size_t i = 0; i < channel.num_buckets(); i += 2) {
+            if (SignatureGenerator::Matches(
+                    channel.bucket(i).signature.data(), query.data(),
+                    generator.words())) {
+              ++drops;
+            }
+          }
+          --drops;  // the target's own signature
+          pairs_checked += n - 1;
+        }
+        EXPECT_EQ(scheme.MeasureFalseDropRate(40, seed),
+                  static_cast<double>(drops) /
+                      static_cast<double>(pairs_checked))
+            << "n=" << n << " It=" << width << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(Signature, RejectsBadParams) {
