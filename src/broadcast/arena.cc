@@ -4,6 +4,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace airindex {
 
@@ -12,6 +13,14 @@ namespace {
 constexpr std::size_t kAlign = 8;
 
 std::size_t AlignUp(std::size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
+
+/// Copies `values` to `to`. An empty vector's data() may be null, which
+/// memcpy must not be given even for a zero-byte copy.
+template <typename T>
+void CopySpan(std::uint8_t* to, const std::vector<T>& values) {
+  if (values.empty()) return;
+  std::memcpy(to, values.data(), values.size() * sizeof(T));
+}
 
 /// Deterministic string interner: first-touch append order, duplicates
 /// collapse to the first occurrence. The empty string is always {0, 0}.
@@ -141,18 +150,13 @@ ProgramArena ProgramArena::Flatten(const std::vector<const Channel*>& channels,
   arena.bytes_.assign(at, 0);  // alignment pads stay zero — determinism
   std::uint8_t* base = arena.bytes_.data();
   std::memcpy(base, &header, sizeof(header));
-  std::memcpy(base + header.channels_offset, descs.data(),
-              descs.size() * sizeof(ArenaChannelDesc));
-  std::memcpy(base + header.buckets_offset, buckets.data(),
-              buckets.size() * sizeof(ArenaBucket));
-  std::memcpy(base + header.entries_offset, entries.data(),
-              entries.size() * sizeof(ArenaPointerEntry));
-  std::memcpy(base + header.words_offset, words.data(),
-              words.size() * sizeof(std::uint64_t));
+  CopySpan(base + header.channels_offset, descs);
+  CopySpan(base + header.buckets_offset, buckets);
+  CopySpan(base + header.entries_offset, entries);
+  CopySpan(base + header.words_offset, words);
   std::memcpy(base + header.strings_offset, strings.pool().data(),
               strings.pool().size());
-  std::memcpy(base + header.aux_offset, aux.data(),
-              aux.size() * sizeof(std::int64_t));
+  CopySpan(base + header.aux_offset, aux);
   return arena;
 }
 
@@ -207,8 +211,10 @@ std::string_view ProgramArena::str(const ArenaStrRef& ref) const {
 
 std::vector<std::int64_t> ProgramArena::aux() const {
   std::vector<std::int64_t> values(header().num_aux);
-  std::memcpy(values.data(), bytes_.data() + header().aux_offset,
-              values.size() * sizeof(std::int64_t));
+  if (!values.empty()) {
+    std::memcpy(values.data(), bytes_.data() + header().aux_offset,
+                values.size() * sizeof(std::int64_t));
+  }
   return values;
 }
 

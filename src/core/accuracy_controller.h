@@ -10,8 +10,8 @@ namespace airindex {
 ///
 /// One observation per round (the round's mean) for each metric; the run
 /// may stop once BOTH metrics satisfy the Student-t relative-half-width
-/// rule at the configured level and accuracy, subject to the min/max
-/// round bounds the Simulator enforces.
+/// rule at the configured level and accuracy, subject to the config's
+/// min/max round bounds (ShouldStop).
 class AccuracyController {
  public:
   AccuracyController(double confidence_level, double target_accuracy)
@@ -24,20 +24,21 @@ class AccuracyController {
     tuning_.AddObservation(tuning_mean);
   }
 
-  /// Merges another controller's rounds into this one. See
-  /// ConfidenceEstimator::Merge for the ordering requirement that keeps
-  /// merged stopping decisions bit-identical.
-  void Merge(const AccuracyController& other) {
-    access_.Merge(other.access_);
-    tuning_.Merge(other.tuning_);
-  }
-
   /// Number of rounds observed.
   int rounds() const { return access_.count(); }
 
   /// True when both metrics meet the accuracy target.
   bool Satisfied() const {
     return access_.Check().satisfied && tuning_.Check().satisfied;
+  }
+
+  /// The testbed's stopping rule, checked after every round: stop when
+  /// at least `min_rounds` rounds have run and both metrics meet the
+  /// accuracy target, or at the `max_rounds` cap. The replication engine
+  /// and bench_merge's shard replay both stop here, so they stop at the
+  /// same round.
+  bool ShouldStop(int min_rounds, int max_rounds) const {
+    return (rounds() >= min_rounds && Satisfied()) || rounds() >= max_rounds;
   }
 
   /// Current checks, for reporting.

@@ -7,14 +7,35 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/broadcast_server.h"
 #include "core/program_cache.h"
 #include "core/report.h"
 #include "core/shard.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"
 #include "core/thread_pool.h"
+#include "data/dataset.h"
 
 namespace airindex {
+
+/// One cell's broadcast side: the dataset it serves and the server built
+/// over it.
+struct TestbedServer {
+  std::shared_ptr<const Dataset> dataset;
+  BroadcastServer server;
+};
+
+/// The cell setup every engine shares (ParallelExperiment, and the fleet
+/// runner of core/fleet_runner.h): resolves `config`'s dataset
+/// (BuildTestbedDataset) and builds its broadcast server from the
+/// resolved scheme params. When config.program_cache_dir is set the
+/// program goes through `*program_cache` — the engine's snapshot cache,
+/// (re)created here when it is null or names another directory — so
+/// identical cells share one flattened program. Does not validate the
+/// config; the engines do that first.
+Result<TestbedServer> BuildTestbedServer(
+    const TestbedConfig& config,
+    std::unique_ptr<ProgramCache>* program_cache);
 
 /// Options of the parallel replication engine.
 struct ParallelOptions {
@@ -63,7 +84,8 @@ struct ParallelOptions {
 ///
 /// Consequence: `Run` is bit-identical for every jobs/lookahead value,
 /// and the adaptive stopping behaviour (which replication stops the run)
-/// is preserved exactly.
+/// is preserved exactly. RunTestbed (core/simulator.h) is the jobs = 1
+/// case.
 class ParallelExperiment {
  public:
   explicit ParallelExperiment(ParallelOptions options = {});
@@ -75,10 +97,9 @@ class ParallelExperiment {
   Result<SimulationResult> Run(const TestbedConfig& config);
 
   /// Runs a grid of configurations, one result per config in input
-  /// order — the one sweep entry point (the old free RunSweep, which ran
-  /// one serial RunTestbed per cell, is gone). Grid points run
-  /// sequentially with their replications parallelised, so each point's
-  /// statistics are independent of the grid around it (and of jobs).
+  /// order — the one sweep entry point. Grid points run sequentially
+  /// with their replications parallelised, so each point's statistics
+  /// are independent of the grid around it (and of jobs).
   ///
   /// Cells that share the same generated-dataset inputs
   /// (num_records, key geometry, attribute shape, seed) reuse one
@@ -109,15 +130,16 @@ class ParallelExperiment {
   const ProgramCache* program_cache() const { return program_cache_.get(); }
 
  private:
-  /// Runs replications [lo, hi) of one sweep cell with absolute ids and
-  /// no stopping rule, appending their raw merge state to `payloads`.
-  /// The returned result is this shard's local view (its own
-  /// replications merged in id order) — useful for progress tables, but
-  /// only bench_merge's replay reconstructs the real point.
-  Result<SimulationResult> RunShardCell(const TestbedConfig& config, int lo,
-                                        int hi,
-                                        std::vector<ReplicationPayload>*
-                                            payloads);
+  /// The one cell loop: streams replications with absolute ids [lo, hi)
+  /// through the pool and merges them in id order. With `payloads` null
+  /// (an unsharded run, [0, max_rounds)) the stopping rule ends the cell
+  /// on the merged prefix. A sharded cell instead runs its whole slice
+  /// with no stopping rule and appends each replication's raw merge
+  /// state to `payloads`; its result is the shard's local view, and only
+  /// bench_merge's replay reconstructs the real point.
+  Result<SimulationResult> RunCell(const TestbedConfig& config, int lo,
+                                   int hi,
+                                   std::vector<ReplicationPayload>* payloads);
 
   /// One shared Zipf sampling table per distinct (ranks, theta):
   /// replications — and same-shape sweep cells, since the cache persists

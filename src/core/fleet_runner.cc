@@ -122,26 +122,11 @@ Result<FleetRunResult> FleetExperiment::Run(const TestbedConfig& config,
                                             const FleetOptions& options) {
   if (Status s = ValidateFleetConfig(config, options); !s.ok()) return s;
 
-  Result<std::shared_ptr<const Dataset>> dataset_result =
-      BuildTestbedDataset(config);
-  if (!dataset_result.ok()) return dataset_result.status();
-  const std::shared_ptr<const Dataset> dataset =
-      std::move(dataset_result).value();
-
-  ProgramCache* cache = nullptr;
-  if (!config.program_cache_dir.empty()) {
-    if (program_cache_ == nullptr ||
-        program_cache_->dir() != config.program_cache_dir) {
-      program_cache_ = std::make_unique<ProgramCache>(config.program_cache_dir);
-    }
-    cache = program_cache_.get();
-  }
-  Result<BroadcastServer> server_result =
-      BroadcastServer::Create(config.scheme, dataset, config.geometry,
-                              ResolvedSchemeParams(config),
-                              config.multichannel, cache);
-  if (!server_result.ok()) return server_result.status();
-  const BroadcastServer server = std::move(server_result).value();
+  Result<TestbedServer> built = BuildTestbedServer(config, &program_cache_);
+  if (!built.ok()) return built.status();
+  const TestbedServer& cell = built.value();
+  const std::shared_ptr<const Dataset>& dataset = cell.dataset;
+  const BroadcastServer& server = cell.server;
 
   std::optional<ZipfDistribution> zipf;
   if (config.zipf_theta > 0.0) {

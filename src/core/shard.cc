@@ -376,9 +376,9 @@ Result<BenchReport> MergeShardedReports(
     MetricsRegistry metrics;
     AccuracyController accuracy(reference.confidence_level,
                                 reference.confidence_accuracy);
-    int rounds = 0;
     bool stop = false;
     for (const ReplicationPayload* payload : payloads) {
+      const int rounds = accuracy.rounds();
       if (payload->id != rounds) {
         return ShardError("point " + std::to_string(p) + ": replication " +
                           std::to_string(rounds) +
@@ -393,9 +393,7 @@ Result<BenchReport> MergeShardedReports(
       metrics.Merge(payload->metrics);
       accuracy.AddRound(payload->round_access_mean,
                         payload->round_tuning_mean);
-      ++rounds;
-      if ((rounds >= reference.min_rounds && accuracy.Satisfied()) ||
-          rounds >= reference.max_rounds) {
+      if (accuracy.ShouldStop(reference.min_rounds, reference.max_rounds)) {
         stop = true;
         break;
       }
@@ -420,7 +418,7 @@ Result<BenchReport> MergeShardedReports(
       point.metrics.emplace_back(spec.name,
                                  BinomialRatioMetric(metrics, spec));
     }
-    point.replications = rounds;
+    point.replications = accuracy.rounds();
     point.requests = access.count();
     point.converged = accuracy.Satisfied();
     // Same sanity net the partials passed through AddSimulationPoint:

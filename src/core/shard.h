@@ -146,8 +146,8 @@ struct ShardedPartial {
 /// and cell parameters; shards 0..N-1 each present exactly once), then
 /// replays the coordinator loop per point over the id-ordered payload
 /// union: merge accumulators and counters, feed the accuracy controller,
-/// stop at `(rounds >= min_rounds && Satisfied()) || rounds >=
-/// max_rounds`. Points and counters of the result are byte-identical to
+/// stop where AccuracyController::ShouldStop fires for the cell's round
+/// bounds. Points and counters of the result are byte-identical to
 /// the single-process report; timing is summed across shards (wall,
 /// busy, idle, replication counts; jobs and reorder peak take the max,
 /// cell wall times add) — merged, never compared.

@@ -11,10 +11,10 @@
 
 #include "broadcast/schedule.h"
 #include "client/session_client.h"
-#include "core/accuracy_controller.h"
 #include "core/broadcast_server.h"
 #include "core/deadline.h"
 #include "core/error_model.h"
+#include "core/experiment.h"
 #include "core/request_generator.h"
 #include "core/result_handler.h"
 #include "data/dataset.h"
@@ -211,37 +211,38 @@ MetricsRegistry SnapshotRunMetrics(const Simulation& simulation,
   return metrics;
 }
 
-/// Miss path of the session client: the wrapped scheme with the same
-/// unreliable-channel and deadline wrappers the stateless client runs.
-/// With the dynamic-dataset layer active, misses route through the
-/// mutable overlay instead (the validator pins dynamic runs to a
-/// lossless single channel, so the unreliable wrapper never composes
-/// with it).
+/// The client's one request path: the stateless client fetches every
+/// request here and the session client every cache miss. The mutable
+/// overlay serves the walk when the dynamic-dataset layer is active,
+/// otherwise the live program does — through the unreliable-channel
+/// model when the channel is lossy (the validator pins dynamic runs to
+/// a lossless single channel, so the two never compose). The deadline
+/// truncates whichever walk ran.
 struct ServerFetcher final : RecordFetcher {
-  ServerFetcher(const BroadcastServer* server_in,
+  ServerFetcher(const ScheduleRuntime* schedule_in,
                 const TestbedConfig* config_in, Rng* error_rng_in,
-                bool unreliable_in, DynamicRuntime* dynamic_in)
-      : server(server_in),
+                DynamicRuntime* dynamic_in)
+      : schedule(schedule_in),
         config(config_in),
         error_rng(error_rng_in),
-        unreliable(unreliable_in),
         dynamic(dynamic_in) {}
 
-  const BroadcastServer* server;
+  const ScheduleRuntime* schedule;
   const TestbedConfig* config;
   Rng* error_rng;
-  bool unreliable;
   DynamicRuntime* dynamic;
 
   AccessResult Fetch(std::string_view key, Bytes tune_in) override {
-    if (dynamic != nullptr && dynamic->active()) {
-      return ApplyDeadline(dynamic->Access(key, tune_in), config->deadline);
+    AccessResult walk;
+    if (dynamic->active()) {
+      walk = dynamic->Access(key, tune_in);
+    } else if (config->error_model.bucket_error_rate > 0.0) {
+      walk = AccessWithErrors(schedule->scheme(), key, tune_in,
+                              config->error_model, error_rng);
+    } else {
+      walk = schedule->scheme().Access(key, tune_in);
     }
-    return ApplyDeadline(
-        unreliable ? AccessWithErrors(server->scheme(), key, tune_in,
-                                      config->error_model, error_rng)
-                   : server->Listen(key, tune_in),
-        config->deadline);
+    return ApplyDeadline(walk, config->deadline);
   }
 };
 
@@ -256,16 +257,16 @@ struct DynamicVersions final : DynamicVersionSource {
   }
 };
 
-/// Starts the dynamic-dataset overlay for a run when the config asks
-/// for server-side mutations. `seed` is the config's master seed in
-/// RunTestbed and the replication seed in RunReplication: each
-/// replication owns an independent slice of mutation history (like its
-/// request stream), which is what keeps --jobs bit-identity.
+/// Starts the dynamic-dataset overlay for a replication when the config
+/// asks for server-side mutations. The mutation stream is seeded from
+/// `replication_seed`: each replication owns an independent slice of
+/// mutation history (like its request stream), which is what keeps
+/// --jobs bit-identity.
 Status StartDynamicRuntime(DynamicRuntime* dynamic,
                            const TestbedConfig& config,
                            std::shared_ptr<const Dataset> universe,
                            const BroadcastServer& server,
-                           std::uint64_t seed) {
+                           std::uint64_t replication_seed) {
   if (config.client.update_rate <= 0.0) return Status::Ok();
   DynamicRuntime::Params params;
   params.kind = config.scheme;
@@ -275,7 +276,7 @@ Status StartDynamicRuntime(DynamicRuntime* dynamic,
   params.update_rate = config.client.update_rate;
   params.update_zipf = config.client.update_zipf;
   params.compact_every = config.client.compact_every;
-  params.seed = Mix64(seed ^ 0xdc2a5ee0ULL);
+  params.seed = Mix64(replication_seed ^ 0xdc2a5ee0ULL);
   params.epoch_bytes = server.channel().cycle_bytes();
   params.base_scheme = &server.scheme();
   return dynamic->Start(std::move(params));
@@ -448,10 +449,11 @@ Status ValidateTestbedConfig(const TestbedConfig& config) {
             "multichannel runs");
       }
     }
-    // Online re-tiering swaps the live program under exactly one client
-    // walk path; the multichannel coordinator and the session cache both
-    // hold references into the planned program, so they are gated off
-    // rather than silently served a stale schedule.
+    // Online re-tiering swaps the live program under the client's one
+    // request path; the multichannel coordinator holds references into
+    // the planned program, and the session cache's PIX frequencies are
+    // the planned program's, so both are gated off rather than silently
+    // served a stale schedule.
     if (schedule.scheduler == SchedulerKind::kOnline) {
       if (config.multichannel.num_channels != 1) {
         return Status::InvalidArgument(
@@ -474,34 +476,6 @@ SchemeParams ResolvedSchemeParams(const TestbedConfig& config) {
   return params;
 }
 
-void FillChannelShape(const BroadcastServer& server,
-                      SimulationResult* result) {
-  if (const MultiChannelProgram* multi = server.multichannel();
-      multi != nullptr) {
-    const ChannelGroup& group = multi->group();
-    result->cycle_bytes = group.max_cycle_bytes();
-    result->num_buckets = static_cast<std::int64_t>(group.num_buckets());
-    result->num_index_buckets =
-        static_cast<std::int64_t>(group.num_index_buckets());
-    result->num_signature_buckets =
-        static_cast<std::int64_t>(group.num_signature_buckets());
-    result->num_data_buckets =
-        static_cast<std::int64_t>(group.num_data_buckets());
-    result->num_channels = group.num_channels();
-    return;
-  }
-  const Channel& channel = server.channel();
-  result->cycle_bytes = channel.cycle_bytes();
-  result->num_buckets = static_cast<std::int64_t>(channel.num_buckets());
-  result->num_index_buckets =
-      static_cast<std::int64_t>(channel.num_index_buckets());
-  result->num_signature_buckets =
-      static_cast<std::int64_t>(channel.num_signature_buckets());
-  result->num_data_buckets =
-      static_cast<std::int64_t>(channel.num_data_buckets());
-  result->num_channels = 1;
-}
-
 Result<std::shared_ptr<const Dataset>> BuildTestbedDataset(
     const TestbedConfig& config) {
   if (config.dataset != nullptr) return config.dataset;
@@ -518,146 +492,7 @@ Result<std::shared_ptr<const Dataset>> BuildTestbedDataset(
 }
 
 Result<SimulationResult> RunTestbed(const TestbedConfig& config) {
-  if (Status s = ValidateTestbedConfig(config); !s.ok()) return s;
-
-  // --- Initialization stage (paper Section 3). ---------------------------
-  Result<std::shared_ptr<const Dataset>> dataset_result =
-      BuildTestbedDataset(config);
-  if (!dataset_result.ok()) return dataset_result.status();
-  const std::shared_ptr<const Dataset> dataset =
-      std::move(dataset_result).value();
-
-  Result<BroadcastServer> server_result =
-      BroadcastServer::Create(config.scheme, dataset, config.geometry,
-                              ResolvedSchemeParams(config),
-                              config.multichannel);
-  if (!server_result.ok()) return server_result.status();
-  const BroadcastServer server = std::move(server_result).value();
-
-  ScheduleRuntime schedule;
-  schedule.Start(server, *dataset, config);
-
-  // Dynamic-dataset overlay (src/dynamic), engaged only when the config
-  // asks for server updates — the --update-rate 0 bypass keeps frozen
-  // runs byte-identical.
-  DynamicRuntime dynamic;
-  if (Status s =
-          StartDynamicRuntime(&dynamic, config, dataset, server, config.seed);
-      !s.ok()) {
-    return s;
-  }
-
-  Rng master(config.seed);
-  RequestGenerator generator(
-      dataset.get(), config.data_availability,
-      config.mean_request_interval_bytes, master.Split(), config.zipf_theta,
-      nullptr,
-      SessionWorkload{config.client.session_length,
-                      config.client.repeat_probability});
-  Rng error_rng = master.Split();
-  const bool unreliable = config.error_model.bucket_error_rate > 0.0;
-  ResultHandler results;
-  AccuracyController accuracy(config.confidence_level,
-                              config.confidence_accuracy);
-
-  // Stateful-client wrapper, engaged only when the cache has capacity —
-  // the zero-capacity bypass keeps stateless runs byte-identical.
-  ServerFetcher fetcher{&server, &config, &error_rng, unreliable, &dynamic};
-  DynamicVersions versions{};
-  versions.runtime = &dynamic;
-  std::optional<SessionClient> session_storage;
-  if (config.client.cache_capacity > 0) {
-    SessionClientParams session_params = BuildSessionParams(config, server);
-    if (dynamic.active()) session_params.versions = &versions;
-    session_storage.emplace(
-        dataset.get(), session_params,
-        SessionFrequencies(server, dataset->size(),
-                           config.client.cache_policy),
-        &fetcher);
-    WarmSessionCache(&*session_storage, &generator,
-                     config.client.warmup_queries);
-  }
-  SessionClient* session = session_storage ? &*session_storage : nullptr;
-
-  // --- Simulation stage. --------------------------------------------------
-  Simulation simulation;
-  bool stop = false;
-
-  // Request arrival: run the access protocol (the pure "listen" walk) and
-  // schedule the completion event at the download time. Both event
-  // closures must fit the EventQueue's inline buffer so the per-request
-  // path never heap-allocates.
-  std::function<void()> schedule_next_arrival = [&]() {
-    auto on_arrival = [&]() {
-      const Query query = generator.NextQuery();
-      const AccessResult access =
-          session != nullptr
-              ? session->Access(query.key, simulation.now())
-          : dynamic.active()
-              ? ApplyDeadline(dynamic.Access(query.key, simulation.now()),
-                              config.deadline)
-              : ApplyDeadline(
-                    unreliable
-                        ? AccessWithErrors(schedule.scheme(), query.key,
-                                           simulation.now(),
-                                           config.error_model, &error_rng)
-                        : schedule.scheme().Access(query.key,
-                                                   simulation.now()),
-                    config.deadline);
-      if (schedule.observing() && query.on_air) schedule.Observe(query.key);
-      // Liveness-adjusted outcome expectation, evaluated at the same
-      // tune-in instant the access ran: a record the MutationLog has
-      // deleted is legitimately not found.
-      const bool on_air =
-          dynamic.active()
-              ? dynamic.ExpectedOnAir(query.on_air, query.key,
-                                      simulation.now())
-              : query.on_air;
-      auto on_completion = [&, access, on_air]() {
-        results.Add(access, on_air);
-        if (results.round_size() >= config.requests_per_round) {
-          const ResultHandler::RoundStats round = results.CloseRound();
-          accuracy.AddRound(round.access_mean, round.tuning_mean);
-          const bool enough_rounds = accuracy.rounds() >= config.min_rounds;
-          const bool capped = accuracy.rounds() >= config.max_rounds;
-          if ((enough_rounds && accuracy.Satisfied()) || capped) stop = true;
-        }
-      };
-      static_assert(
-          EventQueue::Callback::fits_inline<decltype(on_completion)>,
-          "completion event must stay allocation-free");
-      simulation.ScheduleIn(access.access_time, std::move(on_completion));
-      if (!stop) schedule_next_arrival();
-    };
-    static_assert(EventQueue::Callback::fits_inline<decltype(on_arrival)>,
-                  "arrival event must stay allocation-free");
-    simulation.ScheduleIn(generator.NextInterArrival(),
-                          std::move(on_arrival));
-  };
-  schedule_next_arrival();
-  simulation.Run([&]() { return stop; });
-
-  // --- End stage. ----------------------------------------------------------
-  SimulationResult result;
-  result.access = results.access();
-  result.tuning = results.tuning();
-  result.probes = results.probes();
-  result.access_histogram = results.access_histogram();
-  result.tuning_histogram = results.tuning_histogram();
-  result.requests = results.requests();
-  result.rounds = accuracy.rounds();
-  result.converged = accuracy.Satisfied();
-  result.access_check = accuracy.access_check();
-  result.tuning_check = accuracy.tuning_check();
-  result.found = results.found();
-  result.abandoned = results.abandoned();
-  result.false_drops = results.false_drops();
-  result.anomalies = results.anomalies();
-  result.outcome_mismatches = results.outcome_mismatches();
-  result.metrics = SnapshotRunMetrics(simulation, server, results, session,
-                                      schedule, dynamic);
-  FillChannelShape(server, &result);
-  return result;
+  return ParallelExperiment({.jobs = 1}).Run(config);
 }
 
 ReplicationResult RunReplication(const BroadcastServer& server,
@@ -665,7 +500,7 @@ ReplicationResult RunReplication(const BroadcastServer& server,
                                  const TestbedConfig& config,
                                  std::uint64_t replication_seed,
                                  const ZipfDistribution* shared_zipf) {
-  // Mirrors RunTestbed's simulation stage for exactly one round: the
+  // One round of the testbed's simulation stage (paper Section 3): the
   // replication draws its own request stream from `replication_seed`,
   // generates `requests_per_round` arrivals, and drains the event queue
   // so every generated request completes.
@@ -677,7 +512,6 @@ ReplicationResult RunReplication(const BroadcastServer& server,
       SessionWorkload{config.client.session_length,
                       config.client.repeat_probability});
   Rng error_rng = master.Split();
-  const bool unreliable = config.error_model.bucket_error_rate > 0.0;
   ResultHandler results;
 
   // Per-replication scheduling state: each replication drives its own
@@ -705,7 +539,7 @@ ReplicationResult RunReplication(const BroadcastServer& server,
   // re-warmed from this replication's own stream, so the result stays a
   // pure function of (server, dataset, config, replication_seed) and
   // --jobs bit-identity holds.
-  ServerFetcher fetcher{&server, &config, &error_rng, unreliable, &dynamic};
+  ServerFetcher fetcher{&schedule, &config, &error_rng, &dynamic};
   DynamicVersions versions{};
   versions.runtime = &dynamic;
   std::optional<SessionClient> session_storage;
@@ -729,20 +563,12 @@ ReplicationResult RunReplication(const BroadcastServer& server,
       ++generated;
       const Query query = generator.NextQuery();
       const AccessResult access =
-          session != nullptr
-              ? session->Access(query.key, simulation.now())
-          : dynamic.active()
-              ? ApplyDeadline(dynamic.Access(query.key, simulation.now()),
-                              config.deadline)
-              : ApplyDeadline(
-                    unreliable
-                        ? AccessWithErrors(schedule.scheme(), query.key,
-                                           simulation.now(),
-                                           config.error_model, &error_rng)
-                        : schedule.scheme().Access(query.key,
-                                                   simulation.now()),
-                    config.deadline);
+          session != nullptr ? session->Access(query.key, simulation.now())
+                             : fetcher.Fetch(query.key, simulation.now());
       if (schedule.observing() && query.on_air) schedule.Observe(query.key);
+      // Liveness-adjusted outcome expectation, evaluated at the same
+      // tune-in instant the access ran: a record the MutationLog has
+      // deleted is legitimately not found.
       const bool on_air =
           dynamic.active()
               ? dynamic.ExpectedOnAir(query.on_air, query.key,

@@ -70,36 +70,34 @@ struct SimulationResult {
 
 /// The testbed's Simulator (paper Section 3): "acts as the coordinator of
 /// the whole simulation process" — builds the data source and broadcast
-/// server, starts the request generator, runs the discrete-event loop,
-/// and stops when the accuracy controller is satisfied.
+/// server, runs rounds of requests through the discrete-event loop, and
+/// stops when the accuracy controller is satisfied.
 ///
-/// RunTestbed is the one-call entry point the benches and examples use.
+/// RunTestbed is the one-call entry point the examples use. It is the
+/// serial case of the replication engine — exactly
+/// ParallelExperiment({.jobs = 1}).Run(config) (core/experiment.h) — so
+/// a config gives the same answer here as in any bench, at any --jobs.
 Result<SimulationResult> RunTestbed(const TestbedConfig& config);
 
-/// Checks the config the way RunTestbed does, without running anything.
-/// Exposed so alternative drivers (the parallel replication engine)
-/// reject bad configs identically.
+/// Checks a config without running anything. Every engine (the
+/// replication engine, the fleet runner) rejects bad configs through
+/// this.
 Status ValidateTestbedConfig(const TestbedConfig& config);
 
 /// The scheme params a run actually builds programs with: a copy of
 /// config.params with an unresolved schedule theta (< 0, "inherit the
 /// workload skew") replaced by config.zipf_theta. Every server
-/// construction site — RunTestbed, the replication engine, the fleet
-/// runner — must go through this so planned and online schedules see
-/// exactly the skew the request generator samples.
+/// construction site — the engines' shared cell setup, the per-replication
+/// schedule and dynamic runtimes — must go through this so planned and
+/// online schedules see exactly the skew the request generator samples.
 SchemeParams ResolvedSchemeParams(const TestbedConfig& config);
 
 /// Resolves the dataset a run broadcasts: `config.dataset` when supplied,
 /// otherwise the synthetic dataset generated from the config's record
-/// shape and master seed. Both RunTestbed and the replication engine use
-/// this, so a given config always broadcasts identical data.
+/// shape and master seed. Every engine builds its dataset through this,
+/// so a given config always broadcasts identical data.
 Result<std::shared_ptr<const Dataset>> BuildTestbedDataset(
     const TestbedConfig& config);
-
-/// Fills `result`'s channel-shape block from the server's channel or
-/// channel group. Shared by RunTestbed and the replication engine so both
-/// report the same shape for the same config.
-void FillChannelShape(const BroadcastServer& server, SimulationResult* result);
 
 /// Outcome of one independent replication (one round of
 /// `requests_per_round` requests on a fresh simulation clock).

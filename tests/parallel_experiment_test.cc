@@ -1,7 +1,8 @@
 // Tests of the parallel replication engine (core/experiment.h): the
-// --jobs 1 vs --jobs 8 bit-identity guarantee, deterministic splitmix64
-// per-replication seeding with non-overlapping adjacent streams, timing
-// accounting, and merge-friendliness of the confidence stopping rule.
+// --jobs 1 vs --jobs 8 bit-identity guarantee, RunTestbed as its serial
+// case, deterministic splitmix64 per-replication seeding with
+// non-overlapping adjacent streams, timing accounting, and the
+// merge-friendliness and round bounds of the confidence stopping rule.
 
 #include <cstdint>
 #include <set>
@@ -256,6 +257,86 @@ TEST(ParallelExperiment, TimingIsAccounted) {
   EXPECT_GE(timing.worker_utilization(), 0.0);
   EXPECT_LE(timing.worker_utilization(), 1.0);
   EXPECT_GT(timing.replications_per_second(), 0.0);
+}
+
+TEST(ParallelExperiment, RunTestbedIsTheSerialEngine) {
+  // RunTestbed is ParallelExperiment({.jobs = 1}).Run: one config gives
+  // one answer, from an example or from a bench at any --jobs. Each case
+  // engages one client stage, and its witness counter proves the stage
+  // actually ran.
+  struct Case {
+    const char* name;
+    TestbedConfig config;
+    const char* witness;
+  };
+  std::vector<Case> cases;
+
+  TestbedConfig warm = SmallConfig(SchemeKind::kDistributed);
+  warm.zipf_theta = 0.8;
+  warm.client.cache_capacity = 32;
+  warm.client.warmup_queries = 200;
+  cases.push_back({"session cache with warmup", warm, "client.cache_hits"});
+
+  TestbedConfig stale = SmallConfig(SchemeKind::kOneM);
+  stale.zipf_theta = 0.9;
+  stale.client.cache_capacity = 64;
+  stale.client.update_rate = 8.0;
+  stale.client.update_zipf = 0.9;
+  stale.client.compact_every = 2;
+  cases.push_back({"dynamic updates with a cache", stale,
+                   "dynamic.stale_reads"});
+
+  TestbedConfig online = SmallConfig(SchemeKind::kFlat);
+  online.zipf_theta = 0.9;
+  online.params.schedule.scheduler = SchedulerKind::kOnline;
+  online.params.schedule.num_disks = 4;
+  online.params.schedule.retier_requests = 16;
+  cases.push_back({"online re-tiering", online, "schedule.retier_epochs"});
+
+  TestbedConfig lossy = SmallConfig(SchemeKind::kDistributed);
+  lossy.error_model.bucket_error_rate = 1e-3;
+  lossy.deadline.access_deadline_bytes = 400 * 500;
+  lossy.zipf_theta = 0.8;
+  lossy.data_availability = 0.8;
+  cases.push_back({"errors, deadline and skew", lossy,
+                   "client.error_retries"});
+
+  TestbedConfig channels = SmallConfig(SchemeKind::kOneM);
+  channels.multichannel.num_channels = 2;
+  channels.multichannel.allocation = ChannelAllocation::kDataPartitioned;
+  cases.push_back({"two data-partitioned channels", channels,
+                   "client.channel_hops"});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Result<SimulationResult> serial = RunTestbed(c.config);
+    ParallelExperiment engine({.jobs = 4});
+    const Result<SimulationResult> parallel = engine.Run(c.config);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectIdenticalResults(serial.value(), parallel.value());
+    EXPECT_TRUE(serial.value().metrics == parallel.value().metrics);
+    EXPECT_GT(serial.value().metrics.Get(c.witness), 0) << c.witness;
+  }
+  // The deadline case must also have abandoned some requests.
+  EXPECT_GT(RunTestbed(lossy).value().abandoned, 0);
+}
+
+TEST(AccuracyController, ShouldStopHonoursRoundBounds) {
+  // Identical rounds satisfy the accuracy target from the second round
+  // on; the rule still waits for min_rounds.
+  AccuracyController steady(0.99, 0.01);
+  for (int i = 0; i < 3; ++i) steady.AddRound(100.0, 10.0);
+  ASSERT_TRUE(steady.Satisfied());
+  EXPECT_FALSE(steady.ShouldStop(4, 10));
+  EXPECT_TRUE(steady.ShouldStop(3, 10));
+  // Rounds that never meet the target stop only at the max_rounds cap.
+  AccuracyController noisy(0.99, 0.01);
+  noisy.AddRound(1.0, 1.0);
+  noisy.AddRound(100.0, 100.0);
+  ASSERT_FALSE(noisy.Satisfied());
+  EXPECT_FALSE(noisy.ShouldStop(1, 3));
+  EXPECT_TRUE(noisy.ShouldStop(1, 2));
 }
 
 TEST(ReplicationSeed, IsMasterSeedXorSplitmix64OfId) {

@@ -268,10 +268,14 @@ TEST(ScheduleTest, SimTracksSquareRootBoundAtPinnedPoint) {
   EXPECT_NEAR(sim.access.mean() / model, 1.0, 0.05);
 
   // Accounting telemetry: every slot of the planned cycle is a record
-  // occurrence, and the planned shape reaches the report unchanged.
-  EXPECT_EQ(MetricValue(sim.metrics, "schedule.num_disks"), kDisks);
+  // occurrence, and the planned shape reaches the report unchanged —
+  // summed, like every per-replication counter, over the merged
+  // replications.
+  EXPECT_EQ(MetricValue(sim.metrics, "schedule.num_disks"),
+            static_cast<double>(kDisks * sim.rounds));
   EXPECT_EQ(MetricValue(sim.metrics, "schedule.data_slots"),
-            static_cast<double>(assignment.value().SlotsPerMajorCycle()));
+            static_cast<double>(assignment.value().SlotsPerMajorCycle() *
+                                sim.rounds));
   EXPECT_EQ(MetricValue(sim.metrics, "schedule.occurrences"),
             MetricValue(sim.metrics, "schedule.data_slots"));
 
