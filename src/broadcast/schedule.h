@@ -11,8 +11,8 @@
 // on disk d appears exactly f_d times per major cycle — the chunking
 // identity the classic broadcast-disks algorithm guarantees). How slots
 // are interleaved with index segments is the scheme layer's business
-// (schemes/scheduled.h); schemes/broadcast_disks.h reuses the same
-// helpers for its fraction-specified legacy layout.
+// (schemes/scheduled.h), which lays out broadcast disks' fixed fraction
+// assignment and the square-root plans alike.
 #ifndef AIRINDEX_BROADCAST_SCHEDULE_H_
 #define AIRINDEX_BROADCAST_SCHEDULE_H_
 
@@ -104,10 +104,10 @@ struct DiskAssignment {
   std::int64_t SlotsPerMajorCycle() const;
 };
 
-/// Legacy fraction-specified assignment (schemes/broadcast_disks.h):
-/// validates the fractions/frequencies and cuts the identity record
-/// order at the cumulative-fraction boundaries, at least one record per
-/// disk. Byte-compatible with the pre-scheduler BroadcastDisks rule.
+/// The fraction-specified assignment broadcast disks (kBroadcastDisks)
+/// plan with: validates the fractions/frequencies and cuts the identity
+/// record order at the cumulative-fraction boundaries, at least one
+/// record per disk.
 Result<DiskAssignment> AssignmentFromFractions(
     const std::vector<double>& fractions, const std::vector<int>& frequencies,
     int num_records);
@@ -144,8 +144,7 @@ struct DiskLayout {
 /// Chunked broadcast-disks emission: disk d is split into max_freq/f_d
 /// balanced chunks and minor cycle i carries chunk (i mod chunks_d) of
 /// every disk — record phase order within a chunk follows the popularity
-/// order. Identical slot order to the pre-scheduler BroadcastDisks build
-/// for identity record orders.
+/// order.
 DiskLayout BuildDiskLayout(const DiskAssignment& assignment);
 
 /// Online re-tiering with deterministic hysteresis.

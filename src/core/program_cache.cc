@@ -125,17 +125,21 @@ Result<std::unique_ptr<BroadcastScheme>> ProgramCache::GetOrBuild(
     const std::string path = SnapshotPath(kind, dataset_fp, params_fp);
     Result<ProgramArena> loaded = ProgramSnapshot::LoadFile(path);
     // A loadable snapshot whose header fingerprints disagree with the
-    // requested configuration is stale or mis-keyed: treat as a miss and
-    // rebuild (the rewrite below replaces it).
+    // requested configuration is stale or mis-keyed, and one that does
+    // not restore (an older aux layout under the same key) is stale too:
+    // either is a miss, and the rebuild below rewrites the file.
     if (loaded.ok() && loaded.value().scheme_kind() == key.kind &&
         loaded.value().dataset_fingerprint() == dataset_fp &&
         loaded.value().params_fingerprint() == params_fp) {
-      metrics_.Increment("program.snapshot_hits");
       auto arena = std::make_shared<const ProgramArena>(
           std::move(loaded).value());
-      memory_.emplace_back(key, arena);
-      return RestoreSchemeFromArena(std::move(arena), std::move(dataset),
-                                    geometry, params);
+      Result<std::unique_ptr<BroadcastScheme>> restored =
+          RestoreSchemeFromArena(arena, dataset, geometry, params);
+      if (restored.ok()) {
+        metrics_.Increment("program.snapshot_hits");
+        memory_.emplace_back(key, std::move(arena));
+        return restored;
+      }
     }
     metrics_.Increment("program.snapshot_misses");
   }

@@ -81,9 +81,6 @@ class BroadcastScheme {
   /// Runs the access protocol for `key`, tuning in at absolute time
   /// `tune_in`.
   virtual AccessResult Access(std::string_view key, Bytes tune_in) const = 0;
-
-  /// Human-readable scheme name ("distributed indexing", ...).
-  virtual const char* name() const = 0;
 };
 
 }  // namespace airindex

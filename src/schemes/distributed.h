@@ -47,7 +47,6 @@ class DistributedIndexing : public BroadcastScheme {
       ArenaChannelView view, Channel channel, int r, int num_segments);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "distributed indexing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 

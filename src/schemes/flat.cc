@@ -77,30 +77,6 @@ FilterResult FlatBroadcast::Filter(std::string_view value,
   return result;
 }
 
-AccessResult FlatBroadcast::AccessReference(std::string_view key,
-                                            Bytes tune_in) const {
-  AccessResult result;
-  Bytes t = channel_.NextBoundaryTime(tune_in);
-  result.access_time = t - tune_in;
-  result.tuning_time = t - tune_in;
-  const auto num = channel_.num_buckets();
-  std::size_t i = channel_.BucketAtPhase(t % channel_.cycle_bytes());
-  for (std::size_t scanned = 0; scanned < num; ++scanned) {
-    const Bucket& bucket = channel_.bucket(i);
-    t += bucket.size;
-    result.tuning_time += bucket.size;
-    ++result.probes;
-    const Record& record = dataset_->record(static_cast<int>(bucket.record_id));
-    if (record.key == key) {
-      result.found = true;
-      break;
-    }
-    i = (i + 1) % num;
-  }
-  result.access_time = t - tune_in;
-  return result;
-}
-
 Result<FlatBroadcast> FlatBroadcast::Restore(
     std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
     Channel channel) {

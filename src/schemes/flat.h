@@ -35,14 +35,9 @@ class FlatBroadcast : public BroadcastScheme {
                                        ArenaChannelView view, Channel channel);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "flat broadcast"; }
 
   /// Closed-form protocol walk (O(log Nr): one dataset lookup).
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-
-  /// Bucket-by-bucket reference implementation of the same protocol.
-  /// Used by property tests to pin the fast path; O(Nr) per call.
-  AccessResult AccessReference(std::string_view key, Bytes tune_in) const;
 
   /// Attribute filtering baseline: with no signatures to sift, the
   /// client must listen to every data bucket of one full cycle.

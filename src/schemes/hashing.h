@@ -41,7 +41,6 @@ class SimpleHashing : public BroadcastScheme {
                                        int allocated);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "simple hashing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 

@@ -52,7 +52,6 @@ class HybridIndexing : public BroadcastScheme {
                                         int group_size, int m);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "hybrid index+signature"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 

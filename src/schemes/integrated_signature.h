@@ -41,7 +41,6 @@ class IntegratedSignatureIndexing : public BroadcastScheme {
       int group_size);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "integrated signature"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 

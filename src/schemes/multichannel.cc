@@ -176,8 +176,6 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
   channels.reserve(static_cast<std::size_t>(num_channels));
 
   if (multichannel.allocation == ChannelAllocation::kDataPartitioned) {
-    program->name_ = std::string("multichannel data-partitioned over ") +
-                     SchemeKindToString(kind);
     std::vector<PlacedHotSlots> placed;
     for (int p = 0; p < partitions; ++p) {
       const auto [lo, hi] = PartitionRange(num_records, partitions, p);
@@ -250,11 +248,7 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
     }
   } else {
     // Both index-centric allocations lay out the global B+-tree air
-    // index themselves; the base kind only names the program.
-    program->name_ =
-        std::string("multichannel ") +
-        ChannelAllocationToString(multichannel.allocation) + " over " +
-        SchemeKindToString(kind);
+    // index themselves, whatever the base kind.
     program->dataset_ = dataset;
     Result<BTree> tree_result =
         BTree::Build(num_records, geometry.index_fanout());

@@ -94,7 +94,6 @@ class MultiChannelProgram : public BroadcastScheme {
   // (the index channel for kIndexOnOne) for structure-agnostic callers.
   const Channel& channel() const override { return group().channel(0); }
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-  const char* name() const override { return name_.c_str(); }
 
   /// The channel group.
   const ChannelGroup& group() const { return *group_; }
@@ -130,7 +129,6 @@ class MultiChannelProgram : public BroadcastScheme {
   std::optional<ChannelGroup> group_;
 
   ChannelAllocation allocation_ = ChannelAllocation::kDataPartitioned;
-  std::string name_;
   /// First key of each data partition, in partition order (HomeChannel
   /// does an upper_bound over these).
   std::vector<std::string> partition_first_keys_;

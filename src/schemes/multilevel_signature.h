@@ -39,7 +39,6 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
       int group_size);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "multi-level signature"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 

@@ -44,7 +44,6 @@ class OneMIndexing : public BroadcastScheme {
                                       int m);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "(1,m) indexing"; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 

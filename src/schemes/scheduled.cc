@@ -299,9 +299,6 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
   scheme.record_buckets_ = std::move(record_buckets);
   scheme.segment_starts_ = std::move(segment_starts);
   scheme.dataset_ = std::move(dataset);
-  scheme.name_ = std::string(
-                     SchedulerKindToString(params.schedule.scheduler)) +
-                 "-scheduled " + SchemeKindToString(base_kind);
   scheme.data_slots_ = assignment.SlotsPerMajorCycle();
   scheme.disk_of_ = assignment.DiskOfRecord();
   scheme.assignment_ = std::move(assignment);
@@ -335,8 +332,8 @@ AccessResult ScheduledBroadcast::Walk(const ArenaChannelView& view,
   const int target = dataset_->FindIndex(key);
 
   if (style_ == ScheduledSegmentStyle::kNone) {
-    // Multi-disk scan, as the broadcast-disks walk: read until the target
-    // arrives; absence is certain only after a full major cycle.
+    // Multi-disk scan: read until the target's next occurrence arrives;
+    // absence is certain only after a full major cycle.
     Bytes buckets_read;
     if (target >= 0) {
       const std::vector<Bytes>& occ =

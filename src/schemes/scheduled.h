@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -22,8 +21,9 @@ namespace airindex {
 /// How a scheduled program lets clients locate a record, derived from
 /// the base scheme kind (every one of the 9 kinds maps to one family).
 enum class ScheduledSegmentStyle {
-  /// No index segment: scan until the record arrives (kFlat,
-  /// kBroadcastDisks). Tuning equals access.
+  /// No index segment: scan until the record arrives (kFlat under an
+  /// active scheduler; kBroadcastDisks, which is this family over its
+  /// fraction assignment). Tuning equals access.
   kNone,
   /// A replicated B+-tree segment opens every minor cycle; the descent
   /// reads `height` index buckets (kOneM, kDistributed, kHybrid).
@@ -65,8 +65,9 @@ class ScheduledBroadcast : public BroadcastScheme {
       const BucketGeometry& geometry, const SchemeParams& params);
 
   /// Builds the same layout from an explicit assignment — the online
-  /// re-tiering loop's rebuild path (core/simulator.cc) and the
-  /// conflict-aware multichannel placer use it.
+  /// re-tiering loop's rebuild path (core/simulator.cc) and BuildScheme's
+  /// broadcast disks (the fraction assignment of params.broadcast_disks)
+  /// use it.
   static Result<ScheduledBroadcast> BuildWithAssignment(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
@@ -86,7 +87,6 @@ class ScheduledBroadcast : public BroadcastScheme {
 
   const Channel& channel() const override { return channel_; }
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
-  const char* name() const override { return name_.c_str(); }
 
   /// The slot assignment in effect.
   const DiskAssignment& assignment() const { return assignment_; }
@@ -149,7 +149,6 @@ class ScheduledBroadcast : public BroadcastScheme {
       ArenaChannelView* existing_view);
 
   std::shared_ptr<const Dataset> dataset_;
-  std::string name_;
   ArenaChannelView view_;
   Channel channel_;
   DiskAssignment assignment_;

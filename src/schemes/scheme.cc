@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "schemes/broadcast_disks.h"
 #include "schemes/distributed.h"
 #include "schemes/flat.h"
 #include "schemes/hashing.h"
@@ -47,6 +46,31 @@ Result<std::unique_ptr<BroadcastScheme>> Wrap(Result<T> built) {
       std::make_unique<T>(std::move(built).value()));
 }
 
+// The one rule for which programs lay out as a ScheduledBroadcast, shared
+// by build and restore: every kind under an active scheduler, and
+// broadcast disks always — their fraction assignment is a fixed schedule
+// over the scan family.
+bool ScheduledLayout(SchemeKind kind, const SchemeParams& params) {
+  return params.schedule.active() || kind == SchemeKind::kBroadcastDisks;
+}
+
+// Broadcast disks under the flat scheduler: the scan family over the
+// fraction assignment of params.broadcast_disks.
+Result<ScheduledBroadcast> BuildBroadcastDisks(
+    std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
+    const SchemeParams& params) {
+  if (dataset == nullptr || dataset->size() == 0) {
+    return Status::InvalidArgument("broadcast disks need a non-empty dataset");
+  }
+  Result<DiskAssignment> assignment = AssignmentFromFractions(
+      params.broadcast_disks.disk_fractions,
+      params.broadcast_disks.disk_frequencies, dataset->size());
+  if (!assignment.ok()) return assignment.status();
+  return ScheduledBroadcast::BuildWithAssignment(
+      SchemeKind::kBroadcastDisks, std::move(dataset), geometry, params,
+      std::move(assignment).value());
+}
+
 SignatureParams SignatureParamsOf(const SchemeParams& params) {
   SignatureParams signature_params;
   signature_params.bits_per_attribute = params.signature_bits_per_attribute;
@@ -62,11 +86,14 @@ Result<std::unique_ptr<BroadcastScheme>> BuildScheme(
   signature_params.bits_per_attribute = params.signature_bits_per_attribute;
   Result<std::unique_ptr<BroadcastScheme>> built =
       Status::InvalidArgument("unknown scheme kind");
-  if (params.schedule.active()) {
+  if (ScheduledLayout(kind, params)) {
     // An active scheduler reroutes every kind through the skew-aware
     // scheduled program, which reuses the kind's index family over the
-    // square-root-rule slot schedule.
-    return Wrap(ScheduledBroadcast::Build(kind, std::move(dataset), geometry,
+    // square-root-rule slot schedule; otherwise this is broadcast disks.
+    return Wrap(params.schedule.active()
+                    ? ScheduledBroadcast::Build(kind, std::move(dataset),
+                                                geometry, params)
+                    : BuildBroadcastDisks(std::move(dataset), geometry,
                                           params));
   }
   switch (kind) {
@@ -100,9 +127,7 @@ Result<std::unique_ptr<BroadcastScheme>> BuildScheme(
           params.signature_group_size));
       break;
     case SchemeKind::kBroadcastDisks:
-      built = Wrap(BroadcastDisks::Build(std::move(dataset), geometry,
-                                         params.broadcast_disks));
-      break;
+      break;  // always a scheduled layout, built above
     case SchemeKind::kHybrid:
       built = Wrap(HybridIndexing::Build(std::move(dataset), geometry,
                                          signature_params,
@@ -139,8 +164,9 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
   switch (kind) {
     case SchemeKind::kFlat:
     case SchemeKind::kSignature:
-    case SchemeKind::kBroadcastDisks:
       break;  // fully reconstructible from dataset + params + channel
+    case SchemeKind::kBroadcastDisks:
+      break;  // a scheduled program, flattened above
     case SchemeKind::kOneM: {
       const auto* one_m = dynamic_cast<const OneMIndexing*>(&scheme);
       if (one_m == nullptr) break;
@@ -183,8 +209,7 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
   }
   // Kinds with scalars must have matched their concrete type above.
   const bool needs_aux =
-      kind != SchemeKind::kFlat && kind != SchemeKind::kSignature &&
-      kind != SchemeKind::kBroadcastDisks;
+      kind != SchemeKind::kFlat && kind != SchemeKind::kSignature;
   if (needs_aux && aux.empty()) {
     return Status::InvalidArgument(
         std::string("flatten: scheme is not a ") + SchemeKindToString(kind));
@@ -235,7 +260,7 @@ Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(
     return Status::Ok();
   };
 
-  if (params.schedule.active()) {
+  if (ScheduledLayout(kind, params)) {
     return Wrap(ScheduledBroadcast::Restore(kind, dataset, geometry, params,
                                             std::move(view), std::move(channel),
                                             aux));
@@ -288,12 +313,8 @@ Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(
           dataset, geometry, SignatureParamsOf(params), std::move(view),
           std::move(channel), aux_int(0)));
     }
-    case SchemeKind::kBroadcastDisks: {
-      Status s = check_aux(0);
-      if (!s.ok()) return s;
-      return Wrap(BroadcastDisks::Restore(dataset, params.broadcast_disks,
-                                          std::move(view), std::move(channel)));
-    }
+    case SchemeKind::kBroadcastDisks:
+      break;  // always a scheduled layout, restored above
     case SchemeKind::kHybrid: {
       Status s = check_aux(2);
       if (!s.ok()) return s;

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "broadcast/arena.h"
@@ -11,7 +12,6 @@
 #include "broadcast/schedule.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
-#include "schemes/broadcast_disks.h"
 #include "schemes/signature.h"
 
 namespace airindex {
@@ -31,6 +31,21 @@ enum class SchemeKind {
 
 /// Short display name ("flat broadcast", "(1,m) indexing", ...).
 const char* SchemeKindToString(SchemeKind kind);
+
+/// Layout parameters of a multi-disk broadcast (Acharya, Alonso, Franklin
+/// & Zdonik, SIGMOD'95) — a scheduling extension beyond the paper's flat
+/// broadcast. kBroadcastDisks runs the scheduled program's scan family
+/// (schemes/scheduled.h) over AssignmentFromFractions of these fields.
+struct BroadcastDisksParams {
+  /// Fraction of the (popularity-ordered) records on each disk, hottest
+  /// first. Must sum to ~1. Default: a small hot disk, a warm disk, and
+  /// a large cold disk.
+  std::vector<double> disk_fractions = {0.10, 0.30, 0.60};
+  /// Relative broadcast frequency of each disk (same length as
+  /// disk_fractions, non-increasing). Every frequency must divide the
+  /// first (hottest) one — the classic algorithm's chunking requirement.
+  std::vector<int> disk_frequencies = {4, 2, 1};
+};
 
 /// Per-scheme tuning knobs; defaults reproduce the paper's setup
 /// ("optimal" parameters where the paper says it used them).

@@ -101,7 +101,6 @@ class SignatureIndexing : public BroadcastScheme {
       SignatureParams params, ArenaChannelView view, Channel channel);
 
   const Channel& channel() const override { return channel_; }
-  const char* name() const override { return "signature indexing"; }
 
   /// Closed-form protocol walk instead of bucket-by-bucket simulation:
   /// the sifted window's match count is a popcount over the query's bit

@@ -1,12 +1,18 @@
-// Unit and property tests for the broadcast-disks scheduling extension.
+// Unit and property tests for the broadcast-disks scheduling extension:
+// kBroadcastDisks builds the scheduled scan family over the fraction
+// assignment of SchemeParams::broadcast_disks.
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "broadcast/channel.h"
 #include "des/random.h"
-#include "schemes/broadcast_disks.h"
+#include "scan_oracle.h"
+#include "schemes/scheduled.h"
+#include "schemes/scheme.h"
 
 namespace airindex {
 namespace {
@@ -25,10 +31,27 @@ BucketGeometry SmallGeometry() {
   return geometry;
 }
 
+Result<std::unique_ptr<BroadcastScheme>> BuildDisks(
+    std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
+    const BroadcastDisksParams& disks = {}) {
+  SchemeParams params;
+  params.broadcast_disks = disks;
+  return BuildScheme(SchemeKind::kBroadcastDisks, std::move(dataset),
+                     geometry, params);
+}
+
+// The built program, viewed as the scheduled scan family it runs (any
+// other type throws std::bad_cast, which fails the test).
+const ScheduledBroadcast& Scheduled(const BroadcastScheme& scheme) {
+  const auto& scheduled = dynamic_cast<const ScheduledBroadcast&>(scheme);
+  EXPECT_EQ(scheduled.segment_style(), ScheduledSegmentStyle::kNone);
+  return scheduled;
+}
+
 TEST(BroadcastDisks, DefaultLayoutFrequencies) {
   const auto dataset = MakeDataset(100);
-  const BroadcastDisks scheme =
-      BroadcastDisks::Build(dataset, SmallGeometry()).value();
+  const auto built = BuildDisks(dataset, SmallGeometry()).value();
+  const ScheduledBroadcast& scheme = Scheduled(*built);
   // 10 hot records 4x + 30 warm 2x + 60 cold 1x = 40 + 60 + 60 buckets.
   EXPECT_EQ(scheme.channel().num_buckets(), 160u);
   for (int r = 0; r < 100; ++r) {
@@ -41,8 +64,8 @@ TEST(BroadcastDisks, DefaultLayoutFrequencies) {
 
 TEST(BroadcastDisks, HotOccurrencesAreEvenlySpread) {
   const auto dataset = MakeDataset(100);
-  const BroadcastDisks scheme =
-      BroadcastDisks::Build(dataset, SmallGeometry()).value();
+  const auto built = BuildDisks(dataset, SmallGeometry()).value();
+  const BroadcastScheme& scheme = *built;
   // A hot record's four occurrences split the cycle into gaps no larger
   // than ~half the cycle (perfect spacing would be cycle/4).
   const Bytes cycle = scheme.channel().cycle_bytes();
@@ -59,8 +82,8 @@ TEST(BroadcastDisks, HotOccurrencesAreEvenlySpread) {
 
 TEST(BroadcastDisks, FindsEveryKeyAndMatchesReference) {
   const auto dataset = MakeDataset(60);
-  const BroadcastDisks scheme =
-      BroadcastDisks::Build(dataset, SmallGeometry()).value();
+  const auto built = BuildDisks(dataset, SmallGeometry()).value();
+  const BroadcastScheme& scheme = *built;
   Rng rng(17);
   for (int trial = 0; trial < 2000; ++trial) {
     const bool present = rng.NextBernoulli(0.7);
@@ -71,7 +94,8 @@ TEST(BroadcastDisks, FindsEveryKeyAndMatchesReference) {
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
             3 * scheme.channel().cycle_bytes())));
     const AccessResult fast = scheme.Access(key, tune_in);
-    const AccessResult reference = scheme.AccessReference(key, tune_in);
+    const AccessResult reference =
+        ScanOracle(scheme.channel(), *dataset, key, tune_in);
     ASSERT_EQ(fast.found, present) << key;
     ASSERT_EQ(fast.found, reference.found);
     ASSERT_EQ(fast.access_time, reference.access_time) << key << "@" << tune_in;
@@ -82,8 +106,8 @@ TEST(BroadcastDisks, FindsEveryKeyAndMatchesReference) {
 
 TEST(BroadcastDisks, HotRecordsFasterThanColdOnAverage) {
   const auto dataset = MakeDataset(200);
-  const BroadcastDisks scheme =
-      BroadcastDisks::Build(dataset, SmallGeometry()).value();
+  const auto built = BuildDisks(dataset, SmallGeometry()).value();
+  const BroadcastScheme& scheme = *built;
   Rng rng(23);
   double hot_total = 0;
   double cold_total = 0;
@@ -106,8 +130,8 @@ TEST(BroadcastDisks, SingleDiskDegeneratesToFlat) {
   BroadcastDisksParams params;
   params.disk_fractions = {1.0};
   params.disk_frequencies = {1};
-  const BroadcastDisks scheme =
-      BroadcastDisks::Build(dataset, SmallGeometry(), params).value();
+  const auto built = BuildDisks(dataset, SmallGeometry(), params).value();
+  const ScheduledBroadcast& scheme = Scheduled(*built);
   EXPECT_EQ(scheme.channel().num_buckets(), 30u);
   for (int r = 0; r < 30; ++r) {
     EXPECT_EQ(scheme.OccurrencesOf(r), 1);
@@ -120,20 +144,20 @@ TEST(BroadcastDisks, RejectsBadParams) {
   BroadcastDisksParams params;
   params.disk_fractions = {0.5, 0.6};  // sums to 1.1
   params.disk_frequencies = {2, 1};
-  EXPECT_FALSE(BroadcastDisks::Build(dataset, geometry, params).ok());
+  EXPECT_FALSE(BuildDisks(dataset, geometry, params).ok());
   params.disk_fractions = {0.5, 0.5};
   params.disk_frequencies = {3, 2};  // 2 does not divide 3
-  EXPECT_FALSE(BroadcastDisks::Build(dataset, geometry, params).ok());
+  EXPECT_FALSE(BuildDisks(dataset, geometry, params).ok());
   params.disk_frequencies = {1, 2};  // increasing
-  EXPECT_FALSE(BroadcastDisks::Build(dataset, geometry, params).ok());
+  EXPECT_FALSE(BuildDisks(dataset, geometry, params).ok());
   params.disk_frequencies = {2};  // length mismatch
-  EXPECT_FALSE(BroadcastDisks::Build(dataset, geometry, params).ok());
+  EXPECT_FALSE(BuildDisks(dataset, geometry, params).ok());
   // More disks than records.
   const auto tiny = MakeDataset(2);
   BroadcastDisksParams three;
   three.disk_fractions = {0.3, 0.3, 0.4};
   three.disk_frequencies = {4, 2, 1};
-  EXPECT_FALSE(BroadcastDisks::Build(tiny, geometry, three).ok());
+  EXPECT_FALSE(BuildDisks(tiny, geometry, three).ok());
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
-// Unit and property tests for flat (plain) broadcast.
+// Unit and property tests for flat (plain) broadcast, and for the
+// scheduled scan walk that kFlat runs under an active scheduler.
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "des/random.h"
+#include "scan_oracle.h"
 #include "schemes/flat.h"
+#include "schemes/scheme.h"
 
 namespace airindex {
 namespace {
@@ -22,6 +26,34 @@ BucketGeometry SmallGeometry() {
   geometry.record_bytes = 100;
   geometry.key_bytes = 6;
   return geometry;
+}
+
+// Pins `scheme`'s closed-form scan walk to the bucket-by-bucket oracle
+// over random keys (70% present) and tune-in times across three cycles.
+void ExpectScanWalkMatchesOracle(const BroadcastScheme& scheme,
+                                 const Dataset& dataset) {
+  const Bytes cycle = scheme.channel().cycle_bytes();
+  const int n = dataset.size();
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Bytes tune_in = static_cast<Bytes>(
+        rng.NextBounded(static_cast<std::uint64_t>(3 * cycle)));
+    const bool present = rng.NextBernoulli(0.7);
+    const std::string key =
+        present ? dataset
+                      .record(static_cast<int>(rng.NextBounded(
+                          static_cast<std::uint64_t>(n))))
+                      .key
+                : dataset.AbsentKey(static_cast<int>(
+                      rng.NextBounded(static_cast<std::uint64_t>(n + 1))));
+    const AccessResult fast = scheme.Access(key, tune_in);
+    const AccessResult reference =
+        ScanOracle(scheme.channel(), dataset, key, tune_in);
+    ASSERT_EQ(fast.found, reference.found) << key << " @" << tune_in;
+    ASSERT_EQ(fast.access_time, reference.access_time) << key << " @" << tune_in;
+    ASSERT_EQ(fast.tuning_time, reference.tuning_time) << key << " @" << tune_in;
+    ASSERT_EQ(fast.probes, reference.probes) << key << " @" << tune_in;
+  }
 }
 
 TEST(Flat, ChannelIsAllDataInKeyOrder) {
@@ -86,22 +118,21 @@ TEST(Flat, FastPathEqualsReferenceEverywhere) {
   const auto dataset = MakeDataset(37);
   const FlatBroadcast scheme =
       FlatBroadcast::Build(dataset, SmallGeometry()).value();
-  Rng rng(2024);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const Bytes tune_in = static_cast<Bytes>(rng.NextBounded(3 * 3700));
-    const bool present = rng.NextBernoulli(0.7);
-    const std::string key =
-        present ? dataset
-                      ->record(static_cast<int>(rng.NextBounded(37)))
-                      .key
-                : dataset->AbsentKey(static_cast<int>(rng.NextBounded(38)));
-    const AccessResult fast = scheme.Access(key, tune_in);
-    const AccessResult reference = scheme.AccessReference(key, tune_in);
-    ASSERT_EQ(fast.found, reference.found) << key << " @" << tune_in;
-    ASSERT_EQ(fast.access_time, reference.access_time) << key << " @" << tune_in;
-    ASSERT_EQ(fast.tuning_time, reference.tuning_time) << key << " @" << tune_in;
-    ASSERT_EQ(fast.probes, reference.probes) << key << " @" << tune_in;
-  }
+  ExpectScanWalkMatchesOracle(scheme, *dataset);
+}
+
+// Under the square-root scheduler kFlat becomes the scheduled scan
+// family: hot records repeat within the major cycle, and the closed-form
+// next-occurrence walk must still equal a bucket-by-bucket scan.
+TEST(Flat, SqrtScheduledScanEqualsReferenceEverywhere) {
+  const auto dataset = MakeDataset(37);
+  SchemeParams params;
+  params.schedule.scheduler = SchedulerKind::kSquareRoot;
+  params.schedule.theta = 0.9;
+  const auto scheme =
+      BuildScheme(SchemeKind::kFlat, dataset, SmallGeometry(), params).value();
+  ASSERT_GT(scheme->channel().num_buckets(), 37u);
+  ExpectScanWalkMatchesOracle(*scheme, *dataset);
 }
 
 TEST(Flat, RejectsEmptyDataset) {

@@ -24,6 +24,7 @@
 #include "core/program_cache.h"
 #include "data/dataset.h"
 #include "schemes/channel_view.h"
+#include "schemes/scheduled.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
@@ -258,6 +259,92 @@ TEST(SnapshotTest, SignatureRestoreRejectsMisorderedPairs) {
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A broadcast-disks arena restores through the scheduled program's
+// checks: every malformed aux, and every channel that disagrees with the
+// layout its aux plans, is an InvalidArgument rather than a walk over
+// tables that do not match the channel.
+TEST(SnapshotTest, DisksRestoreRejectsMalformedArenas) {
+  constexpr std::int64_t kTag = ScheduledBroadcast::kAuxTag;
+  const Built built = BuildProgram(SchemeKind::kBroadcastDisks, 100);
+  const auto* scheduled =
+      dynamic_cast<const ScheduledBroadcast*>(built.scheme.get());
+  ASSERT_NE(scheduled, nullptr);
+  // Default fractions over 100 records: [SCHD, D, bounds, freqs, rotation].
+  const std::vector<std::int64_t> good = scheduled->FlattenAux();
+  ASSERT_EQ(good,
+            (std::vector<std::int64_t>{kTag, 3, 10, 40, 100, 4, 2, 1, 0}));
+  const Channel& channel = built.scheme->channel();
+  std::vector<Bucket> buckets;
+  for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
+    buckets.push_back(channel.bucket(i));
+  }
+  const auto restore = [&](const Channel& program,
+                           const std::vector<std::int64_t>& aux) {
+    auto arena = std::make_shared<const ProgramArena>(ProgramArena::Flatten(
+        {&program}, 0, static_cast<int>(SchemeKind::kBroadcastDisks), 0, 0,
+        aux));
+    return RestoreSchemeFromArena(arena, built.dataset, BucketGeometry{},
+                                  SchemeParams{});
+  };
+  // Each planted defect must trip the check named by `reason`.
+  const auto expect_rejected = [&](const std::string& what,
+                                   const Channel& program,
+                                   const std::vector<std::int64_t>& aux,
+                                   const std::string& reason) {
+    SCOPED_TRACE(what);
+    const auto restored = restore(program, aux);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(restored.status().message().find(reason), std::string::npos)
+        << restored.status().ToString();
+  };
+  const std::string kNotScheduled = "not a scheduled program";
+  const std::string kMalformed = "malformed assignment aux";
+  const std::string kLayout = "does not match the planned layout";
+  // The untouched program restores, so each rejection below is caused by
+  // the one defect it plants.
+  ASSERT_TRUE(restore(channel, good).ok());
+
+  expect_rejected("empty aux", channel, {}, kNotScheduled);
+  std::vector<std::int64_t> aux = good;
+  aux[0] = kTag + 1;
+  expect_rejected("wrong tag", channel, aux, kNotScheduled);
+  expect_rejected("D = 0", channel, {kTag, 0, 0}, kMalformed);
+  std::vector<std::int64_t> d65 = {kTag, 65};
+  d65.resize(3 + 2 * 65, 1);
+  expect_rejected("D = 65", channel, d65, kMalformed);
+  aux = good;
+  aux.push_back(0);
+  expect_rejected("aux longer than D implies", channel, aux, kMalformed);
+  aux = good;
+  aux.erase(aux.begin() + 2);
+  expect_rejected("aux shorter than D implies", channel, aux, kMalformed);
+  aux = good;
+  aux[6] = 3;  // frequencies {4, 3, 1}
+  expect_rejected("frequency that does not divide the hottest", channel, aux,
+                  kMalformed);
+  aux = good;
+  aux[4] = 99;  // the last disk ends one record short
+  expect_rejected("disk bounds that do not cover the dataset", channel, aux,
+                  "assignment does not cover the dataset");
+
+  std::vector<Bucket> swapped = buckets;
+  ASSERT_NE(swapped[0].record_id, swapped[1].record_id);
+  std::swap(swapped[0], swapped[1]);
+  expect_rejected("two data buckets swapped",
+                  Channel::Create(std::move(swapped)).value(), good, kLayout);
+  std::vector<Bucket> out_of_range = buckets;
+  out_of_range[5].record_id = 100;
+  expect_rejected("record id out of range",
+                  Channel::Create(std::move(out_of_range)).value(), good,
+                  kLayout);
+  std::vector<Bucket> short_cycle = buckets;
+  short_cycle.pop_back();
+  expect_rejected("a record missing from the cycle",
+                  Channel::Create(std::move(short_cycle)).value(), good,
+                  "channel length does not match the plan");
+}
+
 TEST(SnapshotTest, ArenaViewBindsOnlyTheChannelItMirrors) {
   const Built small = BuildProgram(SchemeKind::kFlat, 16);
   const Built large = BuildProgram(SchemeKind::kFlat, 17);
@@ -398,6 +485,56 @@ TEST(SnapshotTest, ProgramCacheIgnoresCorruptSnapshot) {
   const MetricsRegistry metrics = cache.MetricsSnapshot();
   EXPECT_EQ(metrics.Get("program.snapshot_hits"), 0);
   EXPECT_EQ(metrics.Get("program.builds"), 1);
+  std::remove(path.c_str());
+}
+
+// A snapshot that loads and matches its key can still fail to restore —
+// here a broadcast-disks arena with the empty aux an older build wrote
+// under the same file name. The cache must count a miss, rebuild and
+// rewrite the file, not fail the run; the rewritten file is then a hit.
+TEST(SnapshotTest, ProgramCacheRebuildsSnapshotThatDoesNotRestore) {
+  const std::string dir = testing::TempDir();
+  const Built built = BuildProgram(SchemeKind::kBroadcastDisks, 110);
+  const BucketGeometry geometry;
+  const SchemeParams params;
+  const std::uint64_t dfp = DatasetFingerprint(*built.dataset);
+  const std::uint64_t pfp =
+      ProgramParamsFingerprint(SchemeKind::kBroadcastDisks, geometry, params);
+  const ProgramArena stale = ProgramArena::Flatten(
+      {&built.scheme->channel()}, 0,
+      static_cast<int>(SchemeKind::kBroadcastDisks), dfp, pfp, {});
+
+  std::string path;
+  {
+    ProgramCache cache(dir);
+    path = cache.SnapshotPath(SchemeKind::kBroadcastDisks, dfp, pfp);
+    ASSERT_TRUE(ProgramSnapshot::WriteFile(path, stale).ok());
+    auto rebuilt = cache.GetOrBuild(SchemeKind::kBroadcastDisks,
+                                    built.dataset, geometry, params);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    const MetricsRegistry metrics = cache.MetricsSnapshot();
+    EXPECT_EQ(metrics.Get("program.builds"), 1);
+    EXPECT_EQ(metrics.Get("program.snapshot_hits"), 0);
+    EXPECT_EQ(metrics.Get("program.snapshot_misses"), 1);
+    EXPECT_EQ(metrics.Get("program.snapshot_writes"), 1);
+  }
+
+  ProgramCache warm_cache(dir);
+  auto warm = warm_cache.GetOrBuild(SchemeKind::kBroadcastDisks,
+                                    built.dataset, geometry, params);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  const MetricsRegistry metrics = warm_cache.MetricsSnapshot();
+  EXPECT_EQ(metrics.Get("program.builds"), 0);
+  EXPECT_EQ(metrics.Get("program.snapshot_hits"), 1);
+  for (const int record : {0, 55, 109}) {
+    const AccessResult a =
+        warm.value()->Access(built.dataset->record(record).key, 700);
+    const AccessResult b =
+        built.scheme->Access(built.dataset->record(record).key, 700);
+    EXPECT_EQ(a.found, b.found);
+    EXPECT_EQ(a.access_time, b.access_time);
+    EXPECT_EQ(a.probes, b.probes);
+  }
   std::remove(path.c_str());
 }
 
