@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: channel
-// construction per scheme, client access walks, event-queue throughput,
-// and the RNG. These measure *implementation* speed (wall clock), unlike
-// the figure benches, which measure *simulated* bytes.
+// construction per scheme, client access walks, whole replications, Zipf
+// draws, and the RNG. These measure *implementation* speed (wall clock),
+// unlike the figure benches, which measure *simulated* bytes.
 //
 // Accepts google-benchmark's own flags plus --json PATH, which emits the
 // shared bench-report schema with one walltime point per benchmark.
@@ -18,8 +18,8 @@
 #include "client/fleet.h"
 #include "core/simulator.h"
 #include "data/dataset.h"
-#include "des/event_queue.h"
 #include "des/random.h"
+#include "des/zipf.h"
 #include "dynamic/dynamic_program.h"
 #include "schemes/scheme.h"
 
@@ -89,24 +89,23 @@ void BM_Access(benchmark::State& state, SchemeKind kind) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_EventQueue(benchmark::State& state) {
-  const int depth = static_cast<int>(state.range(0));
+/// One Zipf(0.9) rank draw over n ranks (the guide-table lookup plus
+/// its NextDouble) — the request generator's, the MutationLog's and the
+/// fleet's skewed draw. Items processed = draws.
+void BM_ZipfSample(benchmark::State& state) {
+  const ZipfDistribution zipf(static_cast<int>(state.range(0)), 0.9);
+  Rng rng(9);
   for (auto _ : state) {
-    EventQueue queue;
-    int sink = 0;
-    for (int i = 0; i < depth; ++i) {
-      queue.Schedule((i * 2654435761u) % 1000000, [&sink] { ++sink; });
-    }
-    while (!queue.empty()) queue.RunNext();
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(zipf.Sample(&rng));
   }
-  state.SetItemsProcessed(state.iterations() * depth);
+  state.SetItemsProcessed(state.iterations());
 }
 
-/// End-to-end hot path: one full replication (requests_per_round requests
-/// through the event queue, access walk, and accumulators) against a
-/// pre-built channel. Items processed = requests, so google-benchmark's
-/// items/s column reads directly as requests per second.
+/// End-to-end hot path: one full replication (requests_per_round arrivals
+/// through the request draws and access walks, then the completion fold
+/// into the accumulators) against a pre-built channel. Items processed =
+/// requests, so google-benchmark's items/s column reads directly as
+/// requests per second.
 void BM_RunReplication(benchmark::State& state, SchemeKind kind) {
   TestbedConfig config;
   config.scheme = kind;
@@ -281,7 +280,7 @@ BENCHMARK(BM_FleetShard)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_IncrementalPatch)->Arg(34000);
 BENCHMARK(BM_FullRebuild)->Arg(34000);
 
-BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_ZipfSample)->Arg(4000)->Arg(7000)->Arg(34000);
 BENCHMARK(BM_RngUint64);
 BENCHMARK(BM_RngExponential);
 

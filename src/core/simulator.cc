@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,7 +18,6 @@
 #include "core/result_handler.h"
 #include "data/dataset.h"
 #include "des/random.h"
-#include "des/simulation.h"
 #include "dynamic/dynamic_program.h"
 #include "schemes/scheduled.h"
 
@@ -27,15 +25,13 @@ namespace airindex {
 
 namespace {
 
-/// Per-run scheduling state, bundled into one struct so the arrival
-/// closure spends a single inline-capture slot on it (the EventQueue
-/// fits_inline budget). For kFlat configs nothing activates and scheme()
-/// forwards the server's scheme, so those paths stay byte-identical with
-/// the committed baselines. For kOnline the runtime owns the live
-/// re-tiered program: every on-air request feeds the retierer, and a
-/// full epoch swaps a rebuilt program in for the *next* request — safe
-/// at any phase because the client walks are closed-form over the
-/// current channel, never spanning a swap.
+/// Per-run scheduling state. For kFlat configs nothing activates and
+/// scheme() forwards the server's scheme, so those paths stay
+/// byte-identical with the committed baselines. For kOnline the runtime
+/// owns the live re-tiered program: every on-air request feeds the
+/// retierer, and a full epoch swaps a rebuilt program in for the *next*
+/// request — safe at any phase because the client walks are closed-form
+/// over the current channel, never spanning a swap.
 struct ScheduleRuntime {
   const BroadcastScheme* base = nullptr;
   const Dataset* dataset = nullptr;
@@ -105,17 +101,18 @@ struct ScheduleRuntime {
 /// Snapshots one run's telemetry into a registry. Every run touches the
 /// same names in the same order, which keeps the merged entry order (and
 /// therefore the JSON report) deterministic and --jobs independent.
-MetricsRegistry SnapshotRunMetrics(const Simulation& simulation,
+/// `end_time` is the run's last completion, where its clock stops.
+MetricsRegistry SnapshotRunMetrics(Bytes end_time,
                                    const BroadcastServer& server,
                                    const ResultHandler& results,
                                    const SessionClient* session,
                                    const ScheduleRuntime& schedule,
                                    const DynamicRuntime& dynamic) {
   MetricsRegistry metrics;
-  metrics.Increment("sim.events_processed",
-                    static_cast<std::int64_t>(simulation.events_processed()));
+  // Every request is two events, its arrival and its completion.
+  metrics.Increment("sim.events_processed", 2 * results.requests());
   metrics.Increment("server.buckets_broadcast",
-                    server.BucketsBroadcastBy(simulation.now()));
+                    server.BucketsBroadcastBy(end_time));
   metrics.Increment("client.buckets_listened", results.buckets_listened());
   metrics.Increment("client.bytes_listened", results.bytes_listened());
   metrics.Increment("client.bytes_dozed", results.bytes_dozed());
@@ -342,36 +339,47 @@ void WarmSessionCache(SessionClient* session, RequestGenerator* generator,
 }  // namespace
 
 Status ValidateTestbedConfig(const TestbedConfig& config) {
+  // Every double field is checked for finiteness first: NaN fails both
+  // sides of a range test like `x < lo || x > hi`, so without it a NaN
+  // would pass validation silently.
   if (config.dataset == nullptr && config.num_records <= 0) {
     return Status::InvalidArgument("num_records must be positive");
   }
   if (config.dataset != nullptr && config.dataset->size() == 0) {
     return Status::InvalidArgument("external dataset is empty");
   }
-  if (config.data_availability < 0.0 || config.data_availability > 1.0) {
+  if (!std::isfinite(config.data_availability) ||
+      config.data_availability < 0.0 || config.data_availability > 1.0) {
     return Status::InvalidArgument("data_availability must be in [0,1]");
   }
-  if (config.mean_request_interval_bytes <= 0.0) {
-    return Status::InvalidArgument("mean request interval must be positive");
+  if (!std::isfinite(config.mean_request_interval_bytes) ||
+      config.mean_request_interval_bytes <= 0.0) {
+    return Status::InvalidArgument(
+        "mean request interval must be positive and finite");
   }
   if (config.deadline.access_deadline_bytes < 0) {
     return Status::InvalidArgument("deadline must be non-negative");
   }
-  if (config.zipf_theta < 0.0) {
-    return Status::InvalidArgument("zipf_theta must be non-negative");
+  if (!std::isfinite(config.zipf_theta) || config.zipf_theta < 0.0) {
+    return Status::InvalidArgument(
+        "zipf_theta must be non-negative and finite");
   }
-  if (config.error_model.bucket_error_rate < 0.0 ||
+  if (!std::isfinite(config.error_model.bucket_error_rate) ||
+      config.error_model.bucket_error_rate < 0.0 ||
       config.error_model.bucket_error_rate >= 1.0) {
     return Status::InvalidArgument("bucket error rate must be in [0,1)");
   }
   if (config.requests_per_round <= 0) {
     return Status::InvalidArgument("requests_per_round must be positive");
   }
-  if (config.confidence_level <= 0.0 || config.confidence_level >= 1.0) {
+  if (!std::isfinite(config.confidence_level) ||
+      config.confidence_level <= 0.0 || config.confidence_level >= 1.0) {
     return Status::InvalidArgument("confidence level must be in (0,1)");
   }
-  if (config.confidence_accuracy <= 0.0) {
-    return Status::InvalidArgument("confidence accuracy must be positive");
+  if (!std::isfinite(config.confidence_accuracy) ||
+      config.confidence_accuracy <= 0.0) {
+    return Status::InvalidArgument(
+        "confidence accuracy must be positive and finite");
   }
   if (config.min_rounds < 1 || config.max_rounds < config.min_rounds) {
     return Status::InvalidArgument("bad round bounds");
@@ -389,15 +397,20 @@ Status ValidateTestbedConfig(const TestbedConfig& config) {
   if (config.client.session_length < 1) {
     return Status::InvalidArgument("session length must be positive");
   }
-  if (config.client.repeat_probability < 0.0 ||
+  if (!std::isfinite(config.client.repeat_probability) ||
+      config.client.repeat_probability < 0.0 ||
       config.client.repeat_probability > 1.0) {
     return Status::InvalidArgument("repeat probability must be in [0,1]");
   }
-  if (config.client.update_rate < 0.0) {
-    return Status::InvalidArgument("update rate must be non-negative");
+  if (!std::isfinite(config.client.update_rate) ||
+      config.client.update_rate < 0.0) {
+    return Status::InvalidArgument(
+        "update rate must be non-negative and finite");
   }
-  if (config.client.update_zipf < 0.0) {
-    return Status::InvalidArgument("update zipf must be non-negative");
+  if (!std::isfinite(config.client.update_zipf) ||
+      config.client.update_zipf < 0.0) {
+    return Status::InvalidArgument(
+        "update zipf must be non-negative and finite");
   }
   if (config.client.compact_every < 0) {
     return Status::InvalidArgument("compact period must be non-negative");
@@ -501,9 +514,8 @@ ReplicationResult RunReplication(const BroadcastServer& server,
                                  std::uint64_t replication_seed,
                                  const ZipfDistribution* shared_zipf) {
   // One round of the testbed's simulation stage (paper Section 3): the
-  // replication draws its own request stream from `replication_seed`,
-  // generates `requests_per_round` arrivals, and drains the event queue
-  // so every generated request completes.
+  // replication draws its own request stream from `replication_seed` and
+  // runs `requests_per_round` arrivals, each to its completion.
   Rng master(replication_seed);
   RequestGenerator generator(
       &dataset, config.data_availability,
@@ -556,40 +568,45 @@ ReplicationResult RunReplication(const BroadcastServer& server,
   }
   SessionClient* session = session_storage ? &*session_storage : nullptr;
 
-  Simulation simulation;
-  int generated = 0;
-  std::function<void()> schedule_next_arrival = [&]() {
-    auto on_arrival = [&]() {
-      ++generated;
-      const Query query = generator.NextQuery();
-      const AccessResult access =
-          session != nullptr ? session->Access(query.key, simulation.now())
-                             : fetcher.Fetch(query.key, simulation.now());
-      if (schedule.observing() && query.on_air) schedule.Observe(query.key);
-      // Liveness-adjusted outcome expectation, evaluated at the same
-      // tune-in instant the access ran: a record the MutationLog has
-      // deleted is legitimately not found.
-      const bool on_air =
-          dynamic.active()
-              ? dynamic.ExpectedOnAir(query.on_air, query.key,
-                                      simulation.now())
-              : query.on_air;
-      auto on_completion = [&, access, on_air]() {
-        results.Add(access, on_air);
-      };
-      static_assert(
-          EventQueue::Callback::fits_inline<decltype(on_completion)>,
-          "completion event must stay allocation-free");
-      simulation.ScheduleIn(access.access_time, std::move(on_completion));
-      if (generated < config.requests_per_round) schedule_next_arrival();
-    };
-    static_assert(EventQueue::Callback::fits_inline<decltype(on_arrival)>,
-                  "arrival event must stay allocation-free");
-    simulation.ScheduleIn(generator.NextInterArrival(),
-                          std::move(on_arrival));
+  // Every state change — the generator's draws, the session cache, the
+  // dynamic overlay, online re-tiering — happens at arrival, in arrival
+  // order, so the round is a loop over arrivals. Only the fold into
+  // ResultHandler belongs to the completion events, and its Welford sums
+  // depend on order: sorting by (completion time, arrival index) folds in
+  // the order a time-ordered queue with FIFO ties would pop them.
+  struct Outcome {
+    AccessResult access;
+    bool on_air;
   };
-  schedule_next_arrival();
-  simulation.Run();
+  const auto requests =
+      static_cast<std::size_t>(std::max(config.requests_per_round, 0));
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(requests);
+  std::vector<std::pair<Bytes, std::size_t>> completions;
+  completions.reserve(requests);
+  Bytes now = 0;
+  for (std::size_t arrival = 0; arrival < requests; ++arrival) {
+    now += generator.NextInterArrival();
+    const Query query = generator.NextQuery();
+    const AccessResult access = session != nullptr
+                                    ? session->Access(query.key, now)
+                                    : fetcher.Fetch(query.key, now);
+    if (schedule.observing() && query.on_air) schedule.Observe(query.key);
+    // Liveness-adjusted outcome expectation, evaluated at the same
+    // tune-in instant the access ran: a record the MutationLog has
+    // deleted is legitimately not found.
+    const bool on_air =
+        dynamic.active()
+            ? dynamic.ExpectedOnAir(query.on_air, query.key, now)
+            : query.on_air;
+    outcomes.push_back({access, on_air});
+    completions.emplace_back(now + access.access_time, arrival);
+  }
+  std::sort(completions.begin(), completions.end());
+  for (const auto& [time, arrival] : completions) {
+    results.Add(outcomes[arrival].access, outcomes[arrival].on_air);
+  }
+  const Bytes end_time = completions.empty() ? now : completions.back().first;
 
   ReplicationResult replication;
   replication.access = results.access();
@@ -603,7 +620,7 @@ ReplicationResult RunReplication(const BroadcastServer& server,
   replication.false_drops = results.false_drops();
   replication.anomalies = results.anomalies();
   replication.outcome_mismatches = results.outcome_mismatches();
-  replication.metrics = SnapshotRunMetrics(simulation, server, results,
+  replication.metrics = SnapshotRunMetrics(end_time, server, results,
                                            session, schedule, dynamic);
   const ResultHandler::RoundStats round = results.CloseRound();
   replication.round_access_mean = round.access_mean;

@@ -70,8 +70,8 @@ struct SimulationResult {
 
 /// The testbed's Simulator (paper Section 3): "acts as the coordinator of
 /// the whole simulation process" — builds the data source and broadcast
-/// server, runs rounds of requests through the discrete-event loop, and
-/// stops when the accuracy controller is satisfied.
+/// server, runs rounds of requests (each an arrival and a completion
+/// event), and stops when the accuracy controller is satisfied.
 ///
 /// RunTestbed is the one-call entry point the examples use. It is the
 /// serial case of the replication engine — exactly
@@ -131,8 +131,16 @@ struct ReplicationResult {
 /// `replication_seed` should come from ReplicationSeed(master, id)
 /// (des/random.h). Thread-safe for concurrent calls on the same server
 /// and dataset: the access protocols are pure reads of the channel, and
-/// all mutable state (RNG, event queue, accumulators — including the
-/// session client's cache, when one is configured) is local.
+/// all mutable state (RNG, the per-request records, accumulators —
+/// including the session client's cache, when one is configured) is
+/// local.
+///
+/// The replication loops over its arrivals: each draws its gap and
+/// query, runs the access at its arrival time and records the outcome.
+/// The completions are then folded into the accumulators in
+/// completion-time order, ties in arrival order — the order a
+/// time-ordered event queue with FIFO ties pops them — and the run's
+/// clock ends at the last completion.
 ///
 /// `shared_zipf`, when non-null, must be a ZipfDistribution built for
 /// (dataset.size(), config.zipf_theta); the replication samples it

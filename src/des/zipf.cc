@@ -15,13 +15,27 @@ ZipfDistribution::ZipfDistribution(int n, double theta)
   }
   for (double& c : cumulative_) c /= total;
   cumulative_.back() = 1.0;  // guard against rounding
+  // One merged pass over (k/n, cumulative): both are non-decreasing, and
+  // cumulative_.back() == 1.0 >= k/n stops the walk at rank n-1.
+  guide_.resize(static_cast<std::size_t>(n_) + 1);
+  int rank = 0;
+  for (int k = 0; k <= n_; ++k) {
+    const double u = static_cast<double>(k) / n_;
+    while (cumulative_[static_cast<std::size_t>(rank)] < u) ++rank;
+    guide_[static_cast<std::size_t>(k)] = rank;
+  }
 }
 
-int ZipfDistribution::Sample(Rng* rng) const {
-  const double u = rng->NextDouble();
-  const auto it =
-      std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  return static_cast<int>(it - cumulative_.begin());
+int ZipfDistribution::RankOf(double u) const {
+  // floor(u·n) can round up across a cell boundary, so the start may lie
+  // past u's rank: step down first, then up to the first entry >= u.
+  const int cell = std::min(static_cast<int>(u * n_), n_);
+  int rank = guide_[static_cast<std::size_t>(cell)];
+  while (rank > 0 && cumulative_[static_cast<std::size_t>(rank - 1)] >= u) {
+    --rank;
+  }
+  while (cumulative_[static_cast<std::size_t>(rank)] < u) ++rank;
+  return rank;
 }
 
 double ZipfDistribution::Probability(int k) const {

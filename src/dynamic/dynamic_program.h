@@ -128,8 +128,8 @@ class DynamicRuntime {
   bool active() const { return active_; }
 
   /// Processes every epoch that has fully elapsed by absolute time
-  /// `now`. Callers advance time monotonically (the event queue hands
-  /// out arrivals in time order).
+  /// `now`. Callers advance time monotonically (a replication visits
+  /// its arrivals in time order).
   void AdvanceTo(Bytes now);
 
   /// The client access protocol against the live (patched) program:

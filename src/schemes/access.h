@@ -46,9 +46,9 @@ struct AccessResult {
   bool abandoned = false;
 
   // --- multichannel fields (all stay 0 on a single channel) -----------
-  // Narrow types on purpose: this struct is captured by value in the
-  // simulator's inline (non-allocating) event closures, whose capacity
-  // the des layer static_asserts.
+  // Narrow types on purpose: a replication keeps one AccessResult per
+  // request until it folds the completions (core/simulator.cc), so the
+  // struct stays small.
   /// Channel hops: times the client retuned to a different channel.
   std::int16_t channel_hops = 0;
   /// Channel the client first listened on / ended the walk on. Both 0 on

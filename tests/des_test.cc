@@ -1,14 +1,13 @@
-// Unit tests for the discrete-event substrate: RNG quality/determinism,
-// event-queue ordering and cancellation, simulation clock semantics.
+// Unit tests for the des layer's RNG: determinism, ranges, moments and
+// stream independence.
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "des/event_queue.h"
 #include "des/random.h"
-#include "des/simulation.h"
 
 namespace airindex {
 namespace {
@@ -104,129 +103,6 @@ TEST(Mix64, IsBijectiveLooking) {
   std::sort(out.begin(), out.end());
   EXPECT_EQ(std::adjacent_find(out.begin(), out.end()), out.end());
   EXPECT_NE(Mix64(1), 1u);
-}
-
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.Schedule(30, [&] { order.push_back(3); });
-  queue.Schedule(10, [&] { order.push_back(1); });
-  queue.Schedule(20, [&] { order.push_back(2); });
-  while (!queue.empty()) queue.RunNext();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, TiesAreFifo) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    queue.Schedule(42, [&order, i] { order.push_back(i); });
-  }
-  while (!queue.empty()) queue.RunNext();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue queue;
-  int fired = 0;
-  const EventId id = queue.Schedule(10, [&] { ++fired; });
-  queue.Schedule(20, [&] { ++fired; });
-  EXPECT_TRUE(queue.Cancel(id));
-  EXPECT_FALSE(queue.Cancel(id));  // second cancel is a no-op
-  EXPECT_EQ(queue.size(), 1u);
-  while (!queue.empty()) queue.RunNext();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop) {
-  EventQueue queue;
-  EXPECT_FALSE(queue.Cancel(12345));
-}
-
-TEST(EventQueue, CallbackMaySchedule) {
-  EventQueue queue;
-  std::vector<Bytes> times;
-  queue.Schedule(1, [&] {
-    times.push_back(1);
-    queue.Schedule(5, [&] { times.push_back(5); });
-  });
-  while (!queue.empty()) times.push_back(queue.PeekTime()), queue.RunNext();
-  // PeekTime recorded before each run: 1 then 5; callbacks record 1 and 5.
-  EXPECT_EQ(times, (std::vector<Bytes>{1, 1, 5, 5}));
-}
-
-TEST(EventQueue, StaleIdAfterSlotReuseIsRejected) {
-  EventQueue queue;
-  int fired = 0;
-  const EventId first = queue.Schedule(10, [&] { ++fired; });
-  queue.RunNext();
-  // The recycled slot now belongs to a new event; the old id must not
-  // cancel it.
-  const EventId second = queue.Schedule(20, [&] { ++fired; });
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(queue.Cancel(first));
-  EXPECT_EQ(queue.size(), 1u);
-  queue.RunNext();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, LongDrainKeepsBookkeepingBounded) {
-  // Regression test for the old std::vector<bool> cancelled_ scheme,
-  // whose memory grew with every event ever scheduled. The testbed's
-  // request chain keeps only a handful of events live at a time, so a
-  // long schedule/run/cancel drain must not grow the slot table.
-  EventQueue queue;
-  int fired = 0;
-  int cancelled = 0;
-  for (int i = 0; i < 200000; ++i) {
-    const Bytes when = static_cast<Bytes>(i);
-    queue.Schedule(when, [&] { ++fired; });
-    const EventId doomed = queue.Schedule(when, [&] { ++fired; });
-    if (queue.Cancel(doomed)) ++cancelled;
-    queue.RunNext();
-  }
-  while (!queue.empty()) queue.RunNext();
-  EXPECT_EQ(fired, 200000);
-  EXPECT_EQ(cancelled, 200000);
-  // At most 2 events are ever live simultaneously, so the live-set must
-  // stay tiny regardless of how many events flowed through.
-  EXPECT_LE(queue.slot_capacity(), 4u);
-}
-
-TEST(Simulation, ClockFollowsEvents) {
-  Simulation sim;
-  std::vector<Bytes> seen;
-  sim.ScheduleIn(100, [&] { seen.push_back(sim.now()); });
-  sim.ScheduleIn(50, [&] {
-    seen.push_back(sim.now());
-    sim.ScheduleIn(25, [&] { seen.push_back(sim.now()); });
-  });
-  sim.Run();
-  EXPECT_EQ(seen, (std::vector<Bytes>{50, 75, 100}));
-}
-
-TEST(Simulation, StopPredicateHalts) {
-  Simulation sim;
-  int fired = 0;
-  for (int i = 1; i <= 10; ++i) {
-    sim.ScheduleAt(i, [&] { ++fired; });
-  }
-  sim.Run([&] { return fired >= 3; });
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(sim.pending(), 7u);
-}
-
-TEST(Simulation, RunUntilAdvancesClock) {
-  Simulation sim;
-  int fired = 0;
-  sim.ScheduleAt(10, [&] { ++fired; });
-  sim.ScheduleAt(30, [&] { ++fired; });
-  sim.RunUntil(20);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.now(), 20);
-  sim.RunUntil(35);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(sim.now(), 35);
 }
 
 }  // namespace

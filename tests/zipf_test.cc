@@ -1,9 +1,12 @@
 // Unit tests for the Zipf request-popularity sampler: shape and ratio
-// checks, a chi-square goodness-of-fit gate across skews, and the
-// shared-table identity that lets the replication engine hoist one
-// ZipfDistribution across a sweep cell (see Experiment::ZipfFor).
+// checks, a chi-square goodness-of-fit gate across skews, the guide
+// table's exactness against std::lower_bound, and the shared-table
+// identity that lets the replication engine hoist one ZipfDistribution
+// across a sweep cell (see Experiment::ZipfFor).
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -119,6 +122,66 @@ TEST(Zipf, ChiSquareGoodnessOfFit) {
                       3.0);
     EXPECT_LT(statistic, critical)
         << "chi-square " << statistic << " over " << df << " df";
+  }
+}
+
+/// The inverse-CDF rank of `u` by binary search: the reference the guide
+/// table must reproduce draw for draw.
+int LowerBoundRank(const ZipfDistribution& zipf, double u) {
+  const std::vector<double>& cumulative = zipf.cumulative();
+  return static_cast<int>(
+      std::lower_bound(cumulative.begin(), cumulative.end(), u) -
+      cumulative.begin());
+}
+
+TEST(Zipf, GuideTableMatchesLowerBoundAtEveryBoundary) {
+  // Every guide cell edge k/n and every cumulative entry, plus the
+  // neighbouring doubles on both sides: the points where floor(u·n) and
+  // the step-down/step-up walk can disagree with a binary search.
+  for (const int n : {1, 2, 3, 7, 4000, 7000, 34000}) {
+    for (const double theta : {0.0, 0.7, 0.9, 1.2}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", theta " +
+                   std::to_string(theta));
+      const ZipfDistribution zipf(n, theta);
+      ASSERT_EQ(zipf.cumulative().size(), static_cast<std::size_t>(n));
+      ASSERT_EQ(zipf.cumulative().back(), 1.0);
+      std::vector<double> edges = zipf.cumulative();
+      for (int k = 0; k <= n; ++k) {
+        edges.push_back(static_cast<double>(k) / n);
+      }
+      std::vector<double> points = {0.0, std::nextafter(1.0, 0.0)};
+      for (const double edge : edges) {
+        points.push_back(edge);
+        points.push_back(std::nextafter(edge, 0.0));
+        points.push_back(std::nextafter(edge, 1.0));
+      }
+      int mismatches = 0;
+      for (const double u : points) {
+        if (zipf.RankOf(u) != LowerBoundRank(zipf, u)) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "u = " << std::hexfloat << u << ": guide rank "
+                          << zipf.RankOf(u) << ", lower_bound rank "
+                          << LowerBoundRank(zipf, u);
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "over " << points.size() << " points";
+
+      // Seeded draws: Sample must consume exactly one NextDouble and map
+      // it to the binary-search rank.
+      constexpr int kDraws = 1000000;
+      const std::uint64_t seed = 977 * static_cast<std::uint64_t>(n) + 13;
+      Rng sampled(seed);
+      Rng reference(seed);
+      int draw_mismatches = 0;
+      for (int i = 0; i < kDraws; ++i) {
+        const int rank = zipf.Sample(&sampled);
+        if (rank != LowerBoundRank(zipf, reference.NextDouble())) {
+          ++draw_mismatches;
+        }
+      }
+      EXPECT_EQ(draw_mismatches, 0) << "over " << kDraws << " draws";
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 //
 // Exit status: 0 pass, 1 drift found, 2 usage or I/O error.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,7 +29,8 @@ double ParseDoubleArg(int argc, char** argv, int* i, const char* flag) {
   }
   char* end = nullptr;
   const double value = std::strtod(argv[++*i], &end);
-  if (end == argv[*i] || *end != '\0') {
+  // A NaN or infinite tolerance would silently pass every comparison.
+  if (end == argv[*i] || *end != '\0' || !std::isfinite(value)) {
     std::fprintf(stderr, "invalid value for %s: %s\n", flag, argv[*i]);
     std::exit(2);
   }
