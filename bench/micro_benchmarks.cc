@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: channel
-// construction per scheme, client access walks, whole replications, Zipf
-// draws, and the RNG. These measure *implementation* speed (wall clock),
-// unlike the figure benches, which measure *simulated* bytes.
+// construction per scheme, program restore and snapshot load, client
+// access walks, whole replications, Zipf draws, and the RNG. These
+// measure *implementation* speed (wall clock), unlike the figure
+// benches, which measure *simulated* bytes.
 //
 // Accepts google-benchmark's own flags plus --json PATH, which emits the
 // shared bench-report schema with one walltime point per benchmark.
 
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -15,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
+#include "broadcast/snapshot.h"
 #include "client/fleet.h"
 #include "core/simulator.h"
 #include "data/dataset.h"
@@ -58,7 +61,8 @@ void BM_ProgramBuild(benchmark::State& state, SchemeKind kind) {
 }
 
 /// The warm path: restore a ready-to-query scheme from an existing
-/// arena (channel inflation + cheap deterministic aux rebuild).
+/// arena (bind the arena as the scheme's view + cheap deterministic aux
+/// rebuild).
 void BM_ProgramRestore(benchmark::State& state, SchemeKind kind) {
   const auto dataset = BenchDataset(static_cast<int>(state.range(0)));
   const BucketGeometry geometry;
@@ -70,6 +74,31 @@ void BM_ProgramRestore(benchmark::State& state, SchemeKind kind) {
         RestoreSchemeFromArena(arena, dataset, geometry, SchemeParams());
     benchmark::DoNotOptimize(restored);
   }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/// The warm path's disk half: LoadFile of one program snapshot (read,
+/// checksum, validate), here a distributed program written to a temporary
+/// directory. Items processed = records.
+void BM_SnapshotLoad(benchmark::State& state) {
+  const auto dataset = BenchDataset(static_cast<int>(state.range(0)));
+  auto scheme =
+      BuildScheme(SchemeKind::kDistributed, dataset, BucketGeometry()).value();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bm_snapshot_load.snap")
+          .string();
+  if (!ProgramSnapshot::WriteFile(
+           path, FlattenSchemeProgram(SchemeKind::kDistributed, *scheme, 1, 2)
+                     .value())
+           .ok()) {
+    state.SkipWithError("cannot write the snapshot");
+    return;
+  }
+  for (auto _ : state) {
+    auto loaded = ProgramSnapshot::LoadFile(path);
+    benchmark::DoNotOptimize(loaded);
+  }
+  std::filesystem::remove(path);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
@@ -168,7 +197,7 @@ void BM_IncrementalPatch(benchmark::State& state) {
   const auto dataset = BenchDataset(n);
   const BucketGeometry geometry;
   auto scheme = BuildScheme(SchemeKind::kOneM, dataset, geometry).value();
-  const Bytes epoch = scheme->channel().cycle_bytes();
+  const Bytes epoch = scheme->view().cycle_bytes();
   DynamicRuntime runtime;
   DynamicRuntime::Params params;
   params.kind = SchemeKind::kOneM;
@@ -200,7 +229,7 @@ void BM_FullRebuild(benchmark::State& state) {
   const auto dataset = BenchDataset(n);
   const BucketGeometry geometry;
   auto scheme = BuildScheme(SchemeKind::kOneM, dataset, geometry).value();
-  const Bytes epoch = scheme->channel().cycle_bytes();
+  const Bytes epoch = scheme->view().cycle_bytes();
   DynamicRuntime runtime;
   DynamicRuntime::Params params;
   params.kind = SchemeKind::kOneM;
@@ -254,11 +283,15 @@ BENCHMARK_CAPTURE(BM_ProgramBuild, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, signature, SchemeKind::kSignature)
     ->Arg(34000);
+BENCHMARK_CAPTURE(BM_ProgramRestore, flat, SchemeKind::kFlat)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, one_m, SchemeKind::kOneM)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
+BENCHMARK_CAPTURE(BM_ProgramRestore, hashing, SchemeKind::kHashing)
+    ->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, signature, SchemeKind::kSignature)
     ->Arg(34000);
+BENCHMARK(BM_SnapshotLoad)->Arg(34000);
 
 BENCHMARK_CAPTURE(BM_Access, flat, SchemeKind::kFlat)->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, one_m, SchemeKind::kOneM)->Arg(34000);

@@ -40,9 +40,9 @@ int main() {
   const std::unique_ptr<BroadcastScheme> scheme =
       std::move(scheme_result).value();
 
-  std::cout << "Broadcast cycle: " << scheme->channel().num_buckets()
-            << " buckets, " << scheme->channel().cycle_bytes()
-            << " bytes (" << scheme->channel().num_index_buckets()
+  std::cout << "Broadcast cycle: " << scheme->view().num_buckets()
+            << " buckets, " << scheme->view().cycle_bytes()
+            << " bytes (" << scheme->view().num_index_buckets()
             << " index buckets)\n\n";
 
   // 3. A mobile client tunes in at an arbitrary moment and asks for a

@@ -11,7 +11,6 @@
 #include <iostream>
 #include <memory>
 
-#include "broadcast/describe.h"
 #include "data/dataset.h"
 #include "schemes/distributed.h"
 #include "schemes/trace.h"
@@ -38,7 +37,7 @@ int main() {
 
   std::cout << "The paper's Figure 1 as a broadcast cycle (r = 2, "
             << scheme.num_segments() << " data segments):\n\n";
-  DescribeChannel(scheme.channel(), std::cout, 12);
+  DescribeChannel(scheme.view(), std::cout, 12);
 
   const auto replay = [&](const char* title, const std::string& key,
                           Bytes tune_in) {
@@ -46,7 +45,7 @@ int main() {
               << tune_in << ") ---\n";
     AccessTrace trace;
     const AccessResult result = scheme.AccessTraced(key, tune_in, &trace);
-    PrintTrace(trace, scheme.channel(), std::cout);
+    PrintTrace(trace, scheme.view(), std::cout);
     std::cout << (result.found ? "FOUND" : "NOT ON AIR") << " — access "
               << result.access_time << " bytes, tuning "
               << result.tuning_time << " bytes, " << result.probes
@@ -60,7 +59,7 @@ int main() {
   // 2. Ask for a record whose data segment has already passed: the
   //    "key below the last broadcast key" rule restarts at the next cycle.
   replay("lookup behind the tune-in point", dataset->record(3).key,
-         scheme.channel().cycle_bytes() / 2);
+         scheme.view().cycle_bytes() / 2);
 
   // 3. A key that is not on the broadcast at all: the descent proves
   //    absence at the leaf level in a handful of probes.

@@ -160,6 +160,28 @@ ProgramArena ProgramArena::Flatten(const std::vector<const Channel*>& channels,
   return arena;
 }
 
+ProgramArena ProgramArena::Retag(int scheme_kind,
+                                 std::uint64_t dataset_fingerprint,
+                                 std::uint64_t params_fingerprint,
+                                 const std::vector<std::int64_t>& aux) const {
+  ArenaHeader header = this->header();
+  header.scheme_kind = scheme_kind;
+  header.switch_cost_bytes = 0;
+  header.dataset_fingerprint = dataset_fingerprint;
+  header.params_fingerprint = params_fingerprint;
+  header.num_aux = static_cast<std::uint32_t>(aux.size());
+  header.total_bytes = static_cast<std::uint32_t>(
+      AlignUp(header.aux_offset + aux.size() * sizeof(std::int64_t)));
+
+  ProgramArena arena;
+  arena.bytes_.reserve(header.total_bytes);
+  arena.bytes_.assign(bytes_.begin(), bytes_.begin() + header.aux_offset);
+  arena.bytes_.resize(header.total_bytes, 0);
+  std::memcpy(arena.bytes_.data(), &header, sizeof(header));
+  CopySpan(arena.bytes_.data() + header.aux_offset, aux);
+  return arena;
+}
+
 Result<ProgramArena> ProgramArena::FromBytes(std::vector<std::uint8_t> bytes) {
   ProgramArena arena;
   arena.bytes_ = std::move(bytes);
@@ -236,19 +258,28 @@ Status ProgramArena::Validate() const {
         "arena: header claims " + std::to_string(h.total_bytes) +
         " bytes, buffer has " + std::to_string(bytes_.size()));
   }
-  const auto section_ok = [&](std::uint64_t offset, std::uint64_t count,
-                              std::uint64_t unit) {
-    return offset <= bytes_.size() && count * unit <= bytes_.size() - offset;
+  // Sections are bound through typed references (bucket(), entry(),
+  // channel_desc()), so an offset off the 8-byte grid Flatten writes is
+  // as hostile as one out of bounds. Aux is the last section, as Flatten
+  // lays it out and Retag relies on.
+  const auto section_ok = [](std::uint64_t offset, std::uint64_t count,
+                             std::uint64_t unit, std::uint64_t end) {
+    return offset % kAlign == 0 && offset <= end &&
+           count * unit <= end - offset;
   };
-  if (!section_ok(h.channels_offset, h.num_channels,
-                  sizeof(ArenaChannelDesc)) ||
-      !section_ok(h.buckets_offset, h.num_buckets, sizeof(ArenaBucket)) ||
-      !section_ok(h.entries_offset, h.num_entries,
-                  sizeof(ArenaPointerEntry)) ||
-      !section_ok(h.words_offset, h.num_words, sizeof(std::uint64_t)) ||
-      !section_ok(h.strings_offset, h.string_pool_bytes, 1) ||
-      !section_ok(h.aux_offset, h.num_aux, sizeof(std::int64_t))) {
-    return Status::InvalidArgument("arena: section out of buffer bounds");
+  if (!section_ok(h.aux_offset, h.num_aux, sizeof(std::int64_t),
+                  bytes_.size()) ||
+      !section_ok(h.channels_offset, h.num_channels, sizeof(ArenaChannelDesc),
+                  h.aux_offset) ||
+      !section_ok(h.buckets_offset, h.num_buckets, sizeof(ArenaBucket),
+                  h.aux_offset) ||
+      !section_ok(h.entries_offset, h.num_entries, sizeof(ArenaPointerEntry),
+                  h.aux_offset) ||
+      !section_ok(h.words_offset, h.num_words, sizeof(std::uint64_t),
+                  h.aux_offset) ||
+      !section_ok(h.strings_offset, h.string_pool_bytes, 1, h.aux_offset)) {
+    return Status::InvalidArgument(
+        "arena: section misaligned, out of buffer bounds or past aux");
   }
   const auto str_ok = [&](const ArenaStrRef& ref) {
     return ref.offset <= h.string_pool_bytes &&
@@ -293,7 +324,6 @@ Status ProgramArena::Validate() const {
 }
 
 Result<std::vector<Channel>> ProgramArena::InflateChannels() const {
-  if (Status status = Validate(); !status.ok()) return status;
   const ArenaHeader& h = header();
   std::vector<Channel> channels;
   channels.reserve(h.num_channels);

@@ -121,14 +121,25 @@ class ProgramArena {
                               const std::vector<std::int64_t>& aux);
 
   /// Adopts a raw buffer (e.g. loaded from a snapshot) after validating
-  /// the header and every section offset, pool span and string ref
-  /// against the buffer bounds. A truncated or corrupted buffer yields a
-  /// Status, never UB.
+  /// the header, the 8-alignment of every section offset, and every
+  /// section, pool span and string ref against the buffer bounds. A
+  /// truncated or corrupted buffer yields a Status, never UB.
   static Result<ProgramArena> FromBytes(std::vector<std::uint8_t> bytes);
 
+  /// This program under a new tag: the same sections up to the aux
+  /// section, then `aux`, with the header's kind, fingerprints and aux
+  /// count rewritten and the switch cost zeroed. Because aux is the last
+  /// section, the result is byte-identical to Flatten of the channels
+  /// this arena was flattened from with the same arguments — a copy and
+  /// a header patch, no re-interning.
+  ProgramArena Retag(int scheme_kind, std::uint64_t dataset_fingerprint,
+                     std::uint64_t params_fingerprint,
+                     const std::vector<std::int64_t>& aux) const;
+
   /// The contiguous buffer. Stable across moves of this arena (the heap
-  /// allocation is preserved), so inflated channels' key views stay
-  /// valid as long as one owner of this arena is alive.
+  /// allocation is preserved), so views bound to it and key views of
+  /// channels inflated from it stay valid as long as one owner of this
+  /// arena is alive.
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
   /// FNV-1a 64 over the whole buffer; the snapshot header stores it.
@@ -161,13 +172,15 @@ class ProgramArena {
   /// Scheme-resolved scalars stored at Flatten time.
   std::vector<std::int64_t> aux() const;
 
-  /// Reconstructs the channels. Pointer-entry key views point into this
-  /// arena's string pool, so the arena must outlive the channels (the
-  /// restore path wraps both in one owner; see schemes/scheme.cc).
+  /// Reconstructs the channels as heap Bucket vectors. Pointer-entry key
+  /// views point into this arena's string pool, so the arena must outlive
+  /// the channels. Neither building nor restoring a scheme inflates; the
+  /// multichannel group (schemes/multichannel.cc) and tests do.
   Result<std::vector<Channel>> InflateChannels() const;
 
-  /// Re-checks every offset, span and ref against the buffer bounds.
-  /// FromBytes runs this; exposed for tests and the inspect tool.
+  /// Re-checks every offset's alignment and every offset, span and ref
+  /// against the buffer bounds. FromBytes runs this; exposed for tests
+  /// and the inspect tool.
   Status Validate() const;
 
  private:

@@ -35,17 +35,6 @@ Result<Channel> Channel::Create(std::vector<Bucket> buckets) {
     channel.starts_.push_back(at);
     at += b.size;
     uniform = uniform && b.size == first_size;
-    switch (b.kind) {
-      case BucketKind::kData:
-        ++channel.num_data_;
-        break;
-      case BucketKind::kIndex:
-        ++channel.num_index_;
-        break;
-      case BucketKind::kSignature:
-        ++channel.num_signature_;
-        break;
-    }
   }
   channel.cycle_bytes_ = at;
   channel.uniform_ = uniform;
@@ -72,16 +61,6 @@ Bytes Channel::NextBoundaryTime(Bytes now) const {
   const std::size_t i = BucketAtPhase(phase);
   if (starts_[i] == phase) return now;
   return now + (end_phase(i) - phase);
-}
-
-std::int64_t Channel::BucketsBroadcastBy(Bytes now) const {
-  if (now <= 0) return 0;
-  const Bytes cycles = now / cycle_bytes_;
-  const Bytes phase = now % cycle_bytes_;
-  // BucketAtPhase names the bucket containing `phase` (or just starting
-  // there), which equals the number of complete buckets this cycle.
-  const auto partial = static_cast<std::int64_t>(BucketAtPhase(phase));
-  return cycles * static_cast<std::int64_t>(buckets_.size()) + partial;
 }
 
 Bytes Channel::NextArrivalOfPhase(Bytes phase, Bytes now) const {

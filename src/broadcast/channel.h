@@ -20,6 +20,10 @@ namespace airindex {
 /// pointer fields in buckets are phases, and clients use
 /// NextArrivalOfPhase to convert them to absolute wake-up times — this is
 /// the paper's "offset value is the arrival time of the bucket".
+///
+/// A builder lays its cycle out as a Channel and flattens it into a
+/// program arena (broadcast/arena.h); the scheme keeps only the arena's
+/// view. The multichannel group and tests inflate Channels back.
 class Channel {
  public:
   /// Wraps a bucket sequence. Fails if the sequence is empty or any
@@ -66,17 +70,6 @@ class Channel {
   /// If `now` is already at that phase, returns `now`.
   Bytes NextArrivalOfPhase(Bytes phase, Bytes now) const;
 
-  /// Number of buckets the server has fully broadcast by absolute time
-  /// `now` (>= 0): whole cycles times the cycle's bucket count, plus the
-  /// complete buckets of the partial cycle. The telemetry layer reports
-  /// this as the server-side "buckets broadcast" counter.
-  std::int64_t BucketsBroadcastBy(Bytes now) const;
-
-  /// Count of buckets of each kind.
-  std::size_t num_data_buckets() const { return num_data_; }
-  std::size_t num_index_buckets() const { return num_index_; }
-  std::size_t num_signature_buckets() const { return num_signature_; }
-
  private:
   Channel() = default;
 
@@ -85,9 +78,6 @@ class Channel {
   Bytes cycle_bytes_ = 0;
   bool uniform_ = false;   // all buckets the same size (fast phase math)
   Bytes uniform_size_ = 0;
-  std::size_t num_data_ = 0;
-  std::size_t num_index_ = 0;
-  std::size_t num_signature_ = 0;
 };
 
 /// Structural validation shared by all schemes: positive sizes, in-range

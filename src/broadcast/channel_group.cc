@@ -19,17 +19,8 @@ Result<ChannelGroup> ChannelGroup::Create(std::vector<Channel> channels,
   for (const Channel& ch : group.channels_) {
     group.max_cycle_bytes_ = std::max(group.max_cycle_bytes_, ch.cycle_bytes());
     group.num_buckets_ += ch.num_buckets();
-    group.num_data_ += ch.num_data_buckets();
-    group.num_index_ += ch.num_index_buckets();
-    group.num_signature_ += ch.num_signature_buckets();
   }
   return group;
-}
-
-std::int64_t ChannelGroup::BucketsBroadcastBy(Bytes now) const {
-  std::int64_t total = 0;
-  for (const Channel& ch : channels_) total += ch.BucketsBroadcastBy(now);
-  return total;
 }
 
 namespace {

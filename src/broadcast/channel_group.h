@@ -62,15 +62,8 @@ class ChannelGroup {
   /// phase-wait on any channel.
   Bytes max_cycle_bytes() const { return max_cycle_bytes_; }
 
-  /// Bucket counts summed across all channels.
+  /// Buckets summed across all channels.
   std::size_t num_buckets() const { return num_buckets_; }
-  std::size_t num_data_buckets() const { return num_data_; }
-  std::size_t num_index_buckets() const { return num_index_; }
-  std::size_t num_signature_buckets() const { return num_signature_; }
-
-  /// Buckets the server has fully broadcast on all channels together by
-  /// absolute time `now` (the channels transmit in parallel).
-  std::int64_t BucketsBroadcastBy(Bytes now) const;
 
  private:
   ChannelGroup() = default;
@@ -79,9 +72,6 @@ class ChannelGroup {
   Bytes switch_cost_ = 0;
   Bytes max_cycle_bytes_ = 0;
   std::size_t num_buckets_ = 0;
-  std::size_t num_data_ = 0;
-  std::size_t num_index_ = 0;
-  std::size_t num_signature_ = 0;
 };
 
 /// Group-aware structural validation: per-channel bucket checks plus

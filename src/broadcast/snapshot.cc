@@ -1,7 +1,10 @@
 #include "broadcast/snapshot.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <utility>
 
 namespace airindex {
@@ -21,35 +24,57 @@ std::vector<std::uint8_t> ProgramSnapshot::Serialize(
   return out;
 }
 
-Result<ProgramArena> ProgramSnapshot::Deserialize(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < sizeof(SnapshotHeader)) {
+namespace {
+
+// The header checks Deserialize and LoadFile share, run before any
+// payload byte is read or allocated: `prefix` holds the first
+// min(size, sizeof(SnapshotHeader)) bytes of a snapshot `size` bytes
+// long.
+Result<SnapshotHeader> CheckHeader(const std::uint8_t* prefix,
+                                   std::uint64_t size) {
+  if (size < sizeof(SnapshotHeader)) {
     return Status::InvalidArgument("snapshot: buffer shorter than header");
   }
   SnapshotHeader header;
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  if (header.magic != kMagic) {
+  std::memcpy(&header, prefix, sizeof(header));
+  if (header.magic != ProgramSnapshot::kMagic) {
     return Status::InvalidArgument("snapshot: bad magic");
   }
-  if (header.format_version != kFormatVersion) {
+  if (header.format_version != ProgramSnapshot::kFormatVersion) {
     return Status::InvalidArgument(
         "snapshot: format version " + std::to_string(header.format_version) +
-        " unsupported (want " + std::to_string(kFormatVersion) + ")");
+        " unsupported (want " +
+        std::to_string(ProgramSnapshot::kFormatVersion) + ")");
   }
-  if (header.payload_bytes != bytes.size() - sizeof(header)) {
+  if (header.payload_bytes != size - sizeof(header)) {
     return Status::InvalidArgument(
         "snapshot: payload truncated (header claims " +
         std::to_string(header.payload_bytes) + " bytes, file carries " +
-        std::to_string(bytes.size() - sizeof(header)) + ")");
+        std::to_string(size - sizeof(header)) + ")");
   }
-  std::vector<std::uint8_t> payload(bytes.begin() + sizeof(header),
-                                    bytes.end());
-  const std::uint64_t checksum = Fnv1a64(payload.data(), payload.size());
-  if (checksum != header.payload_checksum) {
+  return header;
+}
+
+// Verifies the payload against the header's checksum, then adopts it.
+Result<ProgramArena> AdoptPayload(const SnapshotHeader& header,
+                                  std::vector<std::uint8_t> payload) {
+  if (Fnv1a64(payload.data(), payload.size()) != header.payload_checksum) {
     return Status::InvalidArgument("snapshot: checksum mismatch (corrupted "
                                    "payload)");
   }
   return ProgramArena::FromBytes(std::move(payload));
+}
+
+}  // namespace
+
+Result<ProgramArena> ProgramSnapshot::Deserialize(
+    const std::vector<std::uint8_t>& bytes) {
+  Result<SnapshotHeader> header = CheckHeader(bytes.data(), bytes.size());
+  if (!header.ok()) return header.status();
+  return AdoptPayload(
+      header.value(),
+      std::vector<std::uint8_t>(bytes.begin() + sizeof(SnapshotHeader),
+                                bytes.end()));
 }
 
 Status ProgramSnapshot::WriteFile(const std::string& path,
@@ -74,22 +99,35 @@ Status ProgramSnapshot::WriteFile(const std::string& path,
 }
 
 Result<ProgramArena> ProgramSnapshot::LoadFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
+  const auto close = [](std::FILE* file) { std::fclose(file); };
+  const std::unique_ptr<std::FILE, decltype(close)> file(
+      std::fopen(path.c_str(), "rb"), close);
   if (file == nullptr) {
     return Status::NotFound("snapshot: no file at " + path);
   }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buffer[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + got);
+  // The file's size, not the header's claim, sizes the read: a header
+  // that disagrees is rejected before anything is allocated, and the
+  // payload is read once, straight into the buffer the arena adopts.
+  long size = -1;
+  if (std::fseek(file.get(), 0, SEEK_END) == 0) size = std::ftell(file.get());
+  if (size < 0 || std::fseek(file.get(), 0, SEEK_SET) != 0) {
+    return Status::Internal("snapshot: cannot size " + path);
   }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
+  std::uint8_t prefix[sizeof(SnapshotHeader)] = {};
+  const std::size_t want =
+      std::min(static_cast<std::size_t>(size), sizeof(prefix));
+  if (std::fread(prefix, 1, want, file.get()) != want) {
     return Status::Internal("snapshot: read error on " + path);
   }
-  return Deserialize(bytes);
+  Result<SnapshotHeader> header =
+      CheckHeader(prefix, static_cast<std::uint64_t>(size));
+  if (!header.ok()) return header.status();
+  std::vector<std::uint8_t> payload(header.value().payload_bytes);
+  if (!payload.empty() && std::fread(payload.data(), 1, payload.size(),
+                                     file.get()) != payload.size()) {
+    return Status::Internal("snapshot: read error on " + path);
+  }
+  return AdoptPayload(header.value(), std::move(payload));
 }
 
 }  // namespace airindex

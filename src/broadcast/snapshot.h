@@ -54,7 +54,11 @@ class ProgramSnapshot {
   /// program cache — never observes a half-written snapshot.
   static Status WriteFile(const std::string& path, const ProgramArena& arena);
 
-  /// Reads and Deserializes `path`. NotFound when the file is absent.
+  /// Reads `path` and checks it exactly as Deserialize checks a buffer
+  /// (the two share one set of header checks). The payload is sized from
+  /// the file and read once, straight into the buffer the arena adopts;
+  /// a header whose payload size disagrees with the file is rejected
+  /// before anything is allocated. NotFound when the file is absent.
   static Result<ProgramArena> LoadFile(const std::string& path);
 };
 

@@ -84,13 +84,13 @@ FleetShardResult RunFleetShard(const BroadcastScheme& scheme,
     zipf = &*owned_zipf;
   }
 
-  const Channel& channel = scheme.channel();
+  const ArenaChannelView& view = scheme.view();
   Bytes slot_bytes = params.slot_bytes;
   if (slot_bytes <= 0) {
     const auto buckets =
         static_cast<std::int64_t>(std::max<std::size_t>(
-            1, channel.num_buckets()));
-    slot_bytes = std::max<Bytes>(1, channel.cycle_bytes() / buckets);
+            1, view.num_buckets()));
+    slot_bytes = std::max<Bytes>(1, view.cycle_bytes() / buckets);
   }
 
   // Struct-of-arrays client state (~64 bytes per client).

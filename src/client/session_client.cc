@@ -94,17 +94,20 @@ void SessionClient::WarmInsert(std::string_view key, Bytes now) {
 }
 
 std::vector<double> BroadcastFrequencies(
-    const std::vector<const Channel*>& channels, int num_records) {
+    const std::vector<const ArenaChannelView*>& channels, int num_records) {
   std::vector<double> frequencies(
       static_cast<std::size_t>(std::max(num_records, 0)), 0.0);
-  for (const Channel* channel : channels) {
+  for (const ArenaChannelView* channel : channels) {
     if (channel == nullptr || channel->cycle_bytes() <= 0) continue;
     const double per_cycle =
         1.0 / static_cast<double>(channel->cycle_bytes());
-    for (const Bucket& bucket : channel->buckets()) {
-      if (bucket.kind != BucketKind::kData || bucket.record_id < 0) continue;
-      if (bucket.record_id >= num_records) continue;
-      frequencies[static_cast<std::size_t>(bucket.record_id)] += per_cycle;
+    for (std::size_t i = 0; i < channel->num_buckets(); ++i) {
+      const auto bucket = channel->bucket(i);
+      if (bucket.kind() != BucketKind::kData || bucket.record_id() < 0) {
+        continue;
+      }
+      if (bucket.record_id() >= num_records) continue;
+      frequencies[static_cast<std::size_t>(bucket.record_id())] += per_cycle;
     }
   }
   return frequencies;

@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "broadcast/channel.h"
 #include "client/client_cache.h"
 #include "common/types.h"
 #include "data/dataset.h"
@@ -138,7 +137,7 @@ class SessionClient {
 /// denominator; for single-frequency schemes it is uniform and kPix
 /// degenerates to kLfu.
 std::vector<double> BroadcastFrequencies(
-    const std::vector<const Channel*>& channels, int num_records);
+    const std::vector<const ArenaChannelView*>& channels, int num_records);
 
 }  // namespace airindex
 

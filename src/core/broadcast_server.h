@@ -41,15 +41,25 @@ class BroadcastServer {
   BroadcastServer(BroadcastServer&&) = default;
   BroadcastServer& operator=(BroadcastServer&&) = default;
 
-  /// The scheme's broadcast cycle (channel 0 of the group when
-  /// multichannel).
-  const Channel& channel() const { return scheme_->channel(); }
+  /// The scheme's broadcast cycle as its bound arena view (channel 0 of
+  /// the group when multichannel).
+  const ArenaChannelView& channel() const { return scheme_->view(); }
 
   /// The access method in use.
   const BroadcastScheme& scheme() const { return *scheme_; }
 
   /// The multichannel program, or nullptr when running a single channel.
   const MultiChannelProgram* multichannel() const { return multi_; }
+
+  /// Number of channels on air: the group's when multichannel, else 1.
+  int num_channels() const {
+    return multi_ != nullptr ? multi_->group().num_channels() : 1;
+  }
+
+  /// Channel `c` on air as its arena view (0 <= c < num_channels()).
+  const ArenaChannelView& channel_view(int c) const {
+    return multi_ != nullptr ? multi_->channel_view(c) : scheme_->view();
+  }
 
   /// A client tuning in at `tune_in` and requesting `key`.
   AccessResult Listen(std::string_view key, Bytes tune_in) const {
@@ -60,8 +70,11 @@ class BroadcastServer {
   /// (telemetry; the broadcast is periodic, so this is pure arithmetic).
   /// Channels of a group transmit in parallel and all count.
   std::int64_t BucketsBroadcastBy(Bytes now) const {
-    return multi_ != nullptr ? multi_->group().BucketsBroadcastBy(now)
-                             : channel().BucketsBroadcastBy(now);
+    std::int64_t total = 0;
+    for (int c = 0; c < num_channels(); ++c) {
+      total += channel_view(c).BucketsBroadcastBy(now);
+    }
+    return total;
   }
 
  private:

@@ -33,34 +33,23 @@ struct ReorderBuffer {
   int peak = 0;
 };
 
-/// Fills `result`'s channel-shape block from the server's channel or
-/// channel group.
+/// Fills a fresh `result`'s channel-shape block from the views of the
+/// channels on air: the longest cycle, and bucket counts summed over
+/// channels.
 void FillChannelShape(const BroadcastServer& server,
                       SimulationResult* result) {
-  if (const MultiChannelProgram* multi = server.multichannel();
-      multi != nullptr) {
-    const ChannelGroup& group = multi->group();
-    result->cycle_bytes = group.max_cycle_bytes();
-    result->num_buckets = static_cast<std::int64_t>(group.num_buckets());
-    result->num_index_buckets =
-        static_cast<std::int64_t>(group.num_index_buckets());
-    result->num_signature_buckets =
-        static_cast<std::int64_t>(group.num_signature_buckets());
-    result->num_data_buckets =
-        static_cast<std::int64_t>(group.num_data_buckets());
-    result->num_channels = group.num_channels();
-    return;
+  result->num_channels = server.num_channels();
+  for (int c = 0; c < server.num_channels(); ++c) {
+    const ArenaChannelView& view = server.channel_view(c);
+    result->cycle_bytes = std::max(result->cycle_bytes, view.cycle_bytes());
+    result->num_buckets += static_cast<std::int64_t>(view.num_buckets());
+    result->num_index_buckets +=
+        static_cast<std::int64_t>(view.num_index_buckets());
+    result->num_signature_buckets +=
+        static_cast<std::int64_t>(view.num_signature_buckets());
+    result->num_data_buckets +=
+        static_cast<std::int64_t>(view.num_data_buckets());
   }
-  const Channel& channel = server.channel();
-  result->cycle_bytes = channel.cycle_bytes();
-  result->num_buckets = static_cast<std::int64_t>(channel.num_buckets());
-  result->num_index_buckets =
-      static_cast<std::int64_t>(channel.num_index_buckets());
-  result->num_signature_buckets =
-      static_cast<std::int64_t>(channel.num_signature_buckets());
-  result->num_data_buckets =
-      static_cast<std::int64_t>(channel.num_data_buckets());
-  result->num_channels = 1;
 }
 
 /// The raw merge state of replication `id` that bench_merge replays.

@@ -175,15 +175,11 @@ Result<FleetRunResult> FleetExperiment::Run(const TestbedConfig& config,
     run.totals.Merge(shard);
   }
   run.metrics = SnapshotFleetMetrics(run.totals, config, shards, server);
-  if (const MultiChannelProgram* multi = server.multichannel();
-      multi != nullptr) {
-    run.cycle_bytes = multi->group().max_cycle_bytes();
-    run.num_buckets = static_cast<std::int64_t>(multi->group().num_buckets());
-    run.num_channels = multi->group().num_channels();
-  } else {
-    run.cycle_bytes = server.channel().cycle_bytes();
-    run.num_buckets = static_cast<std::int64_t>(server.channel().num_buckets());
-    run.num_channels = 1;
+  run.num_channels = server.num_channels();
+  for (int c = 0; c < server.num_channels(); ++c) {
+    const ArenaChannelView& view = server.channel_view(c);
+    run.cycle_bytes = std::max(run.cycle_bytes, view.cycle_bytes());
+    run.num_buckets += static_cast<std::int64_t>(view.num_buckets());
   }
 
   const double wall =

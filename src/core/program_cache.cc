@@ -105,12 +105,12 @@ Result<std::unique_ptr<BroadcastScheme>> ProgramCache::GetOrBuild(
   if (dataset == nullptr) {
     return Status::InvalidArgument("program cache: null dataset");
   }
-  const std::uint64_t dataset_fp = DatasetFingerprint(*dataset);
   const std::uint64_t params_fp =
       ProgramParamsFingerprint(kind, geometry, params);
-  const Key key{static_cast<int>(kind), dataset_fp, params_fp};
 
   std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t dataset_fp = FingerprintOf(dataset);
+  const Key key{static_cast<int>(kind), dataset_fp, params_fp};
 
   const auto hit =
       std::find_if(memory_.begin(), memory_.end(),
@@ -171,6 +171,18 @@ Result<std::unique_ptr<BroadcastScheme>> ProgramCache::GetOrBuild(
   // exist for future hits. Restored and built schemes are observably
   // identical, so the two paths cannot diverge in results.
   return built;
+}
+
+std::uint64_t ProgramCache::FingerprintOf(
+    const std::shared_ptr<const Dataset>& dataset) {
+  std::erase_if(fingerprints_,
+                [](const auto& entry) { return entry.first.expired(); });
+  for (const auto& [owner, fingerprint] : fingerprints_) {
+    if (owner.lock() == dataset) return fingerprint;
+  }
+  const std::uint64_t fingerprint = DatasetFingerprint(*dataset);
+  fingerprints_.emplace_back(dataset, fingerprint);
+  return fingerprint;
 }
 
 MetricsRegistry ProgramCache::MetricsSnapshot() const {

@@ -62,9 +62,11 @@ class ProgramCache {
   ProgramCache& operator=(const ProgramCache&) = delete;
 
   /// The cached-or-built scheme for this configuration. Thread-safe; at
-  /// most one caller builds any given program. Multichannel programs are
-  /// not cacheable (ChannelGroup schemes carry per-channel protocol
-  /// state) — callers bypass the cache for them (core/broadcast_server.cc).
+  /// most one caller builds any given program. A dataset instance is
+  /// fingerprinted once per cache, however many kinds and cells share it.
+  /// Multichannel programs are not cacheable (ChannelGroup schemes carry
+  /// per-channel protocol state) — callers bypass the cache for them
+  /// (core/broadcast_server.cc).
   Result<std::unique_ptr<BroadcastScheme>> GetOrBuild(
       SchemeKind kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params);
@@ -89,9 +91,18 @@ class ProgramCache {
     bool operator==(const Key& other) const = default;
   };
 
+  /// DatasetFingerprint of `dataset`, memoized per instance. Requires
+  /// mu_.
+  std::uint64_t FingerprintOf(const std::shared_ptr<const Dataset>& dataset);
+
   std::string dir_;
   mutable std::mutex mu_;
   std::vector<std::pair<Key, std::shared_ptr<const ProgramArena>>> memory_;
+  /// Fingerprints by dataset owner. A weak_ptr, not an address: it keeps
+  /// the control block alive, so a freed dataset's successor can never
+  /// match its entry; expired entries are pruned on lookup.
+  std::vector<std::pair<std::weak_ptr<const Dataset>, std::uint64_t>>
+      fingerprints_;
   MetricsRegistry metrics_;
 };
 

@@ -170,7 +170,7 @@ MetricsRegistry SnapshotRunMetrics(Bytes end_time,
                       schedule.planned->SlotsPerMajorCycle());
     metrics.Increment("schedule.occurrences",
                       static_cast<std::int64_t>(
-                          schedule.scheme().channel().num_data_buckets()));
+                          schedule.scheme().view().num_data_buckets()));
     metrics.Increment("schedule.retier_epochs", schedule.epochs);
     metrics.Increment("schedule.retier_moves", schedule.moves);
     metrics.Increment("schedule.rebuild_failures", schedule.rebuild_failures);
@@ -282,11 +282,11 @@ Status StartDynamicRuntime(DynamicRuntime* dynamic,
 /// The longest broadcast cycle in play — the time base of the server
 /// update schedule (update_rate is "updates per broadcast cycle").
 Bytes ServerCycleBytes(const BroadcastServer& server) {
-  if (const MultiChannelProgram* multi = server.multichannel();
-      multi != nullptr) {
-    return multi->group().max_cycle_bytes();
+  Bytes longest = 0;
+  for (int c = 0; c < server.num_channels(); ++c) {
+    longest = std::max(longest, server.channel_view(c).cycle_bytes());
   }
-  return server.channel().cycle_bytes();
+  return longest;
 }
 
 SessionClientParams BuildSessionParams(const TestbedConfig& config,
@@ -312,14 +312,9 @@ SessionClientParams BuildSessionParams(const TestbedConfig& config,
 std::vector<double> SessionFrequencies(const BroadcastServer& server,
                                        int num_records, CachePolicy policy) {
   if (policy != CachePolicy::kPix) return {};
-  std::vector<const Channel*> channels;
-  if (const MultiChannelProgram* multi = server.multichannel();
-      multi != nullptr) {
-    for (int c = 0; c < multi->group().num_channels(); ++c) {
-      channels.push_back(&multi->group().channel(c));
-    }
-  } else {
-    channels.push_back(&server.channel());
+  std::vector<const ArenaChannelView*> channels;
+  for (int c = 0; c < server.num_channels(); ++c) {
+    channels.push_back(&server.channel_view(c));
   }
   return BroadcastFrequencies(channels, num_records);
 }

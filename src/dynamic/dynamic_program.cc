@@ -167,7 +167,7 @@ AccessResult DynamicRuntime::Access(std::string_view key, Bytes tune_in) {
     // segment rides, then read the delta directory and — when live —
     // the record itself. The unindexed segment cannot be dozed through,
     // so the extra buckets charge tuning as well as access.
-    const Bytes cycle = live_scheme_->channel().cycle_bytes();
+    const Bytes cycle = live_scheme_->view().cycle_bytes();
     const Bytes end = tune_in + result.access_time;
     const Bytes wait = cycle > 0 ? (cycle - (end % cycle)) % cycle : 0;
     const Bytes extra = geometry_.index_bucket_bytes() +

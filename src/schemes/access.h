@@ -5,7 +5,7 @@
 #include <string_view>
 
 #include "common/types.h"
-#include "broadcast/channel.h"
+#include "schemes/channel_view.h"
 
 namespace airindex {
 
@@ -63,8 +63,8 @@ struct AccessResult {
   Bytes final_channel_tuning = 0;
 };
 
-/// A fully built broadcast program: the channel for one cycle plus the
-/// scheme's client access protocol.
+/// A fully built broadcast program: one cycle's bucket sequence, held as
+/// the bound arena view, plus the scheme's client access protocol.
 ///
 /// Access() is a pure function of (key, tune-in time): it performs the
 /// paper's access protocol for the scheme against the periodic channel
@@ -75,8 +75,9 @@ class BroadcastScheme {
  public:
   virtual ~BroadcastScheme() = default;
 
-  /// The broadcast cycle.
-  virtual const Channel& channel() const = 0;
+  /// The broadcast cycle: the program arena the scheme is bound to, its
+  /// one representation of the program.
+  virtual const ArenaChannelView& view() const = 0;
 
   /// Runs the access protocol for `key`, tuning in at absolute time
   /// `tune_in`.

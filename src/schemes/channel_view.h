@@ -1,23 +1,28 @@
 // Layer: 4 (schemes) — see docs/ARCHITECTURE.md for the layer map.
 //
-// The channel view every client access walk traverses: a flattened
-// single-channel program (broadcast/arena.h) read by 32-bit offset
-// arithmetic — buckets, index entries and signature words resolved from
-// the arena's pools, with no rebuilt trees, no per-bucket heap vectors
-// and no pointer chasing. Every scheme binds one when it is constructed
-// (Build flattens its own channel, Restore binds the arena it was
-// restored from), so each scheme's Access() is one walk over this view.
+// A scheme's broadcast program: a flattened single-channel arena
+// (broadcast/arena.h) read by 32-bit offset arithmetic — buckets, index
+// entries and signature words resolved from the arena's pools, with no
+// rebuilt trees, no per-bucket heap vectors and no pointer chasing.
+// Every scheme binds one when it is constructed (Build flattens the
+// channel it laid out and drops it, Restore binds the arena it was
+// restored from), and the view is the scheme's only representation of
+// its program: each Access() is one walk over it, and the code outside
+// the walks (report shape, server counters, PIX frequencies, filters,
+// trace printing) reads the same view.
 //
 // The arena's bucket pool is written in cycle order and its entry pool
-// in local-before-control order (ProgramArena::Flatten), so span
-// [first, first+count) of the pools is exactly the corresponding
-// bucket's vector in the inflated Channel: bucket indices and phases
-// agree with the scheme's channel().
+// in local-before-control order (ProgramArena::Flatten), so bucket
+// indices and phases here are exactly those of the Channel the builder
+// flattened.
 #ifndef AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
 #define AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -40,7 +45,8 @@ struct EntryView {
 /// holds raw base pointers into its buffer (stable across moves of the
 /// view — the buffer is heap storage), resolving every walk step by
 /// offset arithmetic. Phase math mirrors Channel exactly, including the
-/// uniform-size fast path.
+/// uniform-size fast path; the per-kind bucket counts are taken once, at
+/// bind time.
 class ArenaChannelView {
  public:
   /// Proxy over one ArenaBucket.
@@ -56,6 +62,7 @@ class ArenaChannelView {
     Bytes next_index_segment_phase() const {
       return b_->next_index_segment_phase;
     }
+    std::int64_t slot() const { return b_->slot; }
     std::int64_t hash_value() const { return b_->hash_value; }
     Bytes shift_phase() const { return b_->shift_phase; }
     std::string_view range_lo() const { return view_->str(b_->range_lo); }
@@ -64,9 +71,12 @@ class ArenaChannelView {
       return view_->str(b_->last_broadcast_key);
     }
 
+    std::uint32_t local_count() const { return b_->local_count; }
+    std::uint32_t control_count() const { return b_->control_count; }
+
     /// Binary search over the local-entry span; same result as
-    /// FindCoveringEntry on the inflated vector (the span holds the same
-    /// entries in the same sorted order).
+    /// FindCoveringEntry on the builder's entry vector (the span holds
+    /// the same entries in the same sorted order).
     EntryView FindLocal(std::string_view key) const {
       std::uint32_t lo = b_->local_first;
       std::uint32_t hi = b_->local_first + b_->local_count;
@@ -107,33 +117,40 @@ class ArenaChannelView {
     const ArenaBucket* b_;
   };
 
-  /// Flattens `channel` into a fresh untagged arena and binds it — the
-  /// Build path. A fresh flatten always mirrors its channel.
+  /// The Build path: lays `buckets` out as a Channel (which checks them),
+  /// flattens it into a fresh untagged arena and binds that. The channel
+  /// is the builder's intermediate and is dropped here; the scheme keeps
+  /// only the view.
+  static Result<ArenaChannelView> Build(std::vector<Bucket> buckets) {
+    Result<Channel> channel = Channel::Create(std::move(buckets));
+    if (!channel.ok()) return channel.status();
+    return Flatten(channel.value());
+  }
+
+  /// Flattens `channel` into a fresh untagged arena and binds it.
   static ArenaChannelView Flatten(const Channel& channel) {
     return Bind(std::make_shared<const ProgramArena>(ProgramArena::Flatten(
                     {&channel}, /*switch_cost_bytes=*/0, /*scheme_kind=*/-1,
                     /*dataset_fingerprint=*/0, /*params_fingerprint=*/0,
-                    /*aux=*/{})),
-                channel)
+                    /*aux=*/{})))
         .value();
   }
 
-  /// Binds channel 0 of `arena`, the program `channel` was inflated from
-  /// — the Restore path. InvalidArgument unless the arena is a
-  /// single-channel program whose bucket pool matches `channel` in count
-  /// and cycle length.
+  /// Binds channel 0 of `arena` — the Restore path. InvalidArgument
+  /// unless the arena is a single-channel program of at least one
+  /// bucket whose sizes are positive and sum to a representable cycle.
   static Result<ArenaChannelView> Bind(
-      std::shared_ptr<const ProgramArena> arena, const Channel& channel) {
-    const auto mismatch = [] {
+      std::shared_ptr<const ProgramArena> arena) {
+    if (arena == nullptr || arena->num_channels() != 1) {
       return Status::InvalidArgument(
-          "arena view: the arena does not mirror the scheme's channel");
-    };
-    if (arena == nullptr || arena->num_channels() != 1) return mismatch();
+          "arena view: a scheme program is a single-channel arena");
+    }
     const ArenaChannelDesc& desc = arena->channel_desc(0);
     if (desc.first_bucket != 0 || desc.bucket_count == 0 ||
-        desc.bucket_count != channel.num_buckets() ||
         arena->num_buckets() != desc.bucket_count) {
-      return mismatch();
+      return Status::InvalidArgument(
+          "arena view: the channel must span the whole, non-empty bucket "
+          "pool");
     }
     ArenaChannelView view;
     const ArenaHeader& header = arena->header();
@@ -152,14 +169,20 @@ class ArenaChannelView {
     bool uniform = true;
     const Bytes first_size = view.buckets_[0].size;
     for (std::uint32_t i = 0; i < view.num_buckets_; ++i) {
+      const ArenaBucket& b = view.buckets_[i];
+      if (b.size <= 0 || b.size > std::numeric_limits<Bytes>::max() - at) {
+        return Status::InvalidArgument(
+            "arena view: bucket " + std::to_string(i) +
+            " has a non-positive size or overflows the cycle");
+      }
       view.starts_.push_back(at);
-      at += view.buckets_[i].size;
-      uniform = uniform && view.buckets_[i].size == first_size;
+      at += b.size;
+      uniform = uniform && b.size == first_size;
+      ++view.kind_counts_[b.kind];  // Validate bounds kind to BucketKind
     }
     view.cycle_bytes_ = at;
     view.uniform_ = uniform;
     view.uniform_size_ = first_size;
-    if (view.cycle_bytes_ != channel.cycle_bytes()) return mismatch();
     view.arena_ = std::move(arena);
     return view;
   }
@@ -169,7 +192,20 @@ class ArenaChannelView {
   BucketRef bucket(std::size_t i) const {
     return BucketRef(this, buckets_ + i);
   }
+  /// Phase at which bucket i starts, and one past its last byte.
   Bytes start_phase(std::size_t i) const { return starts_[i]; }
+  Bytes end_phase(std::size_t i) const {
+    return starts_[i] + buckets_[i].size;
+  }
+
+  /// Count of buckets of each kind.
+  std::size_t num_data_buckets() const { return CountOf(BucketKind::kData); }
+  std::size_t num_index_buckets() const {
+    return CountOf(BucketKind::kIndex);
+  }
+  std::size_t num_signature_buckets() const {
+    return CountOf(BucketKind::kSignature);
+  }
 
   std::size_t BucketAtPhase(Bytes phase) const {
     if (uniform_) return static_cast<std::size_t>(phase / uniform_size_);
@@ -191,7 +227,7 @@ class ArenaChannelView {
     const Bytes phase = now % cycle_bytes_;
     const std::size_t i = BucketAtPhase(phase);
     if (starts_[i] == phase) return now;
-    return now + (starts_[i] + buckets_[i].size - phase);
+    return now + (end_phase(i) - phase);
   }
 
   Bytes NextArrivalOfPhase(Bytes phase, Bytes now) const {
@@ -200,6 +236,21 @@ class ArenaChannelView {
     if (delta < 0) delta += cycle_bytes_;
     return now + delta;
   }
+
+  /// Number of buckets the server has fully broadcast by absolute time
+  /// `now` (>= 0): whole cycles times the bucket count, plus the complete
+  /// buckets of the partial cycle (BucketAtPhase names the bucket
+  /// containing the phase, which equals that count). The telemetry layer
+  /// reports this as the server-side "buckets broadcast" counter.
+  std::int64_t BucketsBroadcastBy(Bytes now) const {
+    if (now <= 0) return 0;
+    return now / cycle_bytes_ * static_cast<std::int64_t>(num_buckets_) +
+           static_cast<std::int64_t>(BucketAtPhase(now % cycle_bytes_));
+  }
+
+  /// The bound arena. FlattenSchemeProgram re-tags it, and the
+  /// multichannel group inflates its partitions' channels from it.
+  const ProgramArena& arena() const { return *arena_; }
 
   /// First word of the whole signature-word pool. For SignatureIndexing's
   /// alternating cycle the pool is the row-major record signature table
@@ -215,9 +266,11 @@ class ArenaChannelView {
   std::string_view str(const ArenaStrRef& ref) const {
     return std::string_view(strings_ + ref.offset, ref.length);
   }
+  std::size_t CountOf(BucketKind kind) const {
+    return kind_counts_[static_cast<std::size_t>(kind)];
+  }
 
-  /// Keeps the buffer behind the raw pool pointers below alive (and, on a
-  /// restored scheme, the inflated channel's key views too).
+  /// Keeps the buffer behind the raw pool pointers below alive.
   std::shared_ptr<const ProgramArena> arena_;
   const ArenaBucket* buckets_ = nullptr;
   const ArenaPointerEntry* entries_ = nullptr;
@@ -227,6 +280,7 @@ class ArenaChannelView {
   Bytes cycle_bytes_ = 0;
   bool uniform_ = false;
   Bytes uniform_size_ = 0;
+  std::array<std::size_t, 3> kind_counts_{};  // by BucketKind
   std::vector<Bytes> starts_;
 };
 

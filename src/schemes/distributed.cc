@@ -164,12 +164,10 @@ Result<DistributedIndexing> DistributedIndexing::Build(
     buckets.push_back(std::move(bucket));
   }
 
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
   return DistributedIndexing(std::move(dataset), std::move(tree),
-                             std::move(view), std::move(channel).value(), r,
-                             num_segments);
+                             std::move(view).value(), r, num_segments);
 }
 
 namespace {
@@ -309,11 +307,7 @@ AccessResult DistributedIndexing::AccessTraced(std::string_view key,
 
 Result<DistributedIndexing> DistributedIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    ArenaChannelView view, Channel channel, int r, int num_segments) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument(
-        "distributed restore needs a non-empty dataset");
-  }
+    ArenaChannelView view, int r, int num_segments) {
   if (r < 0 || num_segments < 1) {
     return Status::InvalidArgument(
         "distributed restore: resolved r/num_segments out of range");
@@ -325,8 +319,7 @@ Result<DistributedIndexing> DistributedIndexing::Restore(
         "distributed restore: r exceeds tree height");
   }
   return DistributedIndexing(std::move(dataset), std::move(tree).value(),
-                             std::move(view), std::move(channel), r,
-                             num_segments);
+                             std::move(view), r, num_segments);
 }
 
 }  // namespace airindex

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -38,15 +37,14 @@ class DistributedIndexing : public BroadcastScheme {
   /// Access-time-optimal replicated-level count for this configuration.
   static int OptimalR(int num_records, const BucketGeometry& geometry);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena. `r` and `num_segments` are the
-  /// resolved values recorded at flatten time; the index tree is rebuilt
-  /// deterministically.
+  /// Adopts `view`, bound to a restored program arena. `r` and
+  /// `num_segments` are the resolved values recorded at flatten time; the
+  /// index tree is rebuilt deterministically.
   static Result<DistributedIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      ArenaChannelView view, Channel channel, int r, int num_segments);
+      ArenaChannelView view, int r, int num_segments);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
@@ -68,19 +66,16 @@ class DistributedIndexing : public BroadcastScheme {
 
  private:
   DistributedIndexing(std::shared_ptr<const Dataset> dataset, BTree tree,
-                      ArenaChannelView view, Channel channel, int r,
-                      int num_segments)
+                      ArenaChannelView view, int r, int num_segments)
       : dataset_(std::move(dataset)),
         tree_(std::move(tree)),
         view_(std::move(view)),
-        channel_(std::move(channel)),
         r_(r),
         num_segments_(num_segments) {}
 
   std::shared_ptr<const Dataset> dataset_;
   BTree tree_;
   ArenaChannelView view_;
-  Channel channel_;
   int r_;
   int num_segments_;
 };

@@ -20,11 +20,9 @@ Result<FlatBroadcast> FlatBroadcast::Build(
     bucket.record_id = static_cast<std::int64_t>(record.id);
     buckets.push_back(std::move(bucket));
   }
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
-  return FlatBroadcast(std::move(dataset), std::move(view),
-                       std::move(channel).value());
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
+  return FlatBroadcast(std::move(dataset), std::move(view).value());
 }
 
 namespace {
@@ -65,11 +63,11 @@ AccessResult FlatBroadcast::Access(std::string_view key, Bytes tune_in) const {
 
 FilterResult FlatBroadcast::Filter(std::string_view value,
                                    Bytes tune_in) const {
-  const Bytes dt = channel_.bucket(0).size;
-  const auto num = static_cast<Bytes>(channel_.num_buckets());
+  const Bytes dt = view_.bucket(0).size();
+  const auto num = static_cast<Bytes>(view_.num_buckets());
 
   FilterResult result;
-  const Bytes boundary = channel_.NextBoundaryTime(tune_in);
+  const Bytes boundary = view_.NextBoundaryTime(tune_in);
   result.matches = dataset_->FindByAttribute(value);
   result.probes = static_cast<int>(num);
   result.access_time = (boundary - tune_in) + num * dt;
@@ -78,18 +76,13 @@ FilterResult FlatBroadcast::Filter(std::string_view value,
 }
 
 Result<FlatBroadcast> FlatBroadcast::Restore(
-    std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
-    Channel channel) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument("flat restore needs a non-empty dataset");
-  }
-  if (channel.num_buckets() != static_cast<std::size_t>(dataset->size())) {
+    std::shared_ptr<const Dataset> dataset, ArenaChannelView view) {
+  if (view.num_buckets() != static_cast<std::size_t>(dataset->size())) {
     return Status::InvalidArgument(
-        "flat restore: channel has " + std::to_string(channel.num_buckets()) +
+        "flat restore: channel has " + std::to_string(view.num_buckets()) +
         " buckets for " + std::to_string(dataset->size()) + " records");
   }
-  return FlatBroadcast(std::move(dataset), std::move(view),
-                       std::move(channel));
+  return FlatBroadcast(std::move(dataset), std::move(view));
 }
 
 }  // namespace airindex

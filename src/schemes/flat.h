@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -27,14 +26,13 @@ class FlatBroadcast : public BroadcastScheme {
   static Result<FlatBroadcast> Build(std::shared_ptr<const Dataset> dataset,
                                      const BucketGeometry& geometry);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena (the scheme holds no derived
-  /// state beyond the channel). Validates that the channel covers the
+  /// Adopts `view`, bound to a restored program arena (the scheme holds
+  /// no derived state beyond it). Validates that the cycle covers the
   /// dataset.
   static Result<FlatBroadcast> Restore(std::shared_ptr<const Dataset> dataset,
-                                       ArenaChannelView view, Channel channel);
+                                       ArenaChannelView view);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   /// Closed-form protocol walk (O(log Nr): one dataset lookup).
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
@@ -44,15 +42,11 @@ class FlatBroadcast : public BroadcastScheme {
   FilterResult Filter(std::string_view value, Bytes tune_in) const;
 
  private:
-  FlatBroadcast(std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
-                Channel channel)
-      : dataset_(std::move(dataset)),
-        view_(std::move(view)),
-        channel_(std::move(channel)) {}
+  FlatBroadcast(std::shared_ptr<const Dataset> dataset, ArenaChannelView view)
+      : dataset_(std::move(dataset)), view_(std::move(view)) {}
 
   std::shared_ptr<const Dataset> dataset_;
   ArenaChannelView view_;
-  Channel channel_;
 };
 
 }  // namespace airindex

@@ -80,11 +80,10 @@ Result<SimpleHashing> SimpleHashing::Build(
     }
   }
 
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
-  return SimpleHashing(std::move(dataset), std::move(view),
-                       std::move(channel).value(), allocated);
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
+  return SimpleHashing(std::move(dataset), std::move(view).value(),
+                       allocated);
 }
 
 namespace {
@@ -165,17 +164,13 @@ AccessResult SimpleHashing::Access(std::string_view key, Bytes tune_in) const {
 
 Result<SimpleHashing> SimpleHashing::Restore(
     std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
-    Channel channel, int allocated) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument("hashing restore needs a non-empty dataset");
-  }
+    int allocated) {
   if (allocated < 1 ||
-      static_cast<std::size_t>(allocated) > channel.num_buckets()) {
+      static_cast<std::size_t>(allocated) > view.num_buckets()) {
     return Status::InvalidArgument(
         "hashing restore: resolved slot count out of range");
   }
-  return SimpleHashing(std::move(dataset), std::move(view), std::move(channel),
-                       allocated);
+  return SimpleHashing(std::move(dataset), std::move(view), allocated);
 }
 
 }  // namespace airindex

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -33,14 +32,12 @@ class SimpleHashing : public BroadcastScheme {
                                      const BucketGeometry& geometry,
                                      double allocation_factor = 1.0);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena. `allocated` is the resolved
-  /// slot count Na recorded at flatten time.
+  /// Adopts `view`, bound to a restored program arena. `allocated` is
+  /// the resolved slot count Na recorded at flatten time.
   static Result<SimpleHashing> Restore(std::shared_ptr<const Dataset> dataset,
-                                       ArenaChannelView view, Channel channel,
-                                       int allocated);
+                                       ArenaChannelView view, int allocated);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
@@ -50,7 +47,7 @@ class SimpleHashing : public BroadcastScheme {
   /// Number of colliding (displaced) records Nc; the cycle has
   /// Na + Nc buckets.
   int colliding() const {
-    return static_cast<int>(channel_.num_buckets()) - allocated_;
+    return static_cast<int>(view_.num_buckets()) - allocated_;
   }
 
   /// The scheme's hash function: slot of `key` in [0, allocated()).
@@ -58,15 +55,13 @@ class SimpleHashing : public BroadcastScheme {
 
  private:
   SimpleHashing(std::shared_ptr<const Dataset> dataset, ArenaChannelView view,
-                Channel channel, int allocated)
+                int allocated)
       : dataset_(std::move(dataset)),
         view_(std::move(view)),
-        channel_(std::move(channel)),
         allocated_(allocated) {}
 
   std::shared_ptr<const Dataset> dataset_;
   ArenaChannelView view_;
-  Channel channel_;
   int allocated_;
 };
 

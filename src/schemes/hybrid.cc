@@ -152,12 +152,10 @@ Result<HybridIndexing> HybridIndexing::Build(
     buckets.push_back(std::move(bucket));
   }
 
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
-  return HybridIndexing(std::move(dataset), generator,
-                        std::move(tree), std::move(view),
-                        std::move(channel).value(), group_size, m);
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
+  return HybridIndexing(std::move(dataset), generator, std::move(tree),
+                        std::move(view).value(), group_size, m);
 }
 
 namespace {
@@ -255,35 +253,35 @@ FilterResult HybridIndexing::Filter(std::string_view value,
   FilterResult result;
   const std::vector<std::uint64_t> query = generator_.QuerySignature(value);
   const int words = generator_.words();
-  const Bytes cycle = channel_.cycle_bytes();
-  const std::size_t num = channel_.num_buckets();
+  const Bytes cycle = view_.cycle_bytes();
+  const std::size_t num = view_.num_buckets();
 
   // Advance to the next signature bucket, listening until it starts.
   Bytes t = tune_in;
-  std::size_t i = channel_.BucketAtPhase(t % cycle);
-  if (channel_.start_phase(i) != t % cycle ||
-      channel_.bucket(i).kind != BucketKind::kSignature) {
+  std::size_t i = view_.BucketAtPhase(t % cycle);
+  if (view_.start_phase(i) != t % cycle ||
+      view_.bucket(i).kind() != BucketKind::kSignature) {
     do {
       i = (i + 1) % num;
-    } while (channel_.bucket(i).kind != BucketKind::kSignature);
-    t = channel_.NextArrivalOfPhase(channel_.start_phase(i), t);
+    } while (view_.bucket(i).kind() != BucketKind::kSignature);
+    t = view_.NextArrivalOfPhase(view_.start_phase(i), t);
   }
   result.tuning_time = t - tune_in;
 
   const int total_sigs = dataset_->size();
   for (int sifted = 0; sifted < total_sigs; ++sifted) {
-    const Bucket& sig = channel_.bucket(i);
-    t += sig.size;
-    result.tuning_time += sig.size;
+    const auto sig = view_.bucket(i);
+    t += sig.size();
+    result.tuning_time += sig.size();
     ++result.probes;
-    const Bucket& data = channel_.bucket((i + 1) % num);
-    if (SignatureGenerator::Matches(sig.signature.data(), query.data(),
+    const auto data = view_.bucket((i + 1) % num);
+    if (SignatureGenerator::Matches(sig.signature_words(), query.data(),
                                     words)) {
-      t += data.size;
-      result.tuning_time += data.size;
+      t += data.size();
+      result.tuning_time += data.size();
       ++result.probes;
       const Record& record =
-          dataset_->record(static_cast<int>(data.record_id));
+          dataset_->record(static_cast<int>(data.record_id()));
       bool carries = false;
       for (const std::string& attribute : record.attributes) {
         if (attribute == value) {
@@ -300,10 +298,10 @@ FilterResult HybridIndexing::Filter(std::string_view value,
     if (sifted + 1 == total_sigs) break;
     // Doze to the next signature bucket (skipping data and index parts).
     std::size_t j = (i + 1) % num;
-    while (channel_.bucket(j).kind != BucketKind::kSignature) {
+    while (view_.bucket(j).kind() != BucketKind::kSignature) {
       j = (j + 1) % num;
     }
-    t = channel_.NextArrivalOfPhase(channel_.start_phase(j), t);
+    t = view_.NextArrivalOfPhase(view_.start_phase(j), t);
     i = j;
   }
   result.access_time = t - tune_in;
@@ -313,11 +311,7 @@ FilterResult HybridIndexing::Filter(std::string_view value,
 
 Result<HybridIndexing> HybridIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, ArenaChannelView view, Channel channel,
-    int group_size, int m) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument("hybrid restore needs a non-empty dataset");
-  }
+    SignatureParams params, ArenaChannelView view, int group_size, int m) {
   if (group_size < 1) {
     return Status::InvalidArgument(
         "hybrid restore: group_size must be >= 1");
@@ -331,8 +325,8 @@ Result<HybridIndexing> HybridIndexing::Restore(
   Result<BTree> tree = BTree::Build(num_groups, geometry.index_fanout());
   if (!tree.ok()) return tree.status();
   return HybridIndexing(std::move(dataset), generator,
-                        std::move(tree).value(), std::move(view),
-                        std::move(channel), group_size, m);
+                        std::move(tree).value(), std::move(view), group_size,
+                        m);
 }
 
 }  // namespace airindex

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -41,17 +40,16 @@ class HybridIndexing : public BroadcastScheme {
                                       SignatureParams params = {},
                                       int group_size = 16, int m = 0);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena. `group_size` and `m` are the
-  /// resolved values recorded at flatten time; the group tree is rebuilt
-  /// deterministically.
+  /// Adopts `view`, bound to a restored program arena. `group_size` and
+  /// `m` are the resolved values recorded at flatten time; the group tree
+  /// is rebuilt deterministically.
   static Result<HybridIndexing> Restore(std::shared_ptr<const Dataset> dataset,
                                         const BucketGeometry& geometry,
                                         SignatureParams params,
-                                        ArenaChannelView view, Channel channel,
-                                        int group_size, int m);
+                                        ArenaChannelView view, int group_size,
+                                        int m);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
@@ -67,12 +65,11 @@ class HybridIndexing : public BroadcastScheme {
  private:
   HybridIndexing(std::shared_ptr<const Dataset> dataset,
                  SignatureGenerator generator, BTree tree,
-                 ArenaChannelView view, Channel channel, int group_size, int m)
+                 ArenaChannelView view, int group_size, int m)
       : dataset_(std::move(dataset)),
         generator_(generator),
         tree_(std::move(tree)),
         view_(std::move(view)),
-        channel_(std::move(channel)),
         group_size_(group_size),
         m_(m) {}
 
@@ -80,7 +77,6 @@ class HybridIndexing : public BroadcastScheme {
   SignatureGenerator generator_;
   BTree tree_;  // indexes groups: "record" i of the tree is group i
   ArenaChannelView view_;
-  Channel channel_;
   int group_size_;
   int m_;
 };

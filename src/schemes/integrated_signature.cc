@@ -55,12 +55,10 @@ Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Build(
     }
   }
 
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
   return IntegratedSignatureIndexing(std::move(dataset), generator,
-                                     std::move(view),
-                                     std::move(channel).value(), group_size);
+                                     std::move(view).value(), group_size);
 }
 
 namespace {
@@ -143,12 +141,7 @@ AccessResult IntegratedSignatureIndexing::Access(std::string_view key,
 
 Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, ArenaChannelView view, Channel channel,
-    int group_size) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument(
-        "integrated signature restore needs a non-empty dataset");
-  }
+    SignatureParams params, ArenaChannelView view, int group_size) {
   if (group_size < 1) {
     return Status::InvalidArgument(
         "integrated signature restore: group_size must be >= 1");
@@ -156,8 +149,7 @@ Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Restore(
   SignatureGenerator generator(
       ResolveGroupSignatureBytes(geometry, params, group_size), params);
   return IntegratedSignatureIndexing(std::move(dataset), generator,
-                                     std::move(view), std::move(channel),
-                                     group_size);
+                                     std::move(view), group_size);
 }
 
 }  // namespace airindex

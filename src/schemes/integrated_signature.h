@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -32,15 +31,13 @@ class IntegratedSignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params = SignatureParams(), int group_size = 16);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena; the generator is
+  /// Adopts `view`, bound to a restored program arena; the generator is
   /// reconstructed from geometry + params (pure configuration).
   static Result<IntegratedSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, ArenaChannelView view, Channel channel,
-      int group_size);
+      SignatureParams params, ArenaChannelView view, int group_size);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
@@ -50,18 +47,15 @@ class IntegratedSignatureIndexing : public BroadcastScheme {
  private:
   IntegratedSignatureIndexing(std::shared_ptr<const Dataset> dataset,
                               SignatureGenerator generator,
-                              ArenaChannelView view, Channel channel,
-                              int group_size)
+                              ArenaChannelView view, int group_size)
       : dataset_(std::move(dataset)),
         generator_(generator),
         view_(std::move(view)),
-        channel_(std::move(channel)),
         group_size_(group_size) {}
 
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
   ArenaChannelView view_;
-  Channel channel_;
   int group_size_;
 };
 

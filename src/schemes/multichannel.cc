@@ -217,7 +217,7 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
           hot.insert(hot.end(), buckets.begin(), buckets.end());
         }
         const int channel_buckets =
-            static_cast<int>(scheduled->channel().num_buckets());
+            static_cast<int>(scheduled->view().num_buckets());
         for (const PlacedHotSlots& other : placed) {
           program->conflict_.hot_pairs +=
               static_cast<std::int64_t>(hot.size()) *
@@ -243,7 +243,13 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
         }
         placed.push_back(std::move(mine));
       }
-      channels.push_back(scheme.value()->channel());
+      // The partition's arena is its program; the group's Channel is
+      // inflated from it, so its key views live as long as the partition.
+      Result<std::vector<Channel>> inflated =
+          scheme.value()->view().arena().InflateChannels();
+      if (!inflated.ok()) return inflated.status();
+      channels.push_back(std::move(inflated.value().front()));
+      program->views_.push_back(scheme.value()->view());
       program->partitions_.push_back(std::move(scheme).value());
     }
   } else {
@@ -349,6 +355,9 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
         if (!ch.ok()) return ch.status();
         channels.push_back(std::move(ch).value());
       }
+    }
+    for (const Channel& channel : channels) {
+      program->views_.push_back(ArenaChannelView::Flatten(channel));
     }
   }
 

@@ -90,13 +90,18 @@ class MultiChannelProgram : public BroadcastScheme {
       const BucketGeometry& geometry, const SchemeParams& params,
       const MultiChannelParams& multichannel);
 
-  // BroadcastScheme interface. channel() exposes channel 0 of the group
-  // (the index channel for kIndexOnOne) for structure-agnostic callers.
-  const Channel& channel() const override { return group().channel(0); }
+  // BroadcastScheme interface. view() is channel 0 of the group (the
+  // index channel for kIndexOnOne) for structure-agnostic callers.
+  const ArenaChannelView& view() const override { return views_.front(); }
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
   /// The channel group.
   const ChannelGroup& group() const { return *group_; }
+
+  /// Channel `c` of the group as an arena view (PIX frequencies read it).
+  const ArenaChannelView& channel_view(int c) const {
+    return views_[static_cast<std::size_t>(c)];
+  }
 
   /// The allocation strategy in effect.
   ChannelAllocation allocation() const { return allocation_; }
@@ -125,8 +130,12 @@ class MultiChannelProgram : public BroadcastScheme {
   AccessResult AccessIndexed(std::string_view key, Bytes tune_in) const;
 
   // Always engaged by Build before the object escapes; optional only
-  // because ChannelGroup has no default state.
+  // because ChannelGroup has no default state. The group keeps its
+  // channels as inflated Channels — data-partitioned ones inflated from
+  // each partition's arena — because the cross-channel walks below read
+  // Channel buckets; views_ holds the same channels as arena views.
   std::optional<ChannelGroup> group_;
+  std::vector<ArenaChannelView> views_;
 
   ChannelAllocation allocation_ = ChannelAllocation::kDataPartitioned;
   /// First key of each data partition, in partition order (HomeChannel

@@ -74,12 +74,11 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Build(
     }
   }
 
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
   return MultiLevelSignatureIndexing(std::move(dataset), record_generator,
-                                     group_generator, std::move(view),
-                                     std::move(channel).value(), group_size);
+                                     group_generator, std::move(view).value(),
+                                     group_size);
 }
 
 namespace {
@@ -179,12 +178,7 @@ AccessResult MultiLevelSignatureIndexing::Access(std::string_view key,
 
 Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, ArenaChannelView view, Channel channel,
-    int group_size) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument(
-        "multi-level signature restore needs a non-empty dataset");
-  }
+    SignatureParams params, ArenaChannelView view, int group_size) {
   if (group_size < 1) {
     return Status::InvalidArgument(
         "multi-level signature restore: group_size must be >= 1");
@@ -194,7 +188,7 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Restore(
       ResolveGroupSignatureBytes(geometry, params, group_size), params);
   return MultiLevelSignatureIndexing(std::move(dataset), record_generator,
                                      group_generator, std::move(view),
-                                     std::move(channel), group_size);
+                                     group_size);
 }
 
 }  // namespace airindex

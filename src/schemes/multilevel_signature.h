@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -30,15 +29,13 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params = SignatureParams(), int group_size = 16);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena; both generators are
-  /// reconstructed from geometry + params.
+  /// Adopts `view`, bound to a restored program arena; both generators
+  /// are reconstructed from geometry + params.
   static Result<MultiLevelSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, ArenaChannelView view, Channel channel,
-      int group_size);
+      SignatureParams params, ArenaChannelView view, int group_size);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
@@ -49,13 +46,11 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
   MultiLevelSignatureIndexing(std::shared_ptr<const Dataset> dataset,
                               SignatureGenerator record_generator,
                               SignatureGenerator group_generator,
-                              ArenaChannelView view, Channel channel,
-                              int group_size)
+                              ArenaChannelView view, int group_size)
       : dataset_(std::move(dataset)),
         record_generator_(record_generator),
         group_generator_(group_generator),
         view_(std::move(view)),
-        channel_(std::move(channel)),
         group_size_(group_size) {}
 
   std::shared_ptr<const Dataset> dataset_;
@@ -64,7 +59,6 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
   /// Group-level signatures (wider; see ResolveGroupSignatureBytes).
   SignatureGenerator group_generator_;
   ArenaChannelView view_;
-  Channel channel_;
   int group_size_;
 };
 

@@ -113,11 +113,10 @@ Result<OneMIndexing> OneMIndexing::Build(std::shared_ptr<const Dataset> dataset,
     buckets.push_back(std::move(bucket));
   }
 
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
-  return OneMIndexing(std::move(dataset), std::move(tree), std::move(view),
-                      std::move(channel).value(), m);
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
+  return OneMIndexing(std::move(dataset), std::move(tree),
+                      std::move(view).value(), m);
 }
 
 namespace {
@@ -184,17 +183,14 @@ AccessResult OneMIndexing::Access(std::string_view key, Bytes tune_in) const {
 
 Result<OneMIndexing> OneMIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    ArenaChannelView view, Channel channel, int m) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument("(1,m) restore needs a non-empty dataset");
-  }
+    ArenaChannelView view, int m) {
   if (m < 1) {
     return Status::InvalidArgument("(1,m) restore: resolved m must be >= 1");
   }
   Result<BTree> tree = BTree::Build(dataset->size(), geometry.index_fanout());
   if (!tree.ok()) return tree.status();
   return OneMIndexing(std::move(dataset), std::move(tree).value(),
-                      std::move(view), std::move(channel), m);
+                      std::move(view), m);
 }
 
 }  // namespace airindex

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -33,17 +32,15 @@ class OneMIndexing : public BroadcastScheme {
   /// The m* the paper's analysis prescribes for this dataset/geometry.
   static int OptimalM(int num_records, const BucketGeometry& geometry);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena. `m` is the *resolved*
-  /// replication count recorded at flatten time (never 0); the index
-  /// tree is rebuilt — BTree::Build is deterministic and integer-only,
-  /// so the restored scheme is observably identical.
+  /// Adopts `view`, bound to a restored program arena. `m` is the
+  /// *resolved* replication count recorded at flatten time (never 0); the
+  /// index tree is rebuilt — BTree::Build is deterministic and
+  /// integer-only, so the restored scheme is observably identical.
   static Result<OneMIndexing> Restore(std::shared_ptr<const Dataset> dataset,
                                       const BucketGeometry& geometry,
-                                      ArenaChannelView view, Channel channel,
-                                      int m);
+                                      ArenaChannelView view, int m);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
@@ -55,17 +52,15 @@ class OneMIndexing : public BroadcastScheme {
 
  private:
   OneMIndexing(std::shared_ptr<const Dataset> dataset, BTree tree,
-               ArenaChannelView view, Channel channel, int m)
+               ArenaChannelView view, int m)
       : dataset_(std::move(dataset)),
         tree_(std::move(tree)),
         view_(std::move(view)),
-        channel_(std::move(channel)),
         m_(m) {}
 
   std::shared_ptr<const Dataset> dataset_;
   BTree tree_;
   ArenaChannelView view_;
-  Channel channel_;
   int m_;
 };
 

@@ -48,7 +48,7 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Build(
       ScheduleAssignmentFor(params.schedule, dataset->size());
   if (!assignment.ok()) return assignment.status();
   return Assemble(base_kind, std::move(dataset), geometry, params,
-                  std::move(assignment).value(), nullptr, nullptr);
+                  std::move(assignment).value(), nullptr);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::BuildWithAssignment(
@@ -64,18 +64,13 @@ Result<ScheduledBroadcast> ScheduledBroadcast::BuildWithAssignment(
         "scheduled broadcast: assignment does not cover the dataset");
   }
   return Assemble(base_kind, std::move(dataset), geometry, params,
-                  std::move(assignment), nullptr, nullptr);
+                  std::move(assignment), nullptr);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::Restore(
     SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params,
-    ArenaChannelView view, Channel channel,
-    const std::vector<std::int64_t>& aux) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument(
-        "scheduled restore needs a non-empty dataset");
-  }
+    ArenaChannelView view, const std::vector<std::int64_t>& aux) {
   if (aux.size() < 3 || aux[0] != kAuxTag) {
     return Status::InvalidArgument(
         "scheduled restore: arena aux is not a scheduled program");
@@ -123,14 +118,13 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Restore(
   SchemeParams resolved = params;
   resolved.schedule.rotation_slots = static_cast<int>(aux.back());
   return Assemble(base_kind, std::move(dataset), geometry, resolved,
-                  std::move(assignment), &channel, &view);
+                  std::move(assignment), &view);
 }
 
 Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
     SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params,
-    DiskAssignment assignment, Channel* existing,
-    ArenaChannelView* existing_view) {
+    DiskAssignment assignment, ArenaChannelView* existing) {
   const int num_records = dataset->size();
   const Bytes dt = geometry.data_bucket_bytes();
 
@@ -260,35 +254,32 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
   }
 
   if (existing != nullptr) {
-    // Restore: validate the inflated channel slot-by-slot against the
+    // Restore: validate the bound view slot-by-slot against the
     // recomputed plan instead of trusting the arena blindly.
     if (existing->num_buckets() != static_cast<std::size_t>(total)) {
       return Status::InvalidArgument(
           "scheduled restore: channel length does not match the plan");
     }
     for (int i = 0; i < total; ++i) {
-      const Bucket& got = existing->bucket(static_cast<std::size_t>(i));
+      const auto got = existing->bucket(static_cast<std::size_t>(i));
       const Bucket& want = plan[static_cast<std::size_t>(i)].bucket;
-      if (got.kind != want.kind || got.size != want.size ||
-          got.record_id != want.record_id || got.level != want.level) {
+      if (got.kind() != want.kind || got.size() != want.size ||
+          got.record_id() != want.record_id || got.level() != want.level) {
         return Status::InvalidArgument(
             "scheduled restore: channel does not match the planned layout");
       }
     }
   }
-  Result<Channel> final_channel = [&]() -> Result<Channel> {
+  Result<ArenaChannelView> view = [&]() -> Result<ArenaChannelView> {
     if (existing != nullptr) return std::move(*existing);
     std::vector<Bucket> buckets;
     buckets.reserve(plan.size());
     for (SlotPlan& slot : plan) buckets.push_back(std::move(slot.bucket));
-    return Channel::Create(std::move(buckets));
+    return ArenaChannelView::Build(std::move(buckets));
   }();
-  if (!final_channel.ok()) return final_channel.status();
-  ArenaChannelView view = existing_view != nullptr
-                              ? std::move(*existing_view)
-                              : ArenaChannelView::Flatten(final_channel.value());
+  if (!view.ok()) return view.status();
 
-  ScheduledBroadcast scheme(std::move(view), std::move(final_channel).value());
+  ScheduledBroadcast scheme(std::move(view).value());
   scheme.style_ = style;
   scheme.rotation_slots_ = rotation_slots;
   scheme.tree_height_ = tree_height;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "broadcast/schedule.h"
 #include "data/dataset.h"
@@ -73,19 +72,17 @@ class ScheduledBroadcast : public BroadcastScheme {
       const BucketGeometry& geometry, const SchemeParams& params,
       DiskAssignment assignment);
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena. `aux` is FlattenAux()'s
-  /// resolved assignment (tag, boundaries, frequencies, rotation); the
-  /// identity record order is assumed — the arena cache only ever stores
-  /// planned (not online-evolved) programs — and the channel is validated
-  /// slot-by-slot against the recomputed layout.
+  /// Adopts `view`, bound to a restored program arena. `aux` is
+  /// FlattenAux()'s resolved assignment (tag, boundaries, frequencies,
+  /// rotation); the identity record order is assumed — the arena cache
+  /// only ever stores planned (not online-evolved) programs — and the
+  /// view is validated slot-by-slot against the recomputed layout.
   static Result<ScheduledBroadcast> Restore(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
-      ArenaChannelView view, Channel channel,
-      const std::vector<std::int64_t>& aux);
+      ArenaChannelView view, const std::vector<std::int64_t>& aux);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
   /// The slot assignment in effect.
@@ -127,8 +124,8 @@ class ScheduledBroadcast : public BroadcastScheme {
   std::vector<std::int64_t> FlattenAux() const;
 
  private:
-  ScheduledBroadcast(ArenaChannelView view, Channel channel)
-      : view_(std::move(view)), channel_(std::move(channel)) {}
+  explicit ScheduledBroadcast(ArenaChannelView view)
+      : view_(std::move(view)) {}
 
   /// The closed-form client walk over the bound arena.
   AccessResult Walk(const ArenaChannelView& view, std::string_view key,
@@ -139,18 +136,16 @@ class ScheduledBroadcast : public BroadcastScheme {
   int DescentProbes(int record) const;
 
   /// Shared Build/Restore core: derives every table from the assignment
-  /// and either emits and flattens the channel (Build; both pointers
-  /// null) or validates `existing` against the expected layout and keeps
-  /// its bound `existing_view` (Restore).
+  /// and either emits and flattens the channel (Build; `existing` null)
+  /// or validates the bound `existing` view against the expected layout
+  /// and keeps it (Restore).
   static Result<ScheduledBroadcast> Assemble(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
-      DiskAssignment assignment, Channel* existing,
-      ArenaChannelView* existing_view);
+      DiskAssignment assignment, ArenaChannelView* existing);
 
   std::shared_ptr<const Dataset> dataset_;
   ArenaChannelView view_;
-  Channel channel_;
   DiskAssignment assignment_;
   std::vector<int> disk_of_;
   ScheduledSegmentStyle style_ = ScheduledSegmentStyle::kNone;

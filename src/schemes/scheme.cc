@@ -82,8 +82,7 @@ SignatureParams SignatureParamsOf(const SchemeParams& params) {
 Result<std::unique_ptr<BroadcastScheme>> BuildScheme(
     SchemeKind kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params) {
-  SignatureParams signature_params;
-  signature_params.bits_per_attribute = params.signature_bits_per_attribute;
+  const SignatureParams signature_params = SignatureParamsOf(params);
   Result<std::unique_ptr<BroadcastScheme>> built =
       Status::InvalidArgument("unknown scheme kind");
   if (ScheduledLayout(kind, params)) {
@@ -152,9 +151,9 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
             "flatten: online-evolved scheduled programs are not cacheable");
       }
     }
-    return ProgramArena::Flatten({&scheme.channel()}, /*switch_cost_bytes=*/0,
-                                 static_cast<int>(kind), dataset_fingerprint,
-                                 params_fingerprint, scheduled->FlattenAux());
+    return scheme.view().arena().Retag(static_cast<int>(kind),
+                                       dataset_fingerprint, params_fingerprint,
+                                       scheduled->FlattenAux());
   }
   // Aux layout per kind (see RestoreSchemeFromArena, which consumes it):
   // the scheme's *resolved* scalars — values Build may have derived from
@@ -164,7 +163,7 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
   switch (kind) {
     case SchemeKind::kFlat:
     case SchemeKind::kSignature:
-      break;  // fully reconstructible from dataset + params + channel
+      break;  // fully reconstructible from dataset + params + program
     case SchemeKind::kBroadcastDisks:
       break;  // a scheduled program, flattened above
     case SchemeKind::kOneM: {
@@ -214,114 +213,76 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
     return Status::InvalidArgument(
         std::string("flatten: scheme is not a ") + SchemeKindToString(kind));
   }
-  return ProgramArena::Flatten({&scheme.channel()}, /*switch_cost_bytes=*/0,
-                               static_cast<int>(kind), dataset_fingerprint,
-                               params_fingerprint, aux);
+  return scheme.view().arena().Retag(static_cast<int>(kind),
+                                     dataset_fingerprint, params_fingerprint,
+                                     aux);
 }
 
 Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(
     std::shared_ptr<const ProgramArena> arena,
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
     const SchemeParams& params) {
-  if (arena == nullptr) {
-    return Status::InvalidArgument("restore: null arena");
+  if (dataset == nullptr || dataset->size() == 0) {
+    return Status::InvalidArgument("restore needs a non-empty dataset");
   }
-  if (arena->num_channels() != 1) {
-    return Status::InvalidArgument(
-        "restore: scheme programs are single-channel, arena carries " +
-        std::to_string(arena->num_channels()));
-  }
+  // The arena was validated when it was adopted (FromBytes) or written
+  // (Flatten): binding it is the whole restore of the program.
+  Result<ArenaChannelView> bound = ArenaChannelView::Bind(arena);
+  if (!bound.ok()) return bound.status();
+  ArenaChannelView view = std::move(bound).value();
   const int kind_int = arena->scheme_kind();
   if (kind_int < static_cast<int>(SchemeKind::kFlat) ||
       kind_int > static_cast<int>(SchemeKind::kHybrid)) {
     return Status::InvalidArgument("restore: arena has no valid scheme tag");
   }
   const SchemeKind kind = static_cast<SchemeKind>(kind_int);
-  Result<std::vector<Channel>> channels = arena->InflateChannels();
-  if (!channels.ok()) return channels.status();
-  Channel channel = std::move(channels.value().front());
-  // The loaded arena doubles as the walk surface: bind it rather than
-  // flattening the inflated channel again. The view co-owns the arena,
-  // which keeps the channel's key views alive.
-  Result<ArenaChannelView> bound = ArenaChannelView::Bind(arena, channel);
-  if (!bound.ok()) return bound.status();
-  ArenaChannelView view = std::move(bound).value();
   const std::vector<std::int64_t> aux = arena->aux();
+  if (ScheduledLayout(kind, params)) {
+    return Wrap(ScheduledBroadcast::Restore(kind, dataset, geometry, params,
+                                            std::move(view), aux));
+  }
+  // The scalars FlattenSchemeProgram writes per base kind, in SchemeKind
+  // order (broadcast disks always restore as a scheduled layout above).
+  constexpr std::size_t kAuxCount[] = {0, 1, 2, 1, 0, 1, 1, 0, 2};
+  if (aux.size() != kAuxCount[kind_int]) {
+    return Status::InvalidArgument(
+        std::string("restore: ") + SchemeKindToString(kind) + " expects " +
+        std::to_string(kAuxCount[kind_int]) + " aux scalars, arena carries " +
+        std::to_string(aux.size()));
+  }
   const auto aux_int = [&aux](std::size_t i) {
     return static_cast<int>(aux[i]);
   };
-  const auto check_aux = [&aux, kind](std::size_t want) -> Status {
-    if (aux.size() != want) {
-      return Status::InvalidArgument(
-          std::string("restore: ") + SchemeKindToString(kind) + " expects " +
-          std::to_string(want) + " aux scalars, arena carries " +
-          std::to_string(aux.size()));
-    }
-    return Status::Ok();
-  };
-
-  if (ScheduledLayout(kind, params)) {
-    return Wrap(ScheduledBroadcast::Restore(kind, dataset, geometry, params,
-                                            std::move(view), std::move(channel),
-                                            aux));
-  }
   switch (kind) {
-    case SchemeKind::kFlat: {
-      Status s = check_aux(0);
-      if (!s.ok()) return s;
-      return Wrap(
-          FlatBroadcast::Restore(dataset, std::move(view), std::move(channel)));
-    }
-    case SchemeKind::kOneM: {
-      Status s = check_aux(1);
-      if (!s.ok()) return s;
+    case SchemeKind::kFlat:
+      return Wrap(FlatBroadcast::Restore(dataset, std::move(view)));
+    case SchemeKind::kOneM:
       return Wrap(OneMIndexing::Restore(dataset, geometry, std::move(view),
-                                        std::move(channel), aux_int(0)));
-    }
-    case SchemeKind::kDistributed: {
-      Status s = check_aux(2);
-      if (!s.ok()) return s;
+                                        aux_int(0)));
+    case SchemeKind::kDistributed:
       return Wrap(DistributedIndexing::Restore(
-          dataset, geometry, std::move(view), std::move(channel), aux_int(0),
-          aux_int(1)));
-    }
-    case SchemeKind::kHashing: {
-      Status s = check_aux(1);
-      if (!s.ok()) return s;
-      return Wrap(SimpleHashing::Restore(dataset, std::move(view),
-                                         std::move(channel), aux_int(0)));
-    }
-    case SchemeKind::kSignature: {
-      Status s = check_aux(0);
-      if (!s.ok()) return s;
-      return Wrap(SignatureIndexing::Restore(dataset, geometry,
-                                             SignatureParamsOf(params),
-                                             std::move(view),
-                                             std::move(channel)));
-    }
-    case SchemeKind::kIntegratedSignature: {
-      Status s = check_aux(1);
-      if (!s.ok()) return s;
+          dataset, geometry, std::move(view), aux_int(0), aux_int(1)));
+    case SchemeKind::kHashing:
+      return Wrap(
+          SimpleHashing::Restore(dataset, std::move(view), aux_int(0)));
+    case SchemeKind::kSignature:
+      return Wrap(SignatureIndexing::Restore(
+          dataset, geometry, SignatureParamsOf(params), std::move(view)));
+    case SchemeKind::kIntegratedSignature:
       return Wrap(IntegratedSignatureIndexing::Restore(
           dataset, geometry, SignatureParamsOf(params), std::move(view),
-          std::move(channel), aux_int(0)));
-    }
-    case SchemeKind::kMultiLevelSignature: {
-      Status s = check_aux(1);
-      if (!s.ok()) return s;
+          aux_int(0)));
+    case SchemeKind::kMultiLevelSignature:
       return Wrap(MultiLevelSignatureIndexing::Restore(
           dataset, geometry, SignatureParamsOf(params), std::move(view),
-          std::move(channel), aux_int(0)));
-    }
+          aux_int(0)));
     case SchemeKind::kBroadcastDisks:
       break;  // always a scheduled layout, restored above
-    case SchemeKind::kHybrid: {
-      Status s = check_aux(2);
-      if (!s.ok()) return s;
-      return Wrap(HybridIndexing::Restore(
-          dataset, geometry, SignatureParamsOf(params), std::move(view),
-          std::move(channel), aux_int(0), aux_int(1)));
-    }
+    case SchemeKind::kHybrid:
+      return Wrap(HybridIndexing::Restore(dataset, geometry,
+                                          SignatureParamsOf(params),
+                                          std::move(view), aux_int(0),
+                                          aux_int(1)));
   }
   return Status::InvalidArgument("unknown scheme kind");
 }

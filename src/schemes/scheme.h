@@ -76,26 +76,28 @@ Result<std::unique_ptr<BroadcastScheme>> BuildScheme(
     SchemeKind kind, std::shared_ptr<const Dataset> dataset,
     const BucketGeometry& geometry, const SchemeParams& params = {});
 
-/// Flattens a built single-channel scheme program into one relocatable
-/// arena buffer: the channel's buckets plus the scheme's resolved
-/// scalars (its aux section), tagged with `kind` and the two cache
-/// fingerprints. `scheme` must be the concrete scheme BuildScheme(kind,
-/// ...) produced — a kind mismatch is an InvalidArgument, not UB.
+/// The cacheable form of a built or restored single-channel scheme: the
+/// arena its view is bound to, re-tagged (ProgramArena::Retag) with
+/// `kind`, the two cache fingerprints and the scheme's resolved scalars
+/// as its aux section — a copy and a header patch, byte-identical to
+/// flattening the scheme's channel afresh. `scheme` must be the concrete
+/// scheme BuildScheme(kind, ...) produced — a kind mismatch is an
+/// InvalidArgument, not UB.
 Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
                                           const BroadcastScheme& scheme,
                                           std::uint64_t dataset_fingerprint,
                                           std::uint64_t params_fingerprint);
 
 /// Rebuilds a ready-to-query scheme from a flattened arena without
-/// re-running the channel construction: the channel is inflated from the
-/// arena (bucket key views point into the arena's string pool — the
-/// returned scheme co-owns `arena` to keep them alive), the arena itself
-/// is bound as the walk surface without flattening again, and cheap
-/// deterministic auxiliaries (index trees, signature generators,
-/// occurrence maps) are reconstructed from `dataset`, `geometry`,
-/// `params` and the arena's aux scalars. Observably identical to the
-/// freshly built scheme: every Access() walk returns the same result, so
-/// simulation output stays bit-identical.
+/// re-running the channel construction: the arena is bound as the
+/// scheme's view (the returned scheme co-owns it) — nothing is inflated
+/// or flattened — and cheap deterministic auxiliaries (index trees,
+/// signature generators, occurrence maps) are reconstructed from
+/// `dataset`, `geometry`, `params` and the arena's aux scalars.
+/// Observably identical to the freshly built scheme: every Access() walk
+/// returns the same result, so simulation output stays bit-identical.
+/// The dataset and the aux count are checked here, once; each scheme's
+/// static Restore assumes a non-empty dataset.
 Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(
     std::shared_ptr<const ProgramArena> arena,
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,

@@ -110,11 +110,10 @@ Result<SignatureIndexing> SignatureIndexing::Build(
     buckets.push_back(std::move(data_bucket));
   }
 
-  Result<Channel> channel = Channel::Create(std::move(buckets));
-  if (!channel.ok()) return channel.status();
-  ArenaChannelView view = ArenaChannelView::Flatten(channel.value());
-  return SignatureIndexing(std::move(dataset), generator, std::move(view),
-                           std::move(channel).value());
+  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  if (!view.ok()) return view.status();
+  return SignatureIndexing(std::move(dataset), generator,
+                           std::move(view).value());
 }
 
 namespace {
@@ -262,11 +261,10 @@ AccessResult SignatureWalk(const ArenaChannelView& view,
 
 SignatureIndexing::SignatureIndexing(std::shared_ptr<const Dataset> dataset,
                                      SignatureGenerator generator,
-                                     ArenaChannelView view, Channel channel)
+                                     ArenaChannelView view)
     : dataset_(std::move(dataset)),
       generator_(generator),
       view_(std::move(view)),
-      channel_(std::move(channel)),
       slices_(SliceTable(view_.word_pool(), dataset_->size(),
                          generator_.words(),
                          static_cast<int>(generator_.signature_bytes() * 8))) {}
@@ -279,7 +277,7 @@ AccessResult SignatureIndexing::Access(std::string_view key,
 AccessResult SignatureIndexing::AccessReference(std::string_view key,
                                                 Bytes tune_in) const {
   AccessResult result;
-  const Bytes cycle = channel_.cycle_bytes();
+  const Bytes cycle = view_.cycle_bytes();
   const std::vector<std::uint64_t> query = generator_.QuerySignature(key);
   const int words = generator_.words();
 
@@ -287,37 +285,36 @@ AccessResult SignatureIndexing::AccessReference(std::string_view key,
   Bytes t = tune_in;
   {
     const Bytes phase = t % cycle;
-    std::size_t i = channel_.BucketAtPhase(phase);
-    if (channel_.start_phase(i) != phase ||
-        channel_.bucket(i).kind != BucketKind::kSignature) {
+    std::size_t i = view_.BucketAtPhase(phase);
+    if (view_.start_phase(i) != phase ||
+        view_.bucket(i).kind() != BucketKind::kSignature) {
       // Move to the next signature bucket start.
       do {
-        i = (i + 1) % channel_.num_buckets();
-      } while (channel_.bucket(i).kind != BucketKind::kSignature);
-      t = channel_.NextArrivalOfPhase(channel_.start_phase(i), t);
+        i = (i + 1) % view_.num_buckets();
+      } while (view_.bucket(i).kind() != BucketKind::kSignature);
+      t = view_.NextArrivalOfPhase(view_.start_phase(i), t);
     }
   }
   result.tuning_time = t - tune_in;
 
   const int pairs = dataset_->size();
   for (int scanned = 0; scanned < pairs; ++scanned) {
-    const std::size_t i = channel_.BucketAtPhase(t % cycle);
-    const Bucket& sig_bucket = channel_.bucket(i);
-    t += sig_bucket.size;
-    result.tuning_time += sig_bucket.size;
+    const std::size_t i = view_.BucketAtPhase(t % cycle);
+    const auto sig_bucket = view_.bucket(i);
+    t += sig_bucket.size();
+    result.tuning_time += sig_bucket.size();
     ++result.probes;
     ++result.index_probes;
-    const bool match = SignatureGenerator::Matches(sig_bucket.signature.data(),
-                                                   query.data(), words);
+    const bool match = SignatureGenerator::Matches(
+        sig_bucket.signature_words(), query.data(), words);
     if (match) {
       // Download the data bucket that follows.
-      const Bucket& data_bucket =
-          channel_.bucket((i + 1) % channel_.num_buckets());
-      t += data_bucket.size;
-      result.tuning_time += data_bucket.size;
+      const auto data_bucket = view_.bucket((i + 1) % view_.num_buckets());
+      t += data_bucket.size();
+      result.tuning_time += data_bucket.size();
       ++result.probes;
       const Record& record =
-          dataset_->record(static_cast<int>(data_bucket.record_id));
+          dataset_->record(static_cast<int>(data_bucket.record_id()));
       if (record.key == key) {
         result.found = true;
         break;
@@ -327,8 +324,8 @@ AccessResult SignatureIndexing::AccessReference(std::string_view key,
     if (scanned + 1 == pairs) break;  // whole cycle sifted: not on air
     // Doze until the next signature bucket.
     const Bytes next_sig_phase =
-        channel_.start_phase((i + 2) % channel_.num_buckets());
-    t = channel_.NextArrivalOfPhase(next_sig_phase, t);
+        view_.start_phase((i + 2) % view_.num_buckets());
+    t = view_.NextArrivalOfPhase(next_sig_phase, t);
   }
   result.access_time = t - tune_in;
   return result;
@@ -336,11 +333,11 @@ AccessResult SignatureIndexing::AccessReference(std::string_view key,
 
 FilterResult SignatureIndexing::Filter(std::string_view value,
                                        Bytes tune_in) const {
-  const Bytes it = channel_.bucket(0).size;
-  const Bytes dt = channel_.bucket(1).size;
+  const Bytes it = view_.bucket(0).size();
+  const Bytes dt = view_.bucket(1).size();
   const Bytes period = it + dt;
   const int pairs = dataset_->size();
-  const Bytes cycle = channel_.cycle_bytes();
+  const Bytes cycle = view_.cycle_bytes();
 
   FilterResult result;
   // Listen until the next complete signature bucket (as in Access).
@@ -411,11 +408,7 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
 
 Result<SignatureIndexing> SignatureIndexing::Restore(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-    SignatureParams params, ArenaChannelView view, Channel channel) {
-  if (dataset == nullptr || dataset->size() == 0) {
-    return Status::InvalidArgument(
-        "signature restore needs a non-empty dataset");
-  }
+    SignatureParams params, ArenaChannelView view) {
   SignatureGenerator generator(geometry, params);
   const int words = generator.words();
   const int num_records = dataset->size();
@@ -445,8 +438,7 @@ Result<SignatureIndexing> SignatureIndexing::Restore(
           " is not (signature, data) of record " + std::to_string(k));
     }
   }
-  return SignatureIndexing(std::move(dataset), generator, std::move(view),
-                           std::move(channel));
+  return SignatureIndexing(std::move(dataset), generator, std::move(view));
 }
 
 }  // namespace airindex

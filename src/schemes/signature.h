@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
@@ -91,23 +90,23 @@ class SignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params = SignatureParams());
 
-  /// Reattaches a channel inflated from a program arena, walked through
-  /// `view`, which is bound to that arena. The record signature table is
-  /// the arena's word pool, so no rehashing runs; the channel must be the
-  /// alternating cycle Build lays out — pair k is (signature of record k,
-  /// data of record k) — or the restore fails with InvalidArgument.
+  /// Adopts `view`, bound to a restored program arena. The record
+  /// signature table is the arena's word pool, so no rehashing runs; the
+  /// cycle must be the alternating one Build lays out — pair k is
+  /// (signature of record k, data of record k) — or the restore fails
+  /// with InvalidArgument.
   static Result<SignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
-      SignatureParams params, ArenaChannelView view, Channel channel);
+      SignatureParams params, ArenaChannelView view);
 
-  const Channel& channel() const override { return channel_; }
+  const ArenaChannelView& view() const override { return view_; }
 
   /// Closed-form protocol walk instead of bucket-by-bucket simulation:
   /// the sifted window's match count is a popcount over the query's bit
   /// slices, O(k * n/64) words for a k-bit query over n records.
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
-  /// Bucket-by-bucket reference implementation (property tests).
+  /// Bucket-by-bucket reference walk over the view (property tests).
   AccessResult AccessReference(std::string_view key, Bytes tune_in) const;
 
   /// Attribute filtering — the capability signatures exist for: collect
@@ -126,15 +125,13 @@ class SignatureIndexing : public BroadcastScheme {
 
  private:
   SignatureIndexing(std::shared_ptr<const Dataset> dataset,
-                    SignatureGenerator generator, ArenaChannelView view,
-                    Channel channel);
+                    SignatureGenerator generator, ArenaChannelView view);
 
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
   /// Its word pool is the record signature table: the alternating cycle
   /// flattens record k's signature as row k (words() per record).
   ArenaChannelView view_;
-  Channel channel_;
   /// The same table bit-sliced (column-major), derived from the word pool
   /// at construction: slice b is a bitmap over records, bit k set when
   /// record k's signature has bit b. Access, Filter and

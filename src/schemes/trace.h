@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "broadcast/channel.h"
+#include "schemes/channel_view.h"
 
 namespace airindex {
 
@@ -51,9 +51,20 @@ struct ProbeEvent {
 /// A full annotated walk, in order.
 using AccessTrace = std::vector<ProbeEvent>;
 
-/// Pretty-prints a trace with bucket summaries from the channel.
-void PrintTrace(const AccessTrace& trace, const Channel& channel,
+/// Pretty-prints a trace with bucket summaries from the program's view.
+void PrintTrace(const AccessTrace& trace, const ArenaChannelView& view,
                 std::ostream& os);
+
+/// Human-readable dump of a broadcast cycle, one line per bucket:
+///
+///   [   12 @  6000..6499] index  L2 range=[caaab..cazzz] local=17 ctl=2
+///   [   13 @  6500..6999] data   record=41
+///
+/// Prints at most `max_buckets` lines (then an ellipsis with the
+/// remaining count). Intended for debugging channel builders and for the
+/// examples to show what a scheme actually puts on air.
+void DescribeChannel(const ArenaChannelView& view, std::ostream& os,
+                     std::size_t max_buckets = 64);
 
 }  // namespace airindex
 

@@ -10,6 +10,7 @@
 
 #include "broadcast/channel.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "scan_oracle.h"
 #include "schemes/scheduled.h"
 #include "schemes/scheme.h"
@@ -53,13 +54,13 @@ TEST(BroadcastDisks, DefaultLayoutFrequencies) {
   const auto built = BuildDisks(dataset, SmallGeometry()).value();
   const ScheduledBroadcast& scheme = Scheduled(*built);
   // 10 hot records 4x + 30 warm 2x + 60 cold 1x = 40 + 60 + 60 buckets.
-  EXPECT_EQ(scheme.channel().num_buckets(), 160u);
+  EXPECT_EQ(scheme.view().num_buckets(), 160u);
   for (int r = 0; r < 100; ++r) {
     const int expected_freq = r < 10 ? 4 : (r < 40 ? 2 : 1);
     EXPECT_EQ(scheme.OccurrencesOf(r), expected_freq) << "record " << r;
     EXPECT_EQ(scheme.DiskOf(r), r < 10 ? 0 : (r < 40 ? 1 : 2));
   }
-  EXPECT_TRUE(ValidateChannelStructure(scheme.channel()).ok());
+  EXPECT_TRUE(ValidateChannelStructure(InflatedChannel(scheme)).ok());
 }
 
 TEST(BroadcastDisks, HotOccurrencesAreEvenlySpread) {
@@ -68,7 +69,7 @@ TEST(BroadcastDisks, HotOccurrencesAreEvenlySpread) {
   const BroadcastScheme& scheme = *built;
   // A hot record's four occurrences split the cycle into gaps no larger
   // than ~half the cycle (perfect spacing would be cycle/4).
-  const Bytes cycle = scheme.channel().cycle_bytes();
+  const Bytes cycle = scheme.view().cycle_bytes();
   const std::string& hot = dataset->record(3).key;
   Bytes worst_gap = 0;
   Bytes t = 0;
@@ -84,6 +85,7 @@ TEST(BroadcastDisks, FindsEveryKeyAndMatchesReference) {
   const auto dataset = MakeDataset(60);
   const auto built = BuildDisks(dataset, SmallGeometry()).value();
   const BroadcastScheme& scheme = *built;
+  const Channel channel = InflatedChannel(scheme);
   Rng rng(17);
   for (int trial = 0; trial < 2000; ++trial) {
     const bool present = rng.NextBernoulli(0.7);
@@ -92,10 +94,10 @@ TEST(BroadcastDisks, FindsEveryKeyAndMatchesReference) {
                 : dataset->AbsentKey(static_cast<int>(rng.NextBounded(61)));
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            3 * scheme.channel().cycle_bytes())));
+            3 * scheme.view().cycle_bytes())));
     const AccessResult fast = scheme.Access(key, tune_in);
     const AccessResult reference =
-        ScanOracle(scheme.channel(), *dataset, key, tune_in);
+        ScanOracle(channel, *dataset, key, tune_in);
     ASSERT_EQ(fast.found, present) << key;
     ASSERT_EQ(fast.found, reference.found);
     ASSERT_EQ(fast.access_time, reference.access_time) << key << "@" << tune_in;
@@ -115,7 +117,7 @@ TEST(BroadcastDisks, HotRecordsFasterThanColdOnAverage) {
   for (int trial = 0; trial < kTrials; ++trial) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            scheme.channel().cycle_bytes())));
+            scheme.view().cycle_bytes())));
     hot_total += static_cast<double>(
         scheme.Access(dataset->record(trial % 20).key, tune_in).access_time);
     cold_total += static_cast<double>(
@@ -132,7 +134,7 @@ TEST(BroadcastDisks, SingleDiskDegeneratesToFlat) {
   params.disk_frequencies = {1};
   const auto built = BuildDisks(dataset, SmallGeometry(), params).value();
   const ScheduledBroadcast& scheme = Scheduled(*built);
-  EXPECT_EQ(scheme.channel().num_buckets(), 30u);
+  EXPECT_EQ(scheme.view().num_buckets(), 30u);
   for (int r = 0; r < 30; ++r) {
     EXPECT_EQ(scheme.OccurrencesOf(r), 1);
   }

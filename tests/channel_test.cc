@@ -7,6 +7,7 @@
 
 #include "broadcast/channel.h"
 #include "broadcast/geometry.h"
+#include "schemes/channel_view.h"
 
 namespace airindex {
 namespace {
@@ -53,8 +54,18 @@ TEST(Channel, MixedSizePhaseArithmetic) {
   EXPECT_EQ(channel.BucketAtPhase(515), 1u);
   EXPECT_EQ(channel.BucketAtPhase(516), 2u);
   EXPECT_EQ(channel.BucketAtPhase(1031), 3u);
-  EXPECT_EQ(channel.num_data_buckets(), 2u);
-  EXPECT_EQ(channel.num_signature_buckets(), 2u);
+  // The arena view a scheme keeps in its place counts kinds and phases
+  // the same way.
+  const ArenaChannelView view = ArenaChannelView::Flatten(channel);
+  EXPECT_EQ(view.cycle_bytes(), 1032);
+  EXPECT_EQ(view.num_data_buckets(), 2u);
+  EXPECT_EQ(view.num_signature_buckets(), 2u);
+  EXPECT_EQ(view.num_index_buckets(), 0u);
+  for (const Bytes phase : {0, 15, 16, 515, 516, 1031}) {
+    EXPECT_EQ(view.BucketAtPhase(phase), channel.BucketAtPhase(phase));
+  }
+  EXPECT_EQ(view.end_phase(1), 516);
+  EXPECT_EQ(view.BucketsBroadcastBy(1032 + 516), 6);
 }
 
 TEST(Channel, BucketStartingAtPhase) {

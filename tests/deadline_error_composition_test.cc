@@ -105,7 +105,7 @@ TEST_F(CompositionTest, SingleChannelDistributed) {
   const auto scheme =
       BuildScheme(SchemeKind::kDistributed, dataset, BucketGeometry{})
           .value();
-  RunComposition(*scheme, *dataset, scheme->channel().cycle_bytes(),
+  RunComposition(*scheme, *dataset, scheme->view().cycle_bytes(),
                  /*switch_cost=*/0);
 }
 
@@ -113,7 +113,7 @@ TEST_F(CompositionTest, SingleChannelSignature) {
   const auto dataset = MakeDataset(120);
   const auto scheme =
       BuildScheme(SchemeKind::kSignature, dataset, BucketGeometry{}).value();
-  RunComposition(*scheme, *dataset, scheme->channel().cycle_bytes(),
+  RunComposition(*scheme, *dataset, scheme->view().cycle_bytes(),
                  /*switch_cost=*/0);
 }
 

@@ -8,6 +8,7 @@
 
 #include "broadcast/channel.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/distributed.h"
 
 namespace airindex {
@@ -36,9 +37,9 @@ TEST(Distributed, PaperFigure1ReplicationCounts) {
       DistributedIndexing::Build(dataset, SmallGeometry(), 2).value();
   EXPECT_EQ(scheme.replicated_levels(), 2);
   EXPECT_EQ(scheme.num_segments(), 9);
-  const Channel& channel = scheme.channel();
-  EXPECT_EQ(channel.num_index_buckets(), 48u);
-  EXPECT_EQ(channel.num_data_buckets(), 81u);
+  const Channel channel = InflatedChannel(scheme);
+  EXPECT_EQ(scheme.view().num_index_buckets(), 48u);
+  EXPECT_EQ(scheme.view().num_data_buckets(), 81u);
   EXPECT_TRUE(ValidateChannelStructure(channel).ok());
 
   // Count occurrences per (level, range) pair.
@@ -57,7 +58,7 @@ TEST(Distributed, FirstSegmentEmitsFullPath) {
   const auto dataset = MakeDataset(81);
   const DistributedIndexing scheme =
       DistributedIndexing::Build(dataset, SmallGeometry(), 2).value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   // Cycle starts: root (covers all), a1, b1, c1..c3, then data.
   EXPECT_EQ(channel.bucket(0).kind, BucketKind::kIndex);
   EXPECT_EQ(channel.bucket(0).range_hi, dataset->max_key());
@@ -74,7 +75,7 @@ TEST(Distributed, ControlIndexPointsForward) {
   const auto dataset = MakeDataset(81);
   const DistributedIndexing scheme =
       DistributedIndexing::Build(dataset, SmallGeometry(), 2).value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     const Bucket& bucket = channel.bucket(i);
     if (bucket.kind != BucketKind::kIndex) continue;
@@ -100,7 +101,7 @@ TEST(Distributed, FindsEveryKeyFromManyTuneIns) {
     for (int trial = 0; trial < 3; ++trial) {
       const Bytes tune_in =
           static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-              2 * scheme.channel().cycle_bytes())));
+              2 * scheme.view().cycle_bytes())));
       const AccessResult result =
           scheme.Access(dataset->record(r).key, tune_in);
       ASSERT_TRUE(result.found) << "record " << r << " tune_in " << tune_in;
@@ -115,12 +116,12 @@ TEST(Distributed, AllReplicationLevelsWork) {
   for (int r = 0; r < 5; ++r) {
     const auto built = DistributedIndexing::Build(dataset, geometry, r);
     ASSERT_TRUE(built.ok()) << "r=" << r << ": " << built.status().ToString();
-    EXPECT_TRUE(ValidateChannelStructure(built.value().channel()).ok());
+    EXPECT_TRUE(ValidateChannelStructure(InflatedChannel(built.value())).ok());
     Rng rng(100 + static_cast<std::uint64_t>(r));
     for (int trial = 0; trial < 200; ++trial) {
       const int rec = static_cast<int>(rng.NextBounded(200));
       const Bytes tune_in = static_cast<Bytes>(rng.NextBounded(
-          static_cast<std::uint64_t>(built.value().channel().cycle_bytes())));
+          static_cast<std::uint64_t>(built.value().view().cycle_bytes())));
       const AccessResult result =
           built.value().Access(dataset->record(rec).key, tune_in);
       ASSERT_TRUE(result.found) << "r=" << r;
@@ -140,7 +141,7 @@ TEST(Distributed, AbsentKeysConcludeQuickly) {
   for (int i = 0; i <= dataset->size(); ++i) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            scheme.channel().cycle_bytes())));
+            scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->AbsentKey(i), tune_in);
     EXPECT_FALSE(result.found);
     EXPECT_EQ(result.anomalies, 0);
@@ -162,7 +163,7 @@ TEST(Distributed, TuningStaysNearTreeHeight) {
     const int rec = static_cast<int>(rng.NextBounded(81));
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            scheme.channel().cycle_bytes())));
+            scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->record(rec).key, tune_in);
     ASSERT_TRUE(result.found);
     total += static_cast<double>(result.tuning_time);

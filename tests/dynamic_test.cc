@@ -132,7 +132,7 @@ TEST_P(DynamicSchemeTest, IncrementalReplayMatchesRebuild) {
   const SchemeParams params;
   auto base = BuildScheme(kind, universe, geometry, params);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
-  const Bytes epoch = base.value()->channel().cycle_bytes();
+  const Bytes epoch = base.value()->view().cycle_bytes();
 
   DynamicRuntime runtime;
   DynamicRuntime::Params p;
@@ -413,14 +413,14 @@ TEST(DynamicCacheTest, MutationChangesFingerprintAndResnapshots) {
   p.update_rate = 2.0;
   p.compact_every = 0;  // manual compaction below
   p.seed = 0xcac4eULL;
-  p.epoch_bytes = base.value()->channel().cycle_bytes();
+  p.epoch_bytes = base.value()->view().cycle_bytes();
   p.base_scheme = base.value().get();
   p.builder = [&cache](SchemeKind kind, std::shared_ptr<const Dataset> ds,
                        const BucketGeometry& g, const SchemeParams& sp) {
     return cache.GetOrBuild(kind, std::move(ds), g, sp);
   };
   ASSERT_TRUE(runtime.Start(std::move(p)).ok());
-  runtime.AdvanceTo(5 * base.value()->channel().cycle_bytes() + 1);
+  runtime.AdvanceTo(5 * base.value()->view().cycle_bytes() + 1);
   ASSERT_GT(runtime.counters().mutations, 0);
 
   auto mutated = runtime.MaterializeDataset();

@@ -9,10 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/describe.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/flat.h"
 #include "schemes/signature.h"
+#include "schemes/trace.h"
 
 namespace airindex {
 namespace {
@@ -75,7 +76,7 @@ TEST(Filter, SignatureFindsExactlyTheCarriers) {
 FilterResult FilterOracle(const SignatureIndexing& scheme,
                           const Dataset& dataset, const std::string& value,
                           Bytes tune_in) {
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   const Bytes cycle = channel.cycle_bytes();
   const std::size_t buckets = channel.num_buckets();
   const std::vector<std::uint64_t> query =
@@ -133,7 +134,7 @@ TEST(Filter, SignatureEqualsBucketOracle) {
       for (int trial = 0; trial < 200; ++trial) {
         const Bytes tune_in =
             static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-                3 * scheme.channel().cycle_bytes())));
+                3 * scheme.view().cycle_bytes())));
         // Carried values, and values no record carries ('!' is not in the
         // attribute alphabet).
         const std::string value =
@@ -191,7 +192,7 @@ TEST(Filter, AccessCoversOneCycle) {
       SignatureIndexing::Build(dataset, SmallGeometry()).value();
   const FilterResult result =
       scheme.Filter(dataset->record(0).attributes[0], 0);
-  const Bytes cycle = scheme.channel().cycle_bytes();
+  const Bytes cycle = scheme.view().cycle_bytes();
   EXPECT_GE(result.access_time, cycle - 100 - 16);
   EXPECT_LE(result.access_time, cycle + 116);
 }
@@ -201,7 +202,7 @@ TEST(Describe, PrintsBucketSummaries) {
   const SignatureIndexing scheme =
       SignatureIndexing::Build(dataset, SmallGeometry()).value();
   std::ostringstream out;
-  DescribeChannel(scheme.channel(), out, 4);
+  DescribeChannel(scheme.view(), out, 4);
   const std::string text = out.str();
   EXPECT_NE(text.find("cycle: 20 buckets"), std::string::npos);
   EXPECT_NE(text.find("signature"), std::string::npos);

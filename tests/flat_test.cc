@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "scan_oracle.h"
 #include "schemes/flat.h"
 #include "schemes/scheme.h"
@@ -32,7 +33,8 @@ BucketGeometry SmallGeometry() {
 // over random keys (70% present) and tune-in times across three cycles.
 void ExpectScanWalkMatchesOracle(const BroadcastScheme& scheme,
                                  const Dataset& dataset) {
-  const Bytes cycle = scheme.channel().cycle_bytes();
+  const Bytes cycle = scheme.view().cycle_bytes();
+  const Channel channel = InflatedChannel(scheme);
   const int n = dataset.size();
   Rng rng(2024);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -48,7 +50,7 @@ void ExpectScanWalkMatchesOracle(const BroadcastScheme& scheme,
                       rng.NextBounded(static_cast<std::uint64_t>(n + 1))));
     const AccessResult fast = scheme.Access(key, tune_in);
     const AccessResult reference =
-        ScanOracle(scheme.channel(), dataset, key, tune_in);
+        ScanOracle(channel, dataset, key, tune_in);
     ASSERT_EQ(fast.found, reference.found) << key << " @" << tune_in;
     ASSERT_EQ(fast.access_time, reference.access_time) << key << " @" << tune_in;
     ASSERT_EQ(fast.tuning_time, reference.tuning_time) << key << " @" << tune_in;
@@ -60,9 +62,9 @@ TEST(Flat, ChannelIsAllDataInKeyOrder) {
   const auto dataset = MakeDataset(20);
   const FlatBroadcast scheme =
       FlatBroadcast::Build(dataset, SmallGeometry()).value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   EXPECT_EQ(channel.num_buckets(), 20u);
-  EXPECT_EQ(channel.num_data_buckets(), 20u);
+  EXPECT_EQ(scheme.view().num_data_buckets(), 20u);
   EXPECT_EQ(channel.cycle_bytes(), 2000);
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     EXPECT_EQ(channel.bucket(i).record_id, static_cast<std::int64_t>(i));
@@ -131,7 +133,7 @@ TEST(Flat, SqrtScheduledScanEqualsReferenceEverywhere) {
   params.schedule.theta = 0.9;
   const auto scheme =
       BuildScheme(SchemeKind::kFlat, dataset, SmallGeometry(), params).value();
-  ASSERT_GT(scheme->channel().num_buckets(), 37u);
+  ASSERT_GT(scheme->view().num_buckets(), 37u);
   ExpectScanWalkMatchesOracle(*scheme, *dataset);
 }
 

@@ -8,6 +8,7 @@
 #include "analytical/models.h"
 #include "broadcast/channel.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/hashing.h"
 
 namespace airindex {
@@ -32,7 +33,7 @@ TEST(Hashing, CycleIsAllocatedPlusColliding) {
   const SimpleHashing scheme =
       SimpleHashing::Build(dataset, SmallGeometry(), 1.0).value();
   EXPECT_EQ(scheme.allocated(), 500);
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   EXPECT_EQ(channel.num_buckets(),
             static_cast<std::size_t>(scheme.allocated() + scheme.colliding()));
   // Every record appears exactly once.
@@ -49,7 +50,7 @@ TEST(Hashing, HashValuesNonDecreasingAlongCycle) {
   const auto dataset = MakeDataset(300);
   const SimpleHashing scheme =
       SimpleHashing::Build(dataset, SmallGeometry(), 1.0).value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   std::int64_t previous = -1;
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     const Bucket& bucket = channel.bucket(i);
@@ -63,7 +64,7 @@ TEST(Hashing, ShiftValuesPointAtChainStarts) {
   const auto dataset = MakeDataset(300);
   const SimpleHashing scheme =
       SimpleHashing::Build(dataset, SmallGeometry(), 1.0).value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   for (int slot = 0; slot < scheme.allocated(); ++slot) {
     const Bucket& home = channel.bucket(static_cast<std::size_t>(slot));
     ASSERT_EQ(home.slot, slot);
@@ -103,7 +104,7 @@ TEST(Hashing, FindsEveryKeyFromManyTuneIns) {
   for (int r = 0; r < dataset->size(); ++r) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            3 * scheme.channel().cycle_bytes())));
+            3 * scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->record(r).key, tune_in);
     ASSERT_TRUE(result.found) << r;
     EXPECT_EQ(result.anomalies, 0);
@@ -131,7 +132,7 @@ TEST(Hashing, TuningIsSmallAndFlat) {
           rng.NextBounded(static_cast<std::uint64_t>(n)));
       const Bytes tune_in =
           static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-              scheme.channel().cycle_bytes())));
+              scheme.view().cycle_bytes())));
       const AccessResult result =
           scheme.Access(dataset->record(rec).key, tune_in);
       ASSERT_TRUE(result.found);

@@ -6,6 +6,7 @@
 
 #include "broadcast/channel.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/hybrid.h"
 #include "schemes/one_m.h"
 #include "schemes/signature.h"
@@ -36,12 +37,12 @@ TEST(Hybrid, ChannelShape) {
       HybridIndexing::Build(dataset, SmallGeometry(), SignatureParams(),
                             /*group_size=*/8, /*m=*/2)
           .value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   // 20 groups indexed by the tree; the tree appears twice.
-  EXPECT_EQ(channel.num_index_buckets(),
+  EXPECT_EQ(scheme.view().num_index_buckets(),
             2 * scheme.tree().nodes().size());
-  EXPECT_EQ(channel.num_signature_buckets(), 160u);
-  EXPECT_EQ(channel.num_data_buckets(), 160u);
+  EXPECT_EQ(scheme.view().num_signature_buckets(), 160u);
+  EXPECT_EQ(scheme.view().num_data_buckets(), 160u);
   EXPECT_TRUE(ValidateChannelStructure(channel).ok());
   EXPECT_EQ(scheme.tree().num_records(), 20);  // tree is over groups
 }
@@ -64,7 +65,7 @@ TEST(Hybrid, FindsEveryKeyFromManyTuneIns) {
   for (int r = 0; r < dataset->size(); ++r) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            2 * scheme.channel().cycle_bytes())));
+            2 * scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->record(r).key, tune_in);
     ASSERT_TRUE(result.found) << r;
     ASSERT_EQ(result.anomalies, 0);

@@ -270,7 +270,7 @@ TEST(InvariantsTest, RandomizedWalks) {
       auto built = BuildScheme(c.scheme, dataset, c.geometry, c.params);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       program = std::move(built).value();
-      horizon = 2 * program->channel().cycle_bytes();
+      horizon = 2 * program->view().cycle_bytes();
     }
     // I7 (single-channel): the restored twin shadows every probe below.
     std::unique_ptr<BroadcastScheme> restored;
@@ -330,7 +330,7 @@ TEST(InvariantsTest, RandomizedWalks) {
         p.update_zipf = (rng.NextBounded(2) == 0) ? 0.0 : 0.9;
         p.compact_every = (rng.NextBounded(2) == 0) ? 0 : 3;
         p.seed = ReplicationSeed(kHarnessSeed, 5000000 + case_id);
-        p.epoch_bytes = program->channel().cycle_bytes();
+        p.epoch_bytes = program->view().cycle_bytes();
         p.base_scheme = program.get();
         ASSERT_TRUE(runtime.Start(std::move(p)).ok());
         // The runtime's clock is monotone (the event queue hands out

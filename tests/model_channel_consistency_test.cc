@@ -47,7 +47,7 @@ TEST_P(ModelChannelTest, DistributedBucketAccountingMatches) {
       non_replicated += static_cast<double>(
           levels.count_at_depth[static_cast<std::size_t>(d)]);
     }
-    EXPECT_EQ(static_cast<double>(scheme.channel().num_index_buckets()),
+    EXPECT_EQ(static_cast<double>(scheme.view().num_index_buckets()),
               replicated + non_replicated)
         << "n=" << num_records << " r=" << r;
     EXPECT_EQ(scheme.num_segments(),
@@ -69,7 +69,7 @@ TEST_P(ModelChannelTest, OneMBucketAccountingMatches) {
     if (m > num_records) continue;
     const OneMIndexing scheme =
         OneMIndexing::Build(dataset, geometry, m).value();
-    EXPECT_EQ(static_cast<long long>(scheme.channel().num_index_buckets()),
+    EXPECT_EQ(static_cast<long long>(scheme.view().num_index_buckets()),
               static_cast<long long>(m) * tree_size)
         << "n=" << num_records << " m=" << m;
     EXPECT_EQ(static_cast<long long>(scheme.tree().nodes().size()),
@@ -85,7 +85,7 @@ TEST_P(ModelChannelTest, SignatureCycleMatchesModelInputs) {
   const SignatureIndexing scheme =
       SignatureIndexing::Build(dataset, geometry).value();
   // The model's cycle: Nr * (Dt + It).
-  EXPECT_EQ(scheme.channel().cycle_bytes(),
+  EXPECT_EQ(scheme.view().cycle_bytes(),
             static_cast<Bytes>(num_records) *
                 (geometry.data_bucket_bytes() +
                  geometry.signature_bucket_bytes()));

@@ -61,14 +61,22 @@ TEST(ChannelGroupTest, AggregatesShape) {
   EXPECT_EQ(group.num_channels(), 2);
   EXPECT_EQ(group.max_cycle_bytes(), 500);
   EXPECT_EQ(group.num_buckets(), 7u);
-  EXPECT_EQ(group.num_data_buckets(), 7u);
   EXPECT_EQ(group.switch_cost_bytes(), 40);
   // Hopping costs 40 bytes; staying is free.
   EXPECT_EQ(group.SwitchCompleteTime(0, 1, 1000), 1040);
   EXPECT_EQ(group.SwitchCompleteTime(1, 1, 1000), 1000);
   // Two channels transmit in parallel: by t=200 channel 0 finished 2
-  // buckets and channel 1 finished 2.
-  EXPECT_EQ(group.BucketsBroadcastBy(200), 4);
+  // buckets and channel 1 finished 2 (the server sums its channels'
+  // views).
+  std::size_t data_buckets = 0;
+  std::int64_t broadcast = 0;
+  for (int c = 0; c < group.num_channels(); ++c) {
+    const ArenaChannelView view = ArenaChannelView::Flatten(group.channel(c));
+    data_buckets += view.num_data_buckets();
+    broadcast += view.BucketsBroadcastBy(200);
+  }
+  EXPECT_EQ(data_buckets, 7u);
+  EXPECT_EQ(broadcast, 4);
 }
 
 TEST(ChannelGroupTest, ValidatesCrossChannelPointerTargets) {

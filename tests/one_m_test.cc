@@ -7,6 +7,7 @@
 
 #include "broadcast/channel.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/one_m.h"
 
 namespace airindex {
@@ -31,10 +32,11 @@ TEST(OneM, ChannelShape) {
   const OneMIndexing scheme =
       OneMIndexing::Build(dataset, SmallGeometry(), 4).value();
   EXPECT_EQ(scheme.m(), 4);
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   // Full tree (20 leaves + 2 + 1 = 23 nodes) appears 4 times.
-  EXPECT_EQ(channel.num_index_buckets(), 4u * scheme.tree().nodes().size());
-  EXPECT_EQ(channel.num_data_buckets(), 200u);
+  EXPECT_EQ(scheme.view().num_index_buckets(),
+            4u * scheme.tree().nodes().size());
+  EXPECT_EQ(scheme.view().num_data_buckets(), 200u);
   EXPECT_TRUE(ValidateChannelStructure(channel).ok());
 }
 
@@ -42,7 +44,7 @@ TEST(OneM, EachSegmentStartsWithRoot) {
   const auto dataset = MakeDataset(200);
   const OneMIndexing scheme =
       OneMIndexing::Build(dataset, SmallGeometry(), 4).value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   // Walk next_index_segment pointers from bucket 0: each target bucket
   // must be an index bucket covering the full key range.
   Bytes phase = channel.bucket(0).next_index_segment_phase;
@@ -65,7 +67,7 @@ TEST(OneM, FindsEveryKeyFromManyTuneIns) {
   for (int r = 0; r < dataset->size(); ++r) {
     const Bytes tune_in = static_cast<Bytes>(
         rng.NextBounded(static_cast<std::uint64_t>(
-            2 * scheme.channel().cycle_bytes())));
+            2 * scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->record(r).key, tune_in);
     EXPECT_TRUE(result.found) << r;
     EXPECT_EQ(result.anomalies, 0);
@@ -82,7 +84,7 @@ TEST(OneM, TuningIsBoundedByTreeHeight) {
   for (int trial = 0; trial < 500; ++trial) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            scheme.channel().cycle_bytes())));
+            scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(
         dataset->record(static_cast<int>(rng.NextBounded(500))).key, tune_in);
     ASSERT_TRUE(result.found);
@@ -142,7 +144,7 @@ TEST(OneM, MEqualsOneDegeneratesToSingleIndexSegment) {
   const auto dataset = MakeDataset(50);
   const OneMIndexing scheme =
       OneMIndexing::Build(dataset, SmallGeometry(), 1).value();
-  EXPECT_EQ(scheme.channel().num_index_buckets(),
+  EXPECT_EQ(scheme.view().num_index_buckets(),
             scheme.tree().nodes().size());
   const AccessResult result = scheme.Access(dataset->record(25).key, 0);
   EXPECT_TRUE(result.found);

@@ -121,7 +121,7 @@ WaveReference WaveReferenceRun(const TestbedConfig& config) {
   merged.converged = accuracy.Satisfied();
   merged.access_check = accuracy.access_check();
   merged.tuning_check = accuracy.tuning_check();
-  const Channel& channel = server.channel();
+  const ArenaChannelView& channel = server.channel();
   merged.cycle_bytes = channel.cycle_bytes();
   merged.num_buckets = static_cast<std::int64_t>(channel.num_buckets());
   return reference;

@@ -20,6 +20,7 @@
 #include "broadcast/channel.h"
 #include "core/simulator.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
@@ -68,23 +69,23 @@ class SchemePropertyTest : public testing::TestWithParam<PropertyCase> {
 };
 
 TEST_P(SchemePropertyTest, ChannelIsStructurallyValid) {
-  EXPECT_TRUE(ValidateChannelStructure(scheme_->channel()).ok());
+  EXPECT_TRUE(ValidateChannelStructure(InflatedChannel(*scheme_)).ok());
   // Hashing pads the cycle with empty slots and broadcast disks repeat
   // hot records; every other scheme carries exactly one data bucket per
   // record.
   if (GetParam().scheme == SchemeKind::kHashing ||
       GetParam().scheme == SchemeKind::kBroadcastDisks) {
-    EXPECT_GE(scheme_->channel().num_data_buckets(),
+    EXPECT_GE(scheme_->view().num_data_buckets(),
               static_cast<std::size_t>(dataset_->size()));
   } else {
-    EXPECT_EQ(scheme_->channel().num_data_buckets(),
+    EXPECT_EQ(scheme_->view().num_data_buckets(),
               static_cast<std::size_t>(dataset_->size()));
   }
 }
 
 TEST_P(SchemePropertyTest, EveryPresentKeyIsFound) {
   Rng rng(1234);
-  const Bytes cycle = scheme_->channel().cycle_bytes();
+  const Bytes cycle = scheme_->view().cycle_bytes();
   for (int r = 0; r < dataset_->size(); ++r) {
     const Bytes tune_in = static_cast<Bytes>(
         rng.NextBounded(static_cast<std::uint64_t>(2 * cycle)));
@@ -102,7 +103,7 @@ TEST_P(SchemePropertyTest, EveryPresentKeyIsFound) {
 
 TEST_P(SchemePropertyTest, AbsentKeysAreNeverFound) {
   Rng rng(4321);
-  const Bytes cycle = scheme_->channel().cycle_bytes();
+  const Bytes cycle = scheme_->view().cycle_bytes();
   for (int i = 0; i <= dataset_->size(); i += 3) {
     const Bytes tune_in = static_cast<Bytes>(
         rng.NextBounded(static_cast<std::uint64_t>(2 * cycle)));

@@ -7,6 +7,7 @@
 
 #include "broadcast/channel.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/integrated_signature.h"
 #include "schemes/multilevel_signature.h"
 #include "schemes/signature.h"
@@ -36,9 +37,9 @@ TEST(IntegratedSignature, ChannelHasOneSignaturePerGroup) {
       IntegratedSignatureIndexing::Build(dataset, SmallGeometry(),
                                          SignatureParams(), 10)
           .value();
-  const Channel& channel = scheme.channel();
-  EXPECT_EQ(channel.num_signature_buckets(), 10u);
-  EXPECT_EQ(channel.num_data_buckets(), 100u);
+  const Channel channel = InflatedChannel(scheme);
+  EXPECT_EQ(scheme.view().num_signature_buckets(), 10u);
+  EXPECT_EQ(scheme.view().num_data_buckets(), 100u);
   EXPECT_TRUE(ValidateChannelStructure(channel).ok());
 }
 
@@ -48,7 +49,7 @@ TEST(IntegratedSignature, RaggedLastGroup) {
       IntegratedSignatureIndexing::Build(dataset, SmallGeometry(),
                                          SignatureParams(), 10)
           .value();
-  EXPECT_EQ(scheme.channel().num_signature_buckets(), 3u);
+  EXPECT_EQ(scheme.view().num_signature_buckets(), 3u);
   for (int r = 0; r < 23; ++r) {
     EXPECT_TRUE(scheme.Access(dataset->record(r).key, 55).found) << r;
   }
@@ -64,7 +65,7 @@ TEST(IntegratedSignature, FindsEveryKeyFromManyTuneIns) {
   for (int r = 0; r < dataset->size(); ++r) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            2 * scheme.channel().cycle_bytes())));
+            2 * scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->record(r).key, tune_in);
     ASSERT_TRUE(result.found) << r;
     EXPECT_LE(result.tuning_time, result.access_time);
@@ -95,10 +96,10 @@ TEST(MultiLevelSignature, ChannelLayout) {
       MultiLevelSignatureIndexing::Build(dataset, SmallGeometry(),
                                          SignatureParams(), 8)
           .value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   // 5 groups: each has 1 group sig + 8 record sigs + 8 data buckets.
-  EXPECT_EQ(channel.num_signature_buckets(), 5u + 40u);
-  EXPECT_EQ(channel.num_data_buckets(), 40u);
+  EXPECT_EQ(scheme.view().num_signature_buckets(), 5u + 40u);
+  EXPECT_EQ(scheme.view().num_data_buckets(), 40u);
   EXPECT_TRUE(ValidateChannelStructure(channel).ok());
 }
 
@@ -112,7 +113,7 @@ TEST(MultiLevelSignature, FindsEveryKeyFromManyTuneIns) {
   for (int r = 0; r < dataset->size(); ++r) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            2 * scheme.channel().cycle_bytes())));
+            2 * scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->record(r).key, tune_in);
     ASSERT_TRUE(result.found) << r;
   }

@@ -8,6 +8,7 @@
 
 #include "broadcast/channel.h"
 #include "des/random.h"
+#include "inflated_channel.h"
 #include "schemes/signature.h"
 
 namespace airindex {
@@ -66,7 +67,7 @@ TEST(Signature, ChannelAlternatesSignatureAndData) {
   const auto dataset = MakeDataset(50);
   const SignatureIndexing scheme =
       SignatureIndexing::Build(dataset, SmallGeometry()).value();
-  const Channel& channel = scheme.channel();
+  const Channel channel = InflatedChannel(scheme);
   ASSERT_EQ(channel.num_buckets(), 100u);
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     if (i % 2 == 0) {
@@ -90,7 +91,7 @@ TEST(Signature, FindsEveryKey) {
   for (int r = 0; r < dataset->size(); ++r) {
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            2 * scheme.channel().cycle_bytes())));
+            2 * scheme.view().cycle_bytes())));
     const AccessResult result = scheme.Access(dataset->record(r).key, tune_in);
     ASSERT_TRUE(result.found) << r;
   }
@@ -112,7 +113,7 @@ TEST(Signature, FastPathEqualsReferenceEverywhere) {
       for (int trial = 0; trial < 3000; ++trial) {
         const Bytes tune_in =
             static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-                3 * scheme.channel().cycle_bytes())));
+                3 * scheme.view().cycle_bytes())));
         const bool present = rng.NextBernoulli(0.6);
         const std::string key =
             present ? dataset->record(static_cast<int>(rng.NextBounded(
@@ -202,7 +203,7 @@ TEST(Signature, FalseDropRateEqualsRowScan) {
       const SignatureIndexing scheme =
           SignatureIndexing::Build(dataset, geometry).value();
       const SignatureGenerator& generator = scheme.generator();
-      const Channel& channel = scheme.channel();
+      const Channel channel = InflatedChannel(scheme);
       for (const std::uint64_t seed : {1, 11, 77}) {
         Rng rng(seed);
         std::int64_t drops = 0;

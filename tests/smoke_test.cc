@@ -8,6 +8,7 @@
 #include "broadcast/channel.h"
 #include "core/simulator.h"
 #include "data/dataset.h"
+#include "inflated_channel.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
@@ -34,7 +35,8 @@ TEST(Smoke, AllSchemesFindEveryKey) {
     auto scheme = BuildScheme(kind, dataset, geometry);
     ASSERT_TRUE(scheme.ok()) << SchemeKindToString(kind) << ": "
                              << scheme.status().ToString();
-    EXPECT_TRUE(ValidateChannelStructure(scheme.value()->channel()).ok());
+    EXPECT_TRUE(
+        ValidateChannelStructure(InflatedChannel(*scheme.value())).ok());
     for (int r = 0; r < dataset->size(); ++r) {
       const AccessResult result =
           scheme.value()->Access(dataset->record(r).key, 17 * r + 3);

@@ -42,7 +42,7 @@ TEST(Trace, TracedEqualsUntraced) {
                 : dataset->AbsentKey(static_cast<int>(rng.NextBounded(82)));
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
-            2 * scheme.channel().cycle_bytes())));
+            2 * scheme.view().cycle_bytes())));
     AccessTrace trace;
     const AccessResult traced = scheme.AccessTraced(key, tune_in, &trace);
     const AccessResult plain = scheme.Access(key, tune_in);
@@ -117,10 +117,10 @@ std::string ExplorerReplays(const DistributedIndexing& scheme,
   const auto replay = [&](const std::string& key, Bytes tune_in) {
     AccessTrace trace;
     scheme.AccessTraced(key, tune_in, &trace);
-    PrintTrace(trace, scheme.channel(), out);
+    PrintTrace(trace, scheme.view(), out);
   };
   replay(dataset.record(62).key, 0);
-  replay(dataset.record(3).key, scheme.channel().cycle_bytes() / 2);
+  replay(dataset.record(3).key, scheme.view().cycle_bytes() / 2);
   replay(dataset.AbsentKey(40), 1234);
   return out.str();
 }
@@ -177,9 +177,8 @@ TEST(Trace, EventsAreConsistentWithTheResult) {
         case ProbeAction::kDownload:
           listened += event.duration;
           ++reads;
-          ASSERT_LT(event.bucket, scheme.channel().num_buckets());
-          EXPECT_EQ(event.duration,
-                    scheme.channel().bucket(event.bucket).size);
+          ASSERT_LT(event.bucket, scheme.view().num_buckets());
+          EXPECT_EQ(event.duration, scheme.view().bucket(event.bucket).size());
           break;
         default:
           break;
@@ -202,7 +201,7 @@ TEST(Trace, RestartRuleIsVisible) {
   // guarantees the "key already passed" restart.
   AccessTrace trace;
   const AccessResult result = scheme.AccessTraced(
-      dataset->record(3).key, scheme.channel().cycle_bytes() / 2, &trace);
+      dataset->record(3).key, scheme.view().cycle_bytes() / 2, &trace);
   ASSERT_TRUE(result.found);
   bool saw_restart = false;
   for (const ProbeEvent& event : trace) {
@@ -218,7 +217,7 @@ TEST(Trace, PrintsReadably) {
   AccessTrace trace;
   scheme.AccessTraced(dataset->record(40).key, 77, &trace);
   std::ostringstream out;
-  PrintTrace(trace, scheme.channel(), out);
+  PrintTrace(trace, scheme.view(), out);
   const std::string text = out.str();
   EXPECT_NE(text.find("initial-wait"), std::string::npos);
   EXPECT_NE(text.find("download"), std::string::npos);
