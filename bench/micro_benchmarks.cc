@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: channel
 // construction per scheme, program restore and snapshot load, client
-// access walks, whole replications, Zipf draws, and the RNG. These
+// access walks (single- and multichannel), whole replications, Zipf
+// draws, and the RNG. These
 // measure *implementation* speed (wall clock), unlike the figure
 // benches, which measure *simulated* bytes.
 //
@@ -24,6 +25,7 @@
 #include "des/random.h"
 #include "des/zipf.h"
 #include "dynamic/dynamic_program.h"
+#include "schemes/multichannel.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
@@ -114,6 +116,33 @@ void BM_Access(benchmark::State& state, SchemeKind kind) {
         rng.NextBounded(static_cast<std::uint64_t>(n)));
     t += 12345;
     benchmark::DoNotOptimize(scheme->Access(dataset->record(record).key, t));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+/// One multichannel walk over a (1,m) base at 4 channels with BM_Access's
+/// draw loop: the index descent, the leaf hop to a data channel, or the
+/// directory read and the home partition's own walk, all over the
+/// channels' arena views. Items processed = walks.
+void BM_MultiChannelAccess(benchmark::State& state,
+                           ChannelAllocation allocation) {
+  const int n = static_cast<int>(state.range(0));
+  const auto dataset = BenchDataset(n);
+  MultiChannelParams multichannel;
+  multichannel.num_channels = 4;
+  multichannel.switch_cost_bytes = 120;
+  multichannel.allocation = allocation;
+  auto program =
+      MultiChannelProgram::Build(SchemeKind::kOneM, dataset, BucketGeometry(),
+                                 SchemeParams(), multichannel)
+          .value();
+  Rng rng(1);
+  Bytes t = 0;
+  for (auto _ : state) {
+    const int record = static_cast<int>(
+        rng.NextBounded(static_cast<std::uint64_t>(n)));
+    t += 12345;
+    benchmark::DoNotOptimize(program->Access(dataset->record(record).key, t));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -300,6 +329,16 @@ BENCHMARK_CAPTURE(BM_Access, distributed, SchemeKind::kDistributed)
 BENCHMARK_CAPTURE(BM_Access, hashing, SchemeKind::kHashing)->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, signature, SchemeKind::kSignature)->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, broadcast_disks, SchemeKind::kBroadcastDisks)
+    ->Arg(34000);
+
+BENCHMARK_CAPTURE(BM_MultiChannelAccess, index_on_one,
+                  ChannelAllocation::kIndexOnOne)
+    ->Arg(34000);
+BENCHMARK_CAPTURE(BM_MultiChannelAccess, data_partitioned,
+                  ChannelAllocation::kDataPartitioned)
+    ->Arg(34000);
+BENCHMARK_CAPTURE(BM_MultiChannelAccess, replicated_index,
+                  ChannelAllocation::kReplicatedIndex)
     ->Arg(34000);
 
 BENCHMARK_CAPTURE(BM_RunReplication, flat, SchemeKind::kFlat)->Arg(7000);

@@ -56,15 +56,14 @@ std::uint64_t Fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
   return hash;
 }
 
-ProgramArena ProgramArena::Flatten(const std::vector<const Channel*>& channels,
-                                   Bytes switch_cost_bytes, int scheme_kind,
-                                   std::uint64_t dataset_fingerprint,
-                                   std::uint64_t params_fingerprint,
-                                   const std::vector<std::int64_t>& aux) {
+ProgramArena ProgramArena::Flatten(
+    const std::vector<const std::vector<Bucket>*>& channels,
+    Bytes switch_cost_bytes, int scheme_kind,
+    std::uint64_t dataset_fingerprint, std::uint64_t params_fingerprint,
+    const std::vector<std::int64_t>& aux) {
   // Pass 1: flatten into growable pools (fixed traversal order: channels
   // in order, buckets in cycle order, local entries before control
-  // entries — re-flattening an inflated arena reproduces the order, and
-  // with it the bytes).
+  // entries — the same buckets always give the same bytes).
   std::vector<ArenaChannelDesc> descs;
   std::vector<ArenaBucket> buckets;
   std::vector<ArenaPointerEntry> entries;
@@ -86,13 +85,12 @@ ProgramArena ProgramArena::Flatten(const std::vector<const Channel*>& channels,
     return {first, static_cast<std::uint32_t>(source.size())};
   };
 
-  for (const Channel* channel : channels) {
+  for (const std::vector<Bucket>* channel : channels) {
     ArenaChannelDesc desc;
     desc.first_bucket = static_cast<std::uint32_t>(buckets.size());
-    desc.bucket_count = static_cast<std::uint32_t>(channel->num_buckets());
+    desc.bucket_count = static_cast<std::uint32_t>(channel->size());
     descs.push_back(desc);
-    for (std::size_t i = 0; i < channel->num_buckets(); ++i) {
-      const Bucket& b = channel->bucket(i);
+    for (const Bucket& b : *channel) {
       ArenaBucket flat;
       flat.size = b.size;
       flat.record_id = b.record_id;
@@ -321,59 +319,6 @@ Status ProgramArena::Validate() const {
     }
   }
   return Status::Ok();
-}
-
-Result<std::vector<Channel>> ProgramArena::InflateChannels() const {
-  const ArenaHeader& h = header();
-  std::vector<Channel> channels;
-  channels.reserve(h.num_channels);
-  for (std::uint32_t c = 0; c < h.num_channels; ++c) {
-    const ArenaChannelDesc& desc = channel_desc(static_cast<int>(c));
-    std::vector<Bucket> buckets;
-    buckets.reserve(desc.bucket_count);
-    for (std::uint32_t i = 0; i < desc.bucket_count; ++i) {
-      const ArenaBucket& flat = bucket(desc.first_bucket + i);
-      Bucket b;
-      b.kind = static_cast<BucketKind>(flat.kind);
-      b.size = flat.size;
-      b.record_id = flat.record_id;
-      b.next_index_segment_phase = flat.next_index_segment_phase;
-      b.level = flat.level;
-      b.range_lo = std::string(str(flat.range_lo));
-      b.range_hi = std::string(str(flat.range_hi));
-      b.last_broadcast_key = std::string(str(flat.last_broadcast_key));
-      b.slot = flat.slot;
-      b.hash_value = flat.hash_value;
-      b.shift_phase = flat.shift_phase;
-      const auto inflate_entries = [&](std::uint32_t first,
-                                       std::uint32_t count,
-                                       std::vector<PointerEntry>* out) {
-        out->reserve(count);
-        for (std::uint32_t e = 0; e < count; ++e) {
-          const ArenaPointerEntry& flat_entry = entry(first + e);
-          PointerEntry pe;
-          // Views into this arena's string pool: the arena must outlive
-          // the inflated channels.
-          pe.key_lo = str(flat_entry.key_lo);
-          pe.key_hi = str(flat_entry.key_hi);
-          pe.target_phase = flat_entry.target_phase;
-          pe.target_channel = flat_entry.target_channel;
-          out->push_back(pe);
-        }
-      };
-      inflate_entries(flat.local_first, flat.local_count, &b.local);
-      inflate_entries(flat.control_first, flat.control_count, &b.control);
-      b.signature.reserve(flat.signature_count);
-      for (std::uint32_t w = 0; w < flat.signature_count; ++w) {
-        b.signature.push_back(word(flat.signature_first + w));
-      }
-      buckets.push_back(std::move(b));
-    }
-    Result<Channel> channel = Channel::Create(std::move(buckets));
-    if (!channel.ok()) return channel.status();
-    channels.push_back(std::move(channel).value());
-  }
-  return channels;
 }
 
 }  // namespace airindex

@@ -9,7 +9,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "broadcast/channel.h"
+#include "broadcast/bucket.h"
 
 namespace airindex {
 
@@ -103,22 +103,25 @@ static_assert(sizeof(ArenaHeader) == 88);
 /// fixed-width pools referenced by 32-bit offsets, so the whole program
 /// is built once per (scheme, dataset shape), shared read-only across
 /// replications and sweep cells, serialized to disk (broadcast/snapshot.h)
-/// and loaded back byte-identically. Flatten(Inflate(x)) == x at the byte
-/// level; snapshot_test and the CI snapshot-roundtrip job gate this.
+/// and loaded back byte-identically. Flatten is deterministic byte for
+/// byte and a snapshot round trip returns the same bytes; snapshot_test
+/// and the CI snapshot-roundtrip job gate both.
 class ProgramArena {
  public:
   static constexpr std::uint32_t kMagic = 0x41505247u;  // "GRPA" on disk
   static constexpr std::uint32_t kFormatVersion = 1;
 
-  /// Flattens built channels plus scheme metadata into an arena.
-  /// `aux` carries scheme-resolved scalars (replication counts, slot
-  /// counts, ...) the restore path needs; see schemes/scheme.cc for the
-  /// per-scheme layout.
-  static ProgramArena Flatten(const std::vector<const Channel*>& channels,
-                              Bytes switch_cost_bytes, int scheme_kind,
-                              std::uint64_t dataset_fingerprint,
-                              std::uint64_t params_fingerprint,
-                              const std::vector<std::int64_t>& aux);
+  /// Flattens each channel's bucket sequence, one broadcast cycle in
+  /// cycle order, plus scheme metadata into an arena. `aux` carries
+  /// scheme-resolved scalars (replication counts, slot counts, ...) the
+  /// restore path needs; see schemes/scheme.cc for the per-scheme layout.
+  /// Sizes and pointer phases are copied as given: binding the arena
+  /// (schemes/channel_view.h) is what checks them.
+  static ProgramArena Flatten(
+      const std::vector<const std::vector<Bucket>*>& channels,
+      Bytes switch_cost_bytes, int scheme_kind,
+      std::uint64_t dataset_fingerprint, std::uint64_t params_fingerprint,
+      const std::vector<std::int64_t>& aux);
 
   /// Adopts a raw buffer (e.g. loaded from a snapshot) after validating
   /// the header, the 8-alignment of every section offset, and every
@@ -129,17 +132,17 @@ class ProgramArena {
   /// This program under a new tag: the same sections up to the aux
   /// section, then `aux`, with the header's kind, fingerprints and aux
   /// count rewritten and the switch cost zeroed. Because aux is the last
-  /// section, the result is byte-identical to Flatten of the channels
-  /// this arena was flattened from with the same arguments — a copy and
-  /// a header patch, no re-interning.
+  /// section, the result is byte-identical to Flatten of the bucket
+  /// sequences this arena was flattened from with the same arguments — a
+  /// copy and a header patch, no re-interning.
   ProgramArena Retag(int scheme_kind, std::uint64_t dataset_fingerprint,
                      std::uint64_t params_fingerprint,
                      const std::vector<std::int64_t>& aux) const;
 
   /// The contiguous buffer. Stable across moves of this arena (the heap
-  /// allocation is preserved), so views bound to it and key views of
-  /// channels inflated from it stay valid as long as one owner of this
-  /// arena is alive.
+  /// allocation is preserved), so views bound to it and the key views
+  /// they hand out stay valid as long as one owner of this arena is
+  /// alive.
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
   /// FNV-1a 64 over the whole buffer; the snapshot header stores it.
@@ -171,12 +174,6 @@ class ProgramArena {
   std::string_view str(const ArenaStrRef& ref) const;
   /// Scheme-resolved scalars stored at Flatten time.
   std::vector<std::int64_t> aux() const;
-
-  /// Reconstructs the channels as heap Bucket vectors. Pointer-entry key
-  /// views point into this arena's string pool, so the arena must outlive
-  /// the channels. Neither building nor restoring a scheme inflates; the
-  /// multichannel group (schemes/multichannel.cc) and tests do.
-  Result<std::vector<Channel>> InflateChannels() const;
 
   /// Re-checks every offset's alignment and every offset, span and ref
   /// against the buffer bounds. FromBytes runs this; exposed for tests

@@ -21,7 +21,17 @@ enum class BucketKind {
 };
 
 /// Returns a short printable name for a bucket kind.
-const char* BucketKindToString(BucketKind kind);
+inline const char* BucketKindToString(BucketKind kind) {
+  switch (kind) {
+    case BucketKind::kData:
+      return "data";
+    case BucketKind::kIndex:
+      return "index";
+    case BucketKind::kSignature:
+      return "signature";
+  }
+  return "unknown";
+}
 
 /// PointerEntry::target_channel value meaning "the channel this bucket is
 /// broadcast on" — the single-channel case, and the default so every
@@ -32,9 +42,9 @@ inline constexpr int kSameChannel = -1;
 /// from `key_lo`) are reachable at cycle phase `target_phase`".
 ///
 /// Phases are byte positions within one broadcast cycle; a client turns a
-/// phase into an absolute arrival time with Channel::NextArrivalOfPhase,
-/// which models the paper's "time offset" pointers uniformly across
-/// schemes.
+/// phase into an absolute arrival time with the program view's
+/// NextArrivalOfPhase (schemes/channel_view.h), which models the paper's
+/// "time offset" pointers uniformly across schemes.
 ///
 /// The key bounds are views into Dataset-owned key storage (every scheme
 /// keeps its dataset alive via shared_ptr), so index buckets carry no
@@ -44,9 +54,9 @@ struct PointerEntry {
   std::string_view key_hi;
   Bytes target_phase = kInvalidPhase;
   /// Channel the phase is relative to: kSameChannel for the bucket's own
-  /// channel (all single-channel schemes), otherwise an index into the
-  /// owning ChannelGroup. Clients pay the group's switch cost when they
-  /// follow a pointer off their current channel.
+  /// channel (all single-channel schemes), otherwise the index of one of
+  /// the multichannel program's channels. Clients pay the program's switch
+  /// cost when they follow a pointer off their current channel.
   int target_channel = kSameChannel;
 };
 

@@ -13,9 +13,9 @@ namespace airindex {
 ///
 /// Usage:
 ///
-///   Result<Channel> r = BuildChannel(cfg);
+///   Result<Dataset> r = Dataset::Generate(config);
 ///   if (!r.ok()) return r.status();
-///   Channel channel = std::move(r).value();
+///   Dataset dataset = std::move(r).value();
 ///
 /// Calling value() on an error Result aborts the process (this library is
 /// exception-free; an unchecked error is a programming bug, not a

@@ -21,9 +21,9 @@ namespace airindex {
 /// scheme's access protocol against it at their arrival time.
 ///
 /// When `multichannel.num_channels > 1` the scheme is wrapped in a
-/// MultiChannelProgram spreading index and data over a ChannelGroup; a
-/// single channel runs the base scheme directly so single-channel results
-/// stay byte-identical with pre-multichannel builds.
+/// MultiChannelProgram spreading index and data over that many channels;
+/// a single channel runs the base scheme directly so single-channel
+/// results stay byte-identical with pre-multichannel builds.
 class BroadcastServer {
  public:
   /// Builds the channel(s) for `kind` over `dataset`. When
@@ -31,7 +31,8 @@ class BroadcastServer {
   /// scheme comes from the cache (restored from a flattened arena on a
   /// hit, built-and-flattened on a miss) — results are identical either
   /// way; only setup time changes. Multichannel programs always build
-  /// directly (their ChannelGroup protocol state is not arena-cacheable).
+  /// directly: the snapshot holds one tagged single-channel program, not
+  /// a program of several channels plus its partitions and placement.
   static Result<BroadcastServer> Create(
       SchemeKind kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,
@@ -41,8 +42,8 @@ class BroadcastServer {
   BroadcastServer(BroadcastServer&&) = default;
   BroadcastServer& operator=(BroadcastServer&&) = default;
 
-  /// The scheme's broadcast cycle as its bound arena view (channel 0 of
-  /// the group when multichannel).
+  /// The scheme's broadcast cycle as its bound arena view (channel 0
+  /// when multichannel).
   const ArenaChannelView& channel() const { return scheme_->view(); }
 
   /// The access method in use.
@@ -51,9 +52,9 @@ class BroadcastServer {
   /// The multichannel program, or nullptr when running a single channel.
   const MultiChannelProgram* multichannel() const { return multi_; }
 
-  /// Number of channels on air: the group's when multichannel, else 1.
+  /// Number of channels on air: the program's when multichannel, else 1.
   int num_channels() const {
-    return multi_ != nullptr ? multi_->group().num_channels() : 1;
+    return multi_ != nullptr ? multi_->num_channels() : 1;
   }
 
   /// Channel `c` on air as its arena view (0 <= c < num_channels()).
@@ -68,7 +69,8 @@ class BroadcastServer {
 
   /// Buckets the server has fully broadcast by absolute time `now`
   /// (telemetry; the broadcast is periodic, so this is pure arithmetic).
-  /// Channels of a group transmit in parallel and all count.
+  /// The channels of a multichannel program transmit in parallel and all
+  /// count.
   std::int64_t BucketsBroadcastBy(Bytes now) const {
     std::int64_t total = 0;
     for (int c = 0; c < num_channels(); ++c) {

@@ -58,7 +58,7 @@ MetricsRegistry SnapshotFleetMetrics(const FleetShardResult& totals,
       multi != nullptr) {
     metrics.Increment("fleet.channel_hops", totals.channel_hops);
     metrics.Increment("fleet.switch_bytes", totals.switch_bytes);
-    for (int c = 0; c < multi->group().num_channels(); ++c) {
+    for (int c = 0; c < multi->num_channels(); ++c) {
       const auto idx = static_cast<std::size_t>(c);
       metrics.Increment(
           "fleet.tuning_bytes_ch" + std::to_string(c),

@@ -64,9 +64,9 @@ class ProgramCache {
   /// The cached-or-built scheme for this configuration. Thread-safe; at
   /// most one caller builds any given program. A dataset instance is
   /// fingerprinted once per cache, however many kinds and cells share it.
-  /// Multichannel programs are not cacheable (ChannelGroup schemes carry
-  /// per-channel protocol state) — callers bypass the cache for them
-  /// (core/broadcast_server.cc).
+  /// Multichannel programs are not cacheable (a snapshot holds one
+  /// single-channel program, not several channels plus their partitions)
+  /// — callers bypass the cache for them (core/broadcast_server.cc).
   Result<std::unique_ptr<BroadcastScheme>> GetOrBuild(
       SchemeKind kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params);

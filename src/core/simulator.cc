@@ -119,18 +119,18 @@ MetricsRegistry SnapshotRunMetrics(Bytes end_time,
   metrics.Increment("client.index_probes", results.index_probes());
   metrics.Increment("client.overflow_hops", results.overflow_hops());
   metrics.Increment("client.error_retries", results.error_retries());
-  // The multichannel block is emitted only when a channel group is in
+  // The multichannel block is emitted only when several channels are in
   // play, so single-channel reports stay byte-identical with the
   // pre-multichannel baselines.
   if (const MultiChannelProgram* multi = server.multichannel();
       multi != nullptr) {
     metrics.Increment("client.channel_hops", results.channel_hops());
     metrics.Increment("client.switch_bytes", results.switch_bytes());
-    for (int c = 0; c < multi->group().num_channels(); ++c) {
+    for (int c = 0; c < multi->num_channels(); ++c) {
       metrics.Increment("client.tuning_bytes_ch" + std::to_string(c),
                         results.tuning_bytes_on_channel(c));
     }
-    // Conflict-aware placement counters, only for scheduled groups so
+    // Conflict-aware placement counters, only for scheduled programs so
     // flat-scheduler multichannel reports stay byte-identical.
     if (schedule.planned.has_value()) {
       const ConflictPlacement& conflict = multi->conflict_placement();

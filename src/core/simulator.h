@@ -51,8 +51,8 @@ struct SimulationResult {
   MetricsRegistry metrics;
 
   /// Channel shape, for reporting. On a multichannel run cycle_bytes is
-  /// the longest cycle of the group and the bucket counts are summed over
-  /// all channels.
+  /// the longest cycle of the program and the bucket counts are summed
+  /// over all channels.
   Bytes cycle_bytes = 0;
   std::int64_t num_buckets = 0;
   std::int64_t num_index_buckets = 0;

@@ -1,20 +1,21 @@
 // Layer: 4 (schemes) — see docs/ARCHITECTURE.md for the layer map.
 //
-// A scheme's broadcast program: a flattened single-channel arena
+// A broadcast program: a flattened single-channel arena
 // (broadcast/arena.h) read by 32-bit offset arithmetic — buckets, index
 // entries and signature words resolved from the arena's pools, with no
 // rebuilt trees, no per-bucket heap vectors and no pointer chasing.
 // Every scheme binds one when it is constructed (Build flattens the
-// channel it laid out and drops it, Restore binds the arena it was
-// restored from), and the view is the scheme's only representation of
-// its program: each Access() is one walk over it, and the code outside
-// the walks (report shape, server counters, PIX frequencies, filters,
-// trace printing) reads the same view.
+// bucket sequence it laid out and drops it, Restore binds the arena it
+// was restored from), and a multichannel program holds one per channel.
+// The view is the only representation of a program: each Access() is
+// one walk over it, and the code outside the walks (report shape,
+// server counters, PIX frequencies, filters, trace printing) reads the
+// same view.
 //
 // The arena's bucket pool is written in cycle order and its entry pool
 // in local-before-control order (ProgramArena::Flatten), so bucket
-// indices and phases here are exactly those of the Channel the builder
-// flattened.
+// indices and phases here are exactly those of the bucket sequence the
+// builder laid out.
 #ifndef AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
 #define AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
 
@@ -22,31 +23,38 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "common/status.h"
 #include "broadcast/arena.h"
-#include "broadcast/channel.h"
+#include "broadcast/bucket.h"
 
 namespace airindex {
 
-/// A resolved index-entry lookup: `found` plus the entry's target phase.
-/// The single-channel walks never follow cross-channel targets, so the
-/// phase is all a protocol needs.
+/// A resolved index-entry lookup: `found` plus the entry's target. The
+/// single-channel walks follow only the phase; the multichannel leaf hop
+/// also reads the channel (kSameChannel for the entry's own channel).
 struct EntryView {
   bool found = false;
+  std::int32_t target_channel = kSameChannel;
   Bytes target_phase = kInvalidPhase;
 };
+static_assert(sizeof(EntryView) == 16);
 
 /// View over a flattened single-channel program. Co-owns the arena and
 /// holds raw base pointers into its buffer (stable across moves of the
 /// view — the buffer is heap storage), resolving every walk step by
-/// offset arithmetic. Phase math mirrors Channel exactly, including the
-/// uniform-size fast path; the per-kind bucket counts are taken once, at
-/// bind time.
+/// offset arithmetic. Simulated time is an absolute byte count and a
+/// phase is `time % cycle_bytes()`; every pointer field is a phase, which
+/// NextArrivalOfPhase turns into an absolute wake-up time — the paper's
+/// "offset value is the arrival time of the bucket". The bucket start
+/// table, a uniform-size fast path and the per-kind bucket counts are
+/// taken once, at bind time.
 class ArenaChannelView {
  public:
   /// Proxy over one ArenaBucket.
@@ -74,9 +82,9 @@ class ArenaChannelView {
     std::uint32_t local_count() const { return b_->local_count; }
     std::uint32_t control_count() const { return b_->control_count; }
 
-    /// Binary search over the local-entry span; same result as
-    /// FindCoveringEntry on the builder's entry vector (the span holds
-    /// the same entries in the same sorted order).
+    /// The local entry whose [key_lo, key_hi] covers `key`: a binary
+    /// search over the span, whose entries every builder emits sorted by
+    /// key range.
     EntryView FindLocal(std::string_view key) const {
       std::uint32_t lo = b_->local_first;
       std::uint32_t hi = b_->local_first + b_->local_count;
@@ -91,7 +99,7 @@ class ArenaChannelView {
       if (lo == b_->local_first + b_->local_count) return {};
       const ArenaPointerEntry& entry = view_->entries_[lo];
       if (view_->str(entry.key_lo) > key) return {};
-      return {true, entry.target_phase};
+      return {true, entry.target_channel, entry.target_phase};
     }
 
     EntryView FindControlUp(std::string_view key) const {
@@ -99,7 +107,7 @@ class ArenaChannelView {
       for (std::uint32_t i = b_->control_first; i < end; ++i) {
         const ArenaPointerEntry& entry = view_->entries_[i];
         if (key <= view_->str(entry.key_hi)) {
-          return {true, entry.target_phase};
+          return {true, entry.target_channel, entry.target_phase};
         }
       }
       return {};
@@ -117,23 +125,14 @@ class ArenaChannelView {
     const ArenaBucket* b_;
   };
 
-  /// The Build path: lays `buckets` out as a Channel (which checks them),
-  /// flattens it into a fresh untagged arena and binds that. The channel
-  /// is the builder's intermediate and is dropped here; the scheme keeps
-  /// only the view.
+  /// The Build path: flattens one cycle of `buckets` into a fresh
+  /// untagged arena and binds it, which checks the sizes. The bucket
+  /// vector is the builder's intermediate and is dropped here; the
+  /// program keeps only the view.
   static Result<ArenaChannelView> Build(std::vector<Bucket> buckets) {
-    Result<Channel> channel = Channel::Create(std::move(buckets));
-    if (!channel.ok()) return channel.status();
-    return Flatten(channel.value());
-  }
-
-  /// Flattens `channel` into a fresh untagged arena and binds it.
-  static ArenaChannelView Flatten(const Channel& channel) {
     return Bind(std::make_shared<const ProgramArena>(ProgramArena::Flatten(
-                    {&channel}, /*switch_cost_bytes=*/0, /*scheme_kind=*/-1,
-                    /*dataset_fingerprint=*/0, /*params_fingerprint=*/0,
-                    /*aux=*/{})))
-        .value();
+        {&buckets}, /*switch_cost_bytes=*/0, /*scheme_kind=*/-1,
+        /*dataset_fingerprint=*/0, /*params_fingerprint=*/0, /*aux=*/{})));
   }
 
   /// Binds channel 0 of `arena` — the Restore path. InvalidArgument
@@ -164,6 +163,7 @@ class ArenaChannelView {
     view.strings_ =
         reinterpret_cast<const char*>(base + header.strings_offset);
     view.num_buckets_ = desc.bucket_count;
+    view.num_entries_ = header.num_entries;
     view.starts_.reserve(view.num_buckets_);
     Bytes at = 0;
     bool uniform = true;
@@ -211,7 +211,8 @@ class ArenaChannelView {
     if (uniform_) return static_cast<std::size_t>(phase / uniform_size_);
     std::size_t lo = 0;
     std::size_t hi = num_buckets_;
-    // upper_bound(starts_, phase) - 1, as Channel::BucketAtPhase.
+    // upper_bound(starts_, phase) - 1: the last bucket starting at or
+    // before the phase.
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
       if (starts_[mid] <= phase) {
@@ -248,9 +249,15 @@ class ArenaChannelView {
            static_cast<std::int64_t>(BucketAtPhase(now % cycle_bytes_));
   }
 
-  /// The bound arena. FlattenSchemeProgram re-tags it, and the
-  /// multichannel group inflates its partitions' channels from it.
+  /// The bound arena. FlattenSchemeProgram re-tags it.
   const ProgramArena& arena() const { return *arena_; }
+
+  /// The whole pointer-entry pool in flatten order: each bucket's local
+  /// entries, then its control entries. The structural validator makes
+  /// one pass over it.
+  std::span<const ArenaPointerEntry> entry_pool() const {
+    return {entries_, num_entries_};
+  }
 
   /// First word of the whole signature-word pool. For SignatureIndexing's
   /// alternating cycle the pool is the row-major record signature table
@@ -277,12 +284,29 @@ class ArenaChannelView {
   const std::uint64_t* words_ = nullptr;
   const char* strings_ = nullptr;
   std::uint32_t num_buckets_ = 0;
+  std::uint32_t num_entries_ = 0;
   Bytes cycle_bytes_ = 0;
   bool uniform_ = false;
   Bytes uniform_size_ = 0;
   std::array<std::size_t, 3> kind_counts_{};  // by BucketKind
   std::vector<Bytes> starts_;
 };
+
+/// Structural check of a program whose channels are `channels`, with
+/// channel c's kSameChannel pointers relative to channels[c]. Every
+/// pointer phase — local and control entries, next-index-segment, shift
+/// — must be kInvalidPhase or a bucket start on its target channel; every
+/// entry's target channel must be a channel of the program; no index
+/// bucket may have an inverted key range. InvalidArgument names the
+/// first violation. Restore runs it on a program read from outside the
+/// process; builders are trusted and never pay for it.
+Status ValidateProgramStructure(std::span<const ArenaChannelView> channels);
+
+/// The single-channel form: a scheme's program.
+inline Status ValidateProgramStructure(const ArenaChannelView& program) {
+  return ValidateProgramStructure(
+      std::span<const ArenaChannelView>(&program, 1));
+}
 
 }  // namespace airindex
 

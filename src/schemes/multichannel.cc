@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "des/random.h"
-#include "schemes/entry_search.h"
+#include "schemes/btree.h"
 #include "schemes/scheduled.h"
 
 namespace airindex {
@@ -162,6 +162,7 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
 
   auto program = std::unique_ptr<MultiChannelProgram>(new MultiChannelProgram);
   program->allocation_ = multichannel.allocation;
+  program->switch_cost_bytes_ = multichannel.switch_cost_bytes;
   program->first_data_channel_ =
       multichannel.allocation == ChannelAllocation::kIndexOnOne ? 1 : 0;
   program->partition_first_keys_.reserve(static_cast<std::size_t>(partitions));
@@ -172,8 +173,7 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
   }
 
   const Bytes bucket_bytes = geometry.data_bucket_bytes();
-  std::vector<Channel> channels;
-  channels.reserve(static_cast<std::size_t>(num_channels));
+  program->views_.reserve(static_cast<std::size_t>(num_channels));
 
   if (multichannel.allocation == ChannelAllocation::kDataPartitioned) {
     std::vector<PlacedHotSlots> placed;
@@ -243,24 +243,18 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
         }
         placed.push_back(std::move(mine));
       }
-      // The partition's arena is its program; the group's Channel is
-      // inflated from it, so its key views live as long as the partition.
-      Result<std::vector<Channel>> inflated =
-          scheme.value()->view().arena().InflateChannels();
-      if (!inflated.ok()) return inflated.status();
-      channels.push_back(std::move(inflated.value().front()));
+      // The partition's view is its channel.
       program->views_.push_back(scheme.value()->view());
       program->partitions_.push_back(std::move(scheme).value());
     }
   } else {
     // Both index-centric allocations lay out the global B+-tree air
     // index themselves, whatever the base kind.
-    program->dataset_ = dataset;
     Result<BTree> tree_result =
         BTree::Build(num_records, geometry.index_fanout());
     if (!tree_result.ok()) return tree_result.status();
-    program->tree_ = std::move(tree_result).value();
-    const BTree& tree = *program->tree_;
+    const BTree& tree = tree_result.value();
+    program->tree_height_ = tree.height();
     const std::vector<int> preorder = tree.PreorderSubtree(tree.root());
     const Bytes index_bytes =
         static_cast<Bytes>(preorder.size()) * bucket_bytes;
@@ -332,39 +326,27 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
       return bucket;
     };
 
-    if (multichannel.allocation == ChannelAllocation::kIndexOnOne) {
-      Result<Channel> index_channel = Channel::Create(index_buckets);
+    const bool index_on_one =
+        multichannel.allocation == ChannelAllocation::kIndexOnOne;
+    if (index_on_one) {
+      Result<ArenaChannelView> index_channel =
+          ArenaChannelView::Build(index_buckets);
       if (!index_channel.ok()) return index_channel.status();
-      channels.push_back(std::move(index_channel).value());
-      for (int p = 0; p < partitions; ++p) {
-        const auto [lo, hi] = PartitionRange(num_records, partitions, p);
-        std::vector<Bucket> buckets;
-        buckets.reserve(static_cast<std::size_t>(hi - lo));
-        for (int r = lo; r < hi; ++r) buckets.push_back(make_data_bucket(r));
-        Result<Channel> ch = Channel::Create(std::move(buckets));
-        if (!ch.ok()) return ch.status();
-        channels.push_back(std::move(ch).value());
-      }
-    } else {  // kReplicatedIndex
-      for (int p = 0; p < partitions; ++p) {
-        const auto [lo, hi] = PartitionRange(num_records, partitions, p);
-        std::vector<Bucket> buckets = index_buckets;
-        buckets.reserve(buckets.size() + static_cast<std::size_t>(hi - lo));
-        for (int r = lo; r < hi; ++r) buckets.push_back(make_data_bucket(r));
-        Result<Channel> ch = Channel::Create(std::move(buckets));
-        if (!ch.ok()) return ch.status();
-        channels.push_back(std::move(ch).value());
-      }
+      program->views_.push_back(std::move(index_channel).value());
     }
-    for (const Channel& channel : channels) {
-      program->views_.push_back(ArenaChannelView::Flatten(channel));
+    for (int p = 0; p < partitions; ++p) {
+      const auto [lo, hi] = PartitionRange(num_records, partitions, p);
+      // A replicated-index channel opens with a full copy of the index.
+      std::vector<Bucket> buckets;
+      if (!index_on_one) buckets = index_buckets;
+      buckets.reserve(buckets.size() + static_cast<std::size_t>(hi - lo));
+      for (int r = lo; r < hi; ++r) buckets.push_back(make_data_bucket(r));
+      Result<ArenaChannelView> channel =
+          ArenaChannelView::Build(std::move(buckets));
+      if (!channel.ok()) return channel.status();
+      program->views_.push_back(std::move(channel).value());
     }
   }
-
-  Result<ChannelGroup> group =
-      ChannelGroup::Create(std::move(channels), multichannel.switch_cost_bytes);
-  if (!group.ok()) return group.status();
-  program->group_ = std::move(group).value();
   return program;
 }
 
@@ -381,7 +363,7 @@ int MultiChannelProgram::StartChannel(Bytes tune_in) const {
   if (allocation_ == ChannelAllocation::kIndexOnOne) return 0;
   const std::uint64_t h =
       Mix64(static_cast<std::uint64_t>(tune_in) ^ kStartChannelSalt);
-  return static_cast<int>(h % static_cast<std::uint64_t>(group().num_channels()));
+  return static_cast<int>(h % static_cast<std::uint64_t>(num_channels()));
 }
 
 AccessResult MultiChannelProgram::Access(std::string_view key,
@@ -393,30 +375,29 @@ AccessResult MultiChannelProgram::Access(std::string_view key,
 
 AccessResult MultiChannelProgram::AccessPartitioned(std::string_view key,
                                                     Bytes tune_in) const {
-  const ChannelGroup& group = this->group();
   AccessResult result;
   const int s = StartChannel(tune_in);
   result.start_channel = static_cast<std::int16_t>(s);
   result.final_channel = result.start_channel;
-  const Channel& start = group.channel(s);
+  const ArenaChannelView& start = channel_view(s);
 
   // Initial wait plus one directory read: every bucket carries the
   // key-range -> channel table (a P-entry map, negligible next to Dt), so
   // one full bucket tells the client its key's home channel.
   Bytes t = start.NextBoundaryTime(tune_in);
   result.tuning_time = t - tune_in;
-  const Bucket& directory =
+  const auto directory =
       start.bucket(start.BucketAtPhase(t % start.cycle_bytes()));
-  t += directory.size;
-  result.tuning_time += directory.size;
+  t += directory.size();
+  result.tuning_time += directory.size();
   ++result.probes;
-  if (directory.kind != BucketKind::kData) ++result.index_probes;
+  if (directory.kind() != BucketKind::kData) ++result.index_probes;
 
   const int home = HomeChannel(key);
   if (home != s) {
     result.channel_hops = 1;
-    result.switch_bytes = group.switch_cost_bytes();
-    t += group.switch_cost_bytes();
+    result.switch_bytes = switch_cost_bytes_;
+    t += switch_cost_bytes_;
     result.final_channel = static_cast<std::int16_t>(home);
   }
 
@@ -436,65 +417,66 @@ AccessResult MultiChannelProgram::AccessPartitioned(std::string_view key,
 
 AccessResult MultiChannelProgram::AccessIndexed(std::string_view key,
                                                 Bytes tune_in) const {
-  const ChannelGroup& group = this->group();
   AccessResult result;
   const int s = StartChannel(tune_in);
   result.start_channel = static_cast<std::int16_t>(s);
   result.final_channel = result.start_channel;
-  const Channel& index_channel = group.channel(s);
+  const ArenaChannelView& index_channel = channel_view(s);
 
   // Initial wait; read the first complete bucket to find the index
   // segment (every bucket of an index-carrying channel points at it).
   Bytes t = index_channel.NextBoundaryTime(tune_in);
   result.tuning_time = t - tune_in;
   {
-    const Bucket& first = index_channel.bucket(
+    const auto first = index_channel.bucket(
         index_channel.BucketAtPhase(t % index_channel.cycle_bytes()));
-    t += first.size;
-    result.tuning_time += first.size;
+    t += first.size();
+    result.tuning_time += first.size();
     ++result.probes;
-    if (first.kind == BucketKind::kIndex) ++result.index_probes;
-    t = index_channel.NextArrivalOfPhase(first.next_index_segment_phase, t);
+    if (first.kind() == BucketKind::kIndex) ++result.index_probes;
+    t = index_channel.NextArrivalOfPhase(first.next_index_segment_phase(), t);
   }
 
   // Descend the global tree on the index channel; the leaf pointer names
   // the data bucket's (channel, phase).
-  const int max_probes = 4 * tree_->height() + 8;
+  const int max_probes = 4 * tree_height_ + 8;
   while (result.probes < max_probes) {
-    const Bucket& bucket = index_channel.bucket(
+    const auto bucket = index_channel.bucket(
         index_channel.BucketAtPhase(t % index_channel.cycle_bytes()));
-    t += bucket.size;
-    result.tuning_time += bucket.size;
+    t += bucket.size();
+    result.tuning_time += bucket.size();
     ++result.probes;
-    if (bucket.kind != BucketKind::kIndex) {
+    if (bucket.kind() != BucketKind::kIndex) {
       ++result.anomalies;
       break;
     }
     ++result.index_probes;
-    if (key < bucket.range_lo || key > bucket.range_hi) break;  // not on air
-    const PointerEntry* entry = FindCoveringEntry(bucket.local, key);
-    if (entry == nullptr) break;  // key falls in a gap: not on air
-    if (bucket.level > 0) {
-      t = index_channel.NextArrivalOfPhase(entry->target_phase, t);
+    if (key < bucket.range_lo() || key > bucket.range_hi()) {
+      break;  // not on air
+    }
+    const EntryView entry = bucket.FindLocal(key);
+    if (!entry.found) break;  // key falls in a gap: not on air
+    if (bucket.level() > 0) {
+      t = index_channel.NextArrivalOfPhase(entry.target_phase, t);
       continue;
     }
     // Leaf hit: hop to the data channel (if different) and download.
     const int target =
-        entry->target_channel == kSameChannel ? s : entry->target_channel;
+        entry.target_channel == kSameChannel ? s : entry.target_channel;
     if (target != s) {
       result.channel_hops = 1;
-      result.switch_bytes = group.switch_cost_bytes();
-      t += group.switch_cost_bytes();
+      result.switch_bytes = switch_cost_bytes_;
+      t += switch_cost_bytes_;
       result.final_channel = static_cast<std::int16_t>(target);
     }
-    const Channel& data_channel = group.channel(target);
-    t = data_channel.NextArrivalOfPhase(entry->target_phase, t);
-    const Bucket& data = data_channel.bucket(
+    const ArenaChannelView& data_channel = channel_view(target);
+    t = data_channel.NextArrivalOfPhase(entry.target_phase, t);
+    const auto data = data_channel.bucket(
         data_channel.BucketAtPhase(t % data_channel.cycle_bytes()));
-    t += data.size;
-    result.tuning_time += data.size;
+    t += data.size();
+    result.tuning_time += data.size();
     ++result.probes;
-    if (target != s) result.final_channel_tuning = data.size;
+    if (target != s) result.final_channel_tuning = data.size();
     result.found = true;
     break;
   }

@@ -3,24 +3,21 @@
 #define AIRINDEX_SCHEMES_MULTICHANNEL_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/types.h"
-#include "broadcast/channel_group.h"
 #include "broadcast/geometry.h"
 #include "data/dataset.h"
 #include "schemes/access.h"
-#include "schemes/btree.h"
 #include "schemes/scheme.h"
 
 namespace airindex {
 
-/// How index and data are spread over the channels of a group (the
-/// allocation axis of the multichannel broadcast papers).
+/// How index and data are spread over the channels of a multichannel
+/// program (the allocation axis of the multichannel broadcast papers).
 enum class ChannelAllocation {
   /// Channel 0 carries only the global B+-tree index; channels 1..N-1
   /// carry flat, key-partitioned data. Every leaf pointer crosses to a
@@ -66,7 +63,18 @@ struct ConflictPlacement {
   std::vector<int> rotations;
 };
 
-/// A broadcast program spread over a ChannelGroup.
+/// A broadcast program spread over N synchronized periodic channels.
+///
+/// All channels share the single absolute byte clock: one simulated time
+/// unit puts one byte on *each* channel (the multichannel broadcast model
+/// of Khatibi & Khatibi and of Lai, Lin & Liu). A client listens to
+/// exactly one channel at a time; retuning to another channel loses
+/// `switch_cost_bytes` bytes of broadcast — dead air charged to access
+/// time but not to tuning time. Channels may have different cycle
+/// lengths, and a pointer's phase is relative to the cycle of the
+/// channel that owns its target (PointerEntry::target_channel). Each
+/// channel is an arena view, read by the same calls as a single-channel
+/// walk.
 ///
 /// Implements the BroadcastScheme interface so the simulator, the error
 /// model, and the deadline policy all work unchanged; Access() remains a
@@ -81,7 +89,7 @@ struct ConflictPlacement {
 /// multichannel XML-stream engine of Khatibi & Khatibi.
 class MultiChannelProgram : public BroadcastScheme {
  public:
-  /// Builds the group. Fails when num_channels < 2 (a single channel
+  /// Builds the program. Fails when num_channels < 2 (a single channel
   /// must bypass the wrapper so single-channel runs stay byte-identical),
   /// when the dataset has fewer records than data partitions, or when a
   /// per-partition base scheme cannot be built.
@@ -90,15 +98,15 @@ class MultiChannelProgram : public BroadcastScheme {
       const BucketGeometry& geometry, const SchemeParams& params,
       const MultiChannelParams& multichannel);
 
-  // BroadcastScheme interface. view() is channel 0 of the group (the
-  // index channel for kIndexOnOne) for structure-agnostic callers.
+  // BroadcastScheme interface. view() is channel 0 (the index channel
+  // for kIndexOnOne) for structure-agnostic callers.
   const ArenaChannelView& view() const override { return views_.front(); }
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
-  /// The channel group.
-  const ChannelGroup& group() const { return *group_; }
+  /// Number of physical channels.
+  int num_channels() const { return static_cast<int>(views_.size()); }
 
-  /// Channel `c` of the group as an arena view (PIX frequencies read it).
+  /// Channel `c` (0 <= c < num_channels()) as its arena view.
   const ArenaChannelView& channel_view(int c) const {
     return views_[static_cast<std::size_t>(c)];
   }
@@ -119,7 +127,7 @@ class MultiChannelProgram : public BroadcastScheme {
   /// start on the index channel 0.
   int StartChannel(Bytes tune_in) const;
 
-  /// Conflict-aware placement outcome; all zeros/empty unless the group
+  /// Conflict-aware placement outcome; all zeros/empty unless the program
   /// was built with an active scheduler.
   const ConflictPlacement& conflict_placement() const { return conflict_; }
 
@@ -129,13 +137,13 @@ class MultiChannelProgram : public BroadcastScheme {
   AccessResult AccessPartitioned(std::string_view key, Bytes tune_in) const;
   AccessResult AccessIndexed(std::string_view key, Bytes tune_in) const;
 
-  // Always engaged by Build before the object escapes; optional only
-  // because ChannelGroup has no default state. The group keeps its
-  // channels as inflated Channels — data-partitioned ones inflated from
-  // each partition's arena — because the cross-channel walks below read
-  // Channel buckets; views_ holds the same channels as arena views.
-  std::optional<ChannelGroup> group_;
+  // One view per channel, in channel order: a data partition's own
+  // program view for kDataPartitioned, otherwise the layout Build
+  // flattened for that channel.
   std::vector<ArenaChannelView> views_;
+  /// Bytes of broadcast a client loses on every hop between two distinct
+  /// channels.
+  Bytes switch_cost_bytes_ = 0;
 
   ChannelAllocation allocation_ = ChannelAllocation::kDataPartitioned;
   /// First key of each data partition, in partition order (HomeChannel
@@ -150,11 +158,9 @@ class MultiChannelProgram : public BroadcastScheme {
   std::vector<std::unique_ptr<BroadcastScheme>> partitions_;
   ConflictPlacement conflict_;
 
-  // kIndexOnOne / kReplicatedIndex: the global tree + parent dataset
-  // (pointer entries view its key storage). Optional because BTree, like
-  // ChannelGroup, has no default state.
-  std::shared_ptr<const Dataset> dataset_;
-  std::optional<BTree> tree_;
+  // kIndexOnOne / kReplicatedIndex: the global tree's height, which
+  // bounds the descent.
+  int tree_height_ = 0;
 };
 
 }  // namespace airindex

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analytical/models.h"
-#include "schemes/entry_search.h"
 
 namespace airindex {
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "des/random.h"
 #include "inflated_channel.h"
 #include "scan_oracle.h"
@@ -60,7 +59,7 @@ TEST(BroadcastDisks, DefaultLayoutFrequencies) {
     EXPECT_EQ(scheme.OccurrencesOf(r), expected_freq) << "record " << r;
     EXPECT_EQ(scheme.DiskOf(r), r < 10 ? 0 : (r < 40 ? 1 : 2));
   }
-  EXPECT_TRUE(ValidateChannelStructure(InflatedChannel(scheme)).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme.view()).ok());
 }
 
 TEST(BroadcastDisks, HotOccurrencesAreEvenlySpread) {
@@ -85,7 +84,7 @@ TEST(BroadcastDisks, FindsEveryKeyAndMatchesReference) {
   const auto dataset = MakeDataset(60);
   const auto built = BuildDisks(dataset, SmallGeometry()).value();
   const BroadcastScheme& scheme = *built;
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   Rng rng(17);
   for (int trial = 0; trial < 2000; ++trial) {
     const bool present = rng.NextBernoulli(0.7);

@@ -1,11 +1,11 @@
-// Unit tests for the broadcast channel: phase arithmetic (uniform and
-// mixed bucket sizes), boundaries, and structural validation.
+// Unit tests for the broadcast channel view: phase arithmetic (uniform
+// and mixed bucket sizes), boundaries, and the structural validator.
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "broadcast/geometry.h"
 #include "schemes/channel_view.h"
 
@@ -19,93 +19,91 @@ Bucket MakeBucket(BucketKind kind, Bytes size) {
   return bucket;
 }
 
-TEST(Channel, RejectsEmptyAndNonPositive) {
-  EXPECT_FALSE(Channel::Create({}).ok());
-  EXPECT_FALSE(Channel::Create({MakeBucket(BucketKind::kData, 0)}).ok());
-  EXPECT_FALSE(Channel::Create({MakeBucket(BucketKind::kData, -5)}).ok());
+ArenaChannelView ViewOf(std::vector<Bucket> buckets) {
+  return ArenaChannelView::Build(std::move(buckets)).value();
 }
 
-TEST(Channel, UniformPhaseArithmetic) {
+TEST(ChannelView, RejectsEmptyAndNonPositive) {
+  EXPECT_FALSE(ArenaChannelView::Build({}).ok());
+  EXPECT_FALSE(
+      ArenaChannelView::Build({MakeBucket(BucketKind::kData, 0)}).ok());
+  EXPECT_FALSE(
+      ArenaChannelView::Build({MakeBucket(BucketKind::kData, -5)}).ok());
+}
+
+TEST(ChannelView, UniformPhaseArithmetic) {
   std::vector<Bucket> buckets;
   for (int i = 0; i < 10; ++i) buckets.push_back(MakeBucket(BucketKind::kData, 100));
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_EQ(channel.cycle_bytes(), 1000);
-  EXPECT_EQ(channel.num_buckets(), 10u);
-  EXPECT_EQ(channel.BucketAtPhase(0), 0u);
-  EXPECT_EQ(channel.BucketAtPhase(99), 0u);
-  EXPECT_EQ(channel.BucketAtPhase(100), 1u);
-  EXPECT_EQ(channel.BucketAtPhase(999), 9u);
-  EXPECT_EQ(channel.start_phase(7), 700);
-  EXPECT_EQ(channel.end_phase(7), 800);
+  const ArenaChannelView view = ViewOf(std::move(buckets));
+  EXPECT_EQ(view.cycle_bytes(), 1000);
+  EXPECT_EQ(view.num_buckets(), 10u);
+  EXPECT_EQ(view.BucketAtPhase(0), 0u);
+  EXPECT_EQ(view.BucketAtPhase(99), 0u);
+  EXPECT_EQ(view.BucketAtPhase(100), 1u);
+  EXPECT_EQ(view.BucketAtPhase(999), 9u);
+  EXPECT_EQ(view.start_phase(7), 700);
+  EXPECT_EQ(view.end_phase(7), 800);
 }
 
-TEST(Channel, MixedSizePhaseArithmetic) {
-  std::vector<Bucket> buckets = {
+TEST(ChannelView, MixedSizePhaseArithmetic) {
+  const ArenaChannelView view = ViewOf({
       MakeBucket(BucketKind::kSignature, 16),
       MakeBucket(BucketKind::kData, 500),
       MakeBucket(BucketKind::kSignature, 16),
       MakeBucket(BucketKind::kData, 500),
-  };
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_EQ(channel.cycle_bytes(), 1032);
-  EXPECT_EQ(channel.BucketAtPhase(0), 0u);
-  EXPECT_EQ(channel.BucketAtPhase(15), 0u);
-  EXPECT_EQ(channel.BucketAtPhase(16), 1u);
-  EXPECT_EQ(channel.BucketAtPhase(515), 1u);
-  EXPECT_EQ(channel.BucketAtPhase(516), 2u);
-  EXPECT_EQ(channel.BucketAtPhase(1031), 3u);
-  // The arena view a scheme keeps in its place counts kinds and phases
-  // the same way.
-  const ArenaChannelView view = ArenaChannelView::Flatten(channel);
+  });
   EXPECT_EQ(view.cycle_bytes(), 1032);
+  EXPECT_EQ(view.BucketAtPhase(0), 0u);
+  EXPECT_EQ(view.BucketAtPhase(15), 0u);
+  EXPECT_EQ(view.BucketAtPhase(16), 1u);
+  EXPECT_EQ(view.BucketAtPhase(515), 1u);
+  EXPECT_EQ(view.BucketAtPhase(516), 2u);
+  EXPECT_EQ(view.BucketAtPhase(1031), 3u);
   EXPECT_EQ(view.num_data_buckets(), 2u);
   EXPECT_EQ(view.num_signature_buckets(), 2u);
   EXPECT_EQ(view.num_index_buckets(), 0u);
-  for (const Bytes phase : {0, 15, 16, 515, 516, 1031}) {
-    EXPECT_EQ(view.BucketAtPhase(phase), channel.BucketAtPhase(phase));
-  }
   EXPECT_EQ(view.end_phase(1), 516);
   EXPECT_EQ(view.BucketsBroadcastBy(1032 + 516), 6);
 }
 
-TEST(Channel, BucketStartingAtPhase) {
-  std::vector<Bucket> buckets = {
+TEST(ChannelView, BucketStartingAtPhase) {
+  const ArenaChannelView view = ViewOf({
       MakeBucket(BucketKind::kData, 10),
       MakeBucket(BucketKind::kData, 20),
-  };
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_EQ(channel.BucketStartingAtPhase(0), 0u);
-  EXPECT_EQ(channel.BucketStartingAtPhase(10), 1u);
-  EXPECT_EQ(channel.BucketStartingAtPhase(5), channel.num_buckets());
+  });
+  EXPECT_EQ(view.start_phase(view.BucketAtPhase(0)), 0);
+  EXPECT_EQ(view.BucketAtPhase(10), 1u);
+  EXPECT_EQ(view.start_phase(view.BucketAtPhase(10)), 10);
+  // Phase 5 is inside bucket 0, not the start of any bucket.
+  EXPECT_EQ(view.BucketAtPhase(5), 0u);
+  EXPECT_NE(view.start_phase(view.BucketAtPhase(5)), 5);
 }
 
-TEST(Channel, NextBoundaryTime) {
-  std::vector<Bucket> buckets = {
+TEST(ChannelView, NextBoundaryTime) {
+  const ArenaChannelView view = ViewOf({
       MakeBucket(BucketKind::kData, 10),
       MakeBucket(BucketKind::kData, 20),
-  };
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_EQ(channel.NextBoundaryTime(0), 0);    // already on a boundary
-  EXPECT_EQ(channel.NextBoundaryTime(3), 10);
-  EXPECT_EQ(channel.NextBoundaryTime(10), 10);
-  EXPECT_EQ(channel.NextBoundaryTime(11), 30);
+  });
+  EXPECT_EQ(view.NextBoundaryTime(0), 0);    // already on a boundary
+  EXPECT_EQ(view.NextBoundaryTime(3), 10);
+  EXPECT_EQ(view.NextBoundaryTime(10), 10);
+  EXPECT_EQ(view.NextBoundaryTime(11), 30);
   // Across cycles: time 33 is phase 3 of the second cycle.
-  EXPECT_EQ(channel.NextBoundaryTime(33), 40);
+  EXPECT_EQ(view.NextBoundaryTime(33), 40);
 }
 
-TEST(Channel, NextArrivalOfPhaseWraps) {
-  std::vector<Bucket> buckets = {
+TEST(ChannelView, NextArrivalOfPhaseWraps) {
+  const ArenaChannelView view = ViewOf({
       MakeBucket(BucketKind::kData, 10),
       MakeBucket(BucketKind::kData, 20),
-  };
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_EQ(channel.NextArrivalOfPhase(10, 0), 10);
-  EXPECT_EQ(channel.NextArrivalOfPhase(10, 10), 10);  // already there
-  EXPECT_EQ(channel.NextArrivalOfPhase(0, 11), 30);   // wraps to next cycle
-  EXPECT_EQ(channel.NextArrivalOfPhase(10, 95), 100);
+  });
+  EXPECT_EQ(view.NextArrivalOfPhase(10, 0), 10);
+  EXPECT_EQ(view.NextArrivalOfPhase(10, 10), 10);  // already there
+  EXPECT_EQ(view.NextArrivalOfPhase(0, 11), 30);   // wraps to next cycle
+  EXPECT_EQ(view.NextArrivalOfPhase(10, 95), 100);
 }
 
-TEST(Channel, ValidationAcceptsGoodPointers) {
+TEST(ProgramStructure, AcceptsGoodPointers) {
   std::vector<Bucket> buckets = {
       MakeBucket(BucketKind::kIndex, 10),
       MakeBucket(BucketKind::kData, 10),
@@ -117,11 +115,10 @@ TEST(Channel, ValidationAcceptsGoodPointers) {
   buckets[0].local.push_back(entry);
   buckets[0].range_lo = "a";
   buckets[0].range_hi = "b";
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_TRUE(ValidateChannelStructure(channel).ok());
+  EXPECT_TRUE(ValidateProgramStructure(ViewOf(std::move(buckets))).ok());
 }
 
-TEST(Channel, ValidationCatchesMisalignedPointer) {
+TEST(ProgramStructure, CatchesMisalignedPointer) {
   std::vector<Bucket> buckets = {
       MakeBucket(BucketKind::kIndex, 10),
       MakeBucket(BucketKind::kData, 10),
@@ -129,23 +126,58 @@ TEST(Channel, ValidationCatchesMisalignedPointer) {
   PointerEntry entry;
   entry.target_phase = 7;  // not a bucket start
   buckets[0].local.push_back(entry);
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_FALSE(ValidateChannelStructure(channel).ok());
+  const Status status = ValidateProgramStructure(ViewOf(std::move(buckets)));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(Channel, ValidationCatchesOutOfRangePhase) {
+TEST(ProgramStructure, CatchesOutOfRangePhase) {
   std::vector<Bucket> buckets = {MakeBucket(BucketKind::kData, 10)};
   buckets[0].shift_phase = 999;
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_FALSE(ValidateChannelStructure(channel).ok());
+  EXPECT_FALSE(ValidateProgramStructure(ViewOf(std::move(buckets))).ok());
 }
 
-TEST(Channel, ValidationCatchesInvertedRange) {
+TEST(ProgramStructure, CatchesInvertedRange) {
   std::vector<Bucket> buckets = {MakeBucket(BucketKind::kIndex, 10)};
   buckets[0].range_lo = "zz";
   buckets[0].range_hi = "aa";
-  const Channel channel = Channel::Create(std::move(buckets)).value();
-  EXPECT_FALSE(ValidateChannelStructure(channel).ok());
+  EXPECT_FALSE(ValidateProgramStructure(ViewOf(std::move(buckets))).ok());
+}
+
+TEST(ProgramStructure, ValidatesCrossChannelPointerTargets) {
+  // An index bucket on channel 0 pointing into channel 1, a data channel
+  // of three 50-byte buckets.
+  static const std::string kLo = "a", kHi = "z";
+  const auto program = [](int target_channel, Bytes target_phase) {
+    Bucket index = MakeBucket(BucketKind::kIndex, 100);
+    index.level = 0;
+    index.range_lo = kLo;
+    index.range_hi = kHi;
+    PointerEntry entry;
+    entry.key_lo = kLo;
+    entry.key_hi = kHi;
+    entry.target_phase = target_phase;
+    entry.target_channel = target_channel;
+    index.local.push_back(entry);
+    std::vector<ArenaChannelView> channels;
+    channels.push_back(ViewOf({std::move(index)}));
+    channels.push_back(ViewOf({MakeBucket(BucketKind::kData, 50),
+                               MakeBucket(BucketKind::kData, 50),
+                               MakeBucket(BucketKind::kData, 50)}));
+    return channels;
+  };
+  // Phase 50 is a bucket start on channel 1 — valid.
+  EXPECT_TRUE(ValidateProgramStructure(program(1, 50)).ok());
+  // Phase 50 relative to the target channel's cycle, but channel 2 does
+  // not exist — invalid.
+  EXPECT_FALSE(ValidateProgramStructure(program(2, 50)).ok());
+  // Mid-bucket phase on the target channel — invalid.
+  EXPECT_FALSE(ValidateProgramStructure(program(1, 25)).ok());
+  // Phase beyond the target channel's cycle — invalid.
+  EXPECT_FALSE(ValidateProgramStructure(program(1, 150)).ok());
+  // Phase 50 is mid-bucket on channel 0 itself — invalid.
+  EXPECT_FALSE(ValidateProgramStructure(program(kSameChannel, 50)).ok());
+  // One channel of the pair alone: its target channel 1 is missing.
+  EXPECT_FALSE(ValidateProgramStructure(program(1, 50).front()).ok());
 }
 
 TEST(Geometry, FanoutAndRatio) {

@@ -5,6 +5,7 @@
 // more bytes than the deadline allows, and keeps listening, dead air and
 // channel accounting within the truncated budget.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +26,16 @@ std::shared_ptr<const Dataset> MakeDataset(int n) {
   config.num_records = n;
   config.key_width = 8;
   return std::make_shared<const Dataset>(Dataset::Generate(config).value());
+}
+
+// Longest cycle over the program's channels: the period that bounds any
+// phase-wait on any of them.
+Bytes MaxCycleBytes(const MultiChannelProgram& program) {
+  Bytes max_cycle = 0;
+  for (int c = 0; c < program.num_channels(); ++c) {
+    max_cycle = std::max(max_cycle, program.channel_view(c).cycle_bytes());
+  }
+  return max_cycle;
 }
 
 void CheckComposedWalk(const AccessResult& error_walk,
@@ -128,7 +139,7 @@ TEST_F(CompositionTest, MultiChannelPartitioned) {
       MultiChannelProgram::Build(SchemeKind::kOneM, dataset,
                                  BucketGeometry{}, {}, params)
           .value();
-  RunComposition(*program, *dataset, program->group().max_cycle_bytes(),
+  RunComposition(*program, *dataset, MaxCycleBytes(*program),
                  kSwitchCost);
 }
 
@@ -143,7 +154,7 @@ TEST_F(CompositionTest, MultiChannelReplicatedIndex) {
       MultiChannelProgram::Build(SchemeKind::kOneM, dataset,
                                  BucketGeometry{}, {}, params)
           .value();
-  RunComposition(*program, *dataset, program->group().max_cycle_bytes(),
+  RunComposition(*program, *dataset, MaxCycleBytes(*program),
                  kSwitchCost);
 }
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "des/random.h"
 #include "inflated_channel.h"
 #include "schemes/distributed.h"
@@ -37,10 +36,10 @@ TEST(Distributed, PaperFigure1ReplicationCounts) {
       DistributedIndexing::Build(dataset, SmallGeometry(), 2).value();
   EXPECT_EQ(scheme.replicated_levels(), 2);
   EXPECT_EQ(scheme.num_segments(), 9);
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   EXPECT_EQ(scheme.view().num_index_buckets(), 48u);
   EXPECT_EQ(scheme.view().num_data_buckets(), 81u);
-  EXPECT_TRUE(ValidateChannelStructure(channel).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme.view()).ok());
 
   // Count occurrences per (level, range) pair.
   std::map<std::pair<std::string, std::string>, int> occurrences;
@@ -58,7 +57,7 @@ TEST(Distributed, FirstSegmentEmitsFullPath) {
   const auto dataset = MakeDataset(81);
   const DistributedIndexing scheme =
       DistributedIndexing::Build(dataset, SmallGeometry(), 2).value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   // Cycle starts: root (covers all), a1, b1, c1..c3, then data.
   EXPECT_EQ(channel.bucket(0).kind, BucketKind::kIndex);
   EXPECT_EQ(channel.bucket(0).range_hi, dataset->max_key());
@@ -75,7 +74,7 @@ TEST(Distributed, ControlIndexPointsForward) {
   const auto dataset = MakeDataset(81);
   const DistributedIndexing scheme =
       DistributedIndexing::Build(dataset, SmallGeometry(), 2).value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     const Bucket& bucket = channel.bucket(i);
     if (bucket.kind != BucketKind::kIndex) continue;
@@ -116,7 +115,7 @@ TEST(Distributed, AllReplicationLevelsWork) {
   for (int r = 0; r < 5; ++r) {
     const auto built = DistributedIndexing::Build(dataset, geometry, r);
     ASSERT_TRUE(built.ok()) << "r=" << r << ": " << built.status().ToString();
-    EXPECT_TRUE(ValidateChannelStructure(InflatedChannel(built.value())).ok());
+    EXPECT_TRUE(ValidateProgramStructure(built.value().view()).ok());
     Rng rng(100 + static_cast<std::uint64_t>(r));
     for (int trial = 0; trial < 200; ++trial) {
       const int rec = static_cast<int>(rng.NextBounded(200));

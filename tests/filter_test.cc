@@ -76,7 +76,7 @@ TEST(Filter, SignatureFindsExactlyTheCarriers) {
 FilterResult FilterOracle(const SignatureIndexing& scheme,
                           const Dataset& dataset, const std::string& value,
                           Bytes tune_in) {
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   const Bytes cycle = channel.cycle_bytes();
   const std::size_t buckets = channel.num_buckets();
   const std::vector<std::uint64_t> query =

@@ -34,7 +34,7 @@ BucketGeometry SmallGeometry() {
 void ExpectScanWalkMatchesOracle(const BroadcastScheme& scheme,
                                  const Dataset& dataset) {
   const Bytes cycle = scheme.view().cycle_bytes();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   const int n = dataset.size();
   Rng rng(2024);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -62,7 +62,7 @@ TEST(Flat, ChannelIsAllDataInKeyOrder) {
   const auto dataset = MakeDataset(20);
   const FlatBroadcast scheme =
       FlatBroadcast::Build(dataset, SmallGeometry()).value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   EXPECT_EQ(channel.num_buckets(), 20u);
   EXPECT_EQ(scheme.view().num_data_buckets(), 20u);
   EXPECT_EQ(channel.cycle_bytes(), 2000);

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "analytical/models.h"
-#include "broadcast/channel.h"
 #include "des/random.h"
 #include "inflated_channel.h"
 #include "schemes/hashing.h"
@@ -33,7 +32,7 @@ TEST(Hashing, CycleIsAllocatedPlusColliding) {
   const SimpleHashing scheme =
       SimpleHashing::Build(dataset, SmallGeometry(), 1.0).value();
   EXPECT_EQ(scheme.allocated(), 500);
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   EXPECT_EQ(channel.num_buckets(),
             static_cast<std::size_t>(scheme.allocated() + scheme.colliding()));
   // Every record appears exactly once.
@@ -50,7 +49,7 @@ TEST(Hashing, HashValuesNonDecreasingAlongCycle) {
   const auto dataset = MakeDataset(300);
   const SimpleHashing scheme =
       SimpleHashing::Build(dataset, SmallGeometry(), 1.0).value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   std::int64_t previous = -1;
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     const Bucket& bucket = channel.bucket(i);
@@ -64,7 +63,7 @@ TEST(Hashing, ShiftValuesPointAtChainStarts) {
   const auto dataset = MakeDataset(300);
   const SimpleHashing scheme =
       SimpleHashing::Build(dataset, SmallGeometry(), 1.0).value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   for (int slot = 0; slot < scheme.allocated(); ++slot) {
     const Bucket& home = channel.bucket(static_cast<std::size_t>(slot));
     ASSERT_EQ(home.slot, slot);

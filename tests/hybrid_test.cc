@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "des/random.h"
 #include "inflated_channel.h"
 #include "schemes/hybrid.h"
@@ -37,13 +36,13 @@ TEST(Hybrid, ChannelShape) {
       HybridIndexing::Build(dataset, SmallGeometry(), SignatureParams(),
                             /*group_size=*/8, /*m=*/2)
           .value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   // 20 groups indexed by the tree; the tree appears twice.
   EXPECT_EQ(scheme.view().num_index_buckets(),
             2 * scheme.tree().nodes().size());
   EXPECT_EQ(scheme.view().num_signature_buckets(), 160u);
   EXPECT_EQ(scheme.view().num_data_buckets(), 160u);
-  EXPECT_TRUE(ValidateChannelStructure(channel).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme.view()).ok());
   EXPECT_EQ(scheme.tree().num_records(), 20);  // tree is over groups
 }
 

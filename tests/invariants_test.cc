@@ -38,6 +38,7 @@
 //      and the dynamic.* counter identities hold. The jobs property
 //      draws an update rate too, so I6 covers the mutation engine.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -264,7 +265,10 @@ TEST(InvariantsTest, RandomizedWalks) {
       auto built = MultiChannelProgram::Build(c.scheme, dataset, c.geometry,
                                               c.params, c.multichannel);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
-      horizon = 2 * built.value()->group().max_cycle_bytes();
+      for (int ch = 0; ch < built.value()->num_channels(); ++ch) {
+        horizon = std::max(horizon,
+                           2 * built.value()->channel_view(ch).cycle_bytes());
+      }
       program = std::move(built).value();
     } else {
       auto built = BuildScheme(c.scheme, dataset, c.geometry, c.params);

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "des/random.h"
 #include "inflated_channel.h"
 #include "schemes/one_m.h"
@@ -32,19 +31,19 @@ TEST(OneM, ChannelShape) {
   const OneMIndexing scheme =
       OneMIndexing::Build(dataset, SmallGeometry(), 4).value();
   EXPECT_EQ(scheme.m(), 4);
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   // Full tree (20 leaves + 2 + 1 = 23 nodes) appears 4 times.
   EXPECT_EQ(scheme.view().num_index_buckets(),
             4u * scheme.tree().nodes().size());
   EXPECT_EQ(scheme.view().num_data_buckets(), 200u);
-  EXPECT_TRUE(ValidateChannelStructure(channel).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme.view()).ok());
 }
 
 TEST(OneM, EachSegmentStartsWithRoot) {
   const auto dataset = MakeDataset(200);
   const OneMIndexing scheme =
       OneMIndexing::Build(dataset, SmallGeometry(), 4).value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   // Walk next_index_segment pointers from bucket 0: each target bucket
   // must be an index bucket covering the full key range.
   Bytes phase = channel.bucket(0).next_index_segment_phase;

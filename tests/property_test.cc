@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "analytical/models.h"
-#include "broadcast/channel.h"
 #include "core/simulator.h"
 #include "des/random.h"
 #include "inflated_channel.h"
@@ -69,7 +68,7 @@ class SchemePropertyTest : public testing::TestWithParam<PropertyCase> {
 };
 
 TEST_P(SchemePropertyTest, ChannelIsStructurallyValid) {
-  EXPECT_TRUE(ValidateChannelStructure(InflatedChannel(*scheme_)).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme_->view()).ok());
   // Hashing pads the cycle with empty slots and broadcast disks repeat
   // hot records; every other scheme carries exactly one data bucket per
   // record.

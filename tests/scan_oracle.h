@@ -9,14 +9,15 @@
 #include <cstddef>
 #include <string_view>
 
-#include "broadcast/channel.h"
 #include "data/dataset.h"
+#include "inflated_channel.h"
 #include "schemes/access.h"
 
 namespace airindex {
 
-inline AccessResult ScanOracle(const Channel& channel, const Dataset& dataset,
-                               std::string_view key, Bytes tune_in) {
+inline AccessResult ScanOracle(const InflatedChannel& channel,
+                               const Dataset& dataset, std::string_view key,
+                               Bytes tune_in) {
   AccessResult result;
   Bytes t = channel.NextBoundaryTime(tune_in);
   result.tuning_time = t - tune_in;

@@ -5,6 +5,7 @@
 // simulated testbed at a pinned operating point, online re-tiering
 // determinism, and the conflict-aware multichannel placement.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -408,7 +409,11 @@ TEST(ScheduleTest, ConflictPlacementAvoidsHotCollisions) {
   EXPECT_EQ(placement.rotations[0], 0);  // the first partition anchors
 
   // Rotation must not cost correctness: every record stays findable.
-  const Bytes horizon = 2 * built.value()->group().max_cycle_bytes();
+  Bytes horizon = 0;
+  for (int c = 0; c < built.value()->num_channels(); ++c) {
+    horizon =
+        std::max(horizon, 2 * built.value()->channel_view(c).cycle_bytes());
+  }
   for (int r = 0; r < 96; ++r) {
     const AccessResult result =
         built.value()->Access(dataset->record(r).key,

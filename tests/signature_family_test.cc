@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "des/random.h"
 #include "inflated_channel.h"
 #include "schemes/integrated_signature.h"
@@ -37,10 +36,10 @@ TEST(IntegratedSignature, ChannelHasOneSignaturePerGroup) {
       IntegratedSignatureIndexing::Build(dataset, SmallGeometry(),
                                          SignatureParams(), 10)
           .value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   EXPECT_EQ(scheme.view().num_signature_buckets(), 10u);
   EXPECT_EQ(scheme.view().num_data_buckets(), 100u);
-  EXPECT_TRUE(ValidateChannelStructure(channel).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme.view()).ok());
 }
 
 TEST(IntegratedSignature, RaggedLastGroup) {
@@ -96,11 +95,11 @@ TEST(MultiLevelSignature, ChannelLayout) {
       MultiLevelSignatureIndexing::Build(dataset, SmallGeometry(),
                                          SignatureParams(), 8)
           .value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   // 5 groups: each has 1 group sig + 8 record sigs + 8 data buckets.
   EXPECT_EQ(scheme.view().num_signature_buckets(), 5u + 40u);
   EXPECT_EQ(scheme.view().num_data_buckets(), 40u);
-  EXPECT_TRUE(ValidateChannelStructure(channel).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme.view()).ok());
 }
 
 TEST(MultiLevelSignature, FindsEveryKeyFromManyTuneIns) {

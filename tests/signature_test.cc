@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "des/random.h"
 #include "inflated_channel.h"
 #include "schemes/signature.h"
@@ -67,7 +66,7 @@ TEST(Signature, ChannelAlternatesSignatureAndData) {
   const auto dataset = MakeDataset(50);
   const SignatureIndexing scheme =
       SignatureIndexing::Build(dataset, SmallGeometry()).value();
-  const Channel channel = InflatedChannel(scheme);
+  const InflatedChannel channel(scheme);
   ASSERT_EQ(channel.num_buckets(), 100u);
   for (std::size_t i = 0; i < channel.num_buckets(); ++i) {
     if (i % 2 == 0) {
@@ -80,7 +79,7 @@ TEST(Signature, ChannelAlternatesSignatureAndData) {
     EXPECT_EQ(channel.bucket(i).record_id,
               static_cast<std::int64_t>(i / 2));
   }
-  EXPECT_TRUE(ValidateChannelStructure(channel).ok());
+  EXPECT_TRUE(ValidateProgramStructure(scheme.view()).ok());
 }
 
 TEST(Signature, FindsEveryKey) {
@@ -203,7 +202,7 @@ TEST(Signature, FalseDropRateEqualsRowScan) {
       const SignatureIndexing scheme =
           SignatureIndexing::Build(dataset, geometry).value();
       const SignatureGenerator& generator = scheme.generator();
-      const Channel channel = InflatedChannel(scheme);
+      const InflatedChannel channel(scheme);
       for (const std::uint64_t seed : {1, 11, 77}) {
         Rng rng(seed);
         std::int64_t drops = 0;

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "broadcast/channel.h"
 #include "core/simulator.h"
 #include "data/dataset.h"
 #include "inflated_channel.h"
@@ -36,7 +35,7 @@ TEST(Smoke, AllSchemesFindEveryKey) {
     ASSERT_TRUE(scheme.ok()) << SchemeKindToString(kind) << ": "
                              << scheme.status().ToString();
     EXPECT_TRUE(
-        ValidateChannelStructure(InflatedChannel(*scheme.value())).ok());
+        ValidateProgramStructure(scheme.value()->view()).ok());
     for (int r = 0; r < dataset->size(); ++r) {
       const AccessResult result =
           scheme.value()->Access(dataset->record(r).key, 17 * r + 3);
