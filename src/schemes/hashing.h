@@ -33,7 +33,9 @@ class SimpleHashing : public BroadcastScheme {
                                      double allocation_factor = 1.0);
 
   /// Adopts `view`, bound to a restored program arena. `allocated` is
-  /// the resolved slot count Na recorded at flatten time.
+  /// the resolved slot count Na recorded at flatten time. Every bucket
+  /// must be a data bucket and every home slot carry a shift, or the
+  /// restore fails with InvalidArgument.
   static Result<SimpleHashing> Restore(std::shared_ptr<const Dataset> dataset,
                                        ArenaChannelView view, int allocated);
 

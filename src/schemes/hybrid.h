@@ -42,7 +42,9 @@ class HybridIndexing : public BroadcastScheme {
 
   /// Adopts `view`, bound to a restored program arena. `group_size` and
   /// `m` are the resolved values recorded at flatten time; the group tree
-  /// is rebuilt deterministically.
+  /// is rebuilt deterministically. Every signature bucket must be as wide
+  /// as the generator and followed by a data bucket, and there must be
+  /// one, or the restore fails with InvalidArgument.
   static Result<HybridIndexing> Restore(std::shared_ptr<const Dataset> dataset,
                                         const BucketGeometry& geometry,
                                         SignatureParams params,

@@ -1,6 +1,7 @@
 #include "schemes/integrated_signature.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -148,6 +149,26 @@ Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Restore(
   }
   SignatureGenerator generator(
       ResolveGroupSignatureBytes(geometry, params, group_size), params);
+  // The walk sifts from a signature bucket (bucket 0 after a wrap),
+  // matches `words` words of each and reads every other bucket as a
+  // record: accept signature buckets of that width and data buckets,
+  // whose record ids RestoreSchemeFromArena checks.
+  if (view.num_index_buckets() != 0 ||
+      view.bucket(0).kind() != BucketKind::kSignature) {
+    return Status::InvalidArgument(
+        "integrated signature restore: the cycle must open with a "
+        "signature bucket and hold only signature and data buckets");
+  }
+  for (std::size_t i = 0; i < view.num_buckets(); ++i) {
+    const auto bucket = view.bucket(i);
+    if (bucket.kind() == BucketKind::kSignature &&
+        bucket.signature_word_count() != generator.words()) {
+      return Status::InvalidArgument(
+          "integrated signature restore: signature bucket " +
+          std::to_string(i) + " is not " + std::to_string(generator.words()) +
+          " words wide");
+    }
+  }
   return IntegratedSignatureIndexing(std::move(dataset), generator,
                                      std::move(view), group_size);
 }

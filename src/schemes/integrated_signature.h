@@ -32,7 +32,10 @@ class IntegratedSignatureIndexing : public BroadcastScheme {
       SignatureParams params = SignatureParams(), int group_size = 16);
 
   /// Adopts `view`, bound to a restored program arena; the generator is
-  /// reconstructed from geometry + params (pure configuration).
+  /// reconstructed from geometry + params (pure configuration). The cycle
+  /// must open with a signature bucket and hold only signature buckets of
+  /// the generator's width and data buckets, or the restore fails with
+  /// InvalidArgument.
   static Result<IntegratedSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params, ArenaChannelView view, int group_size);

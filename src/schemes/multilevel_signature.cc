@@ -1,6 +1,7 @@
 #include "schemes/multilevel_signature.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -186,6 +187,33 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Restore(
   SignatureGenerator record_generator(geometry, params);
   SignatureGenerator group_generator(
       ResolveGroupSignatureBytes(geometry, params, group_size), params);
+  // The walk sifts from a group signature (bucket 0 after a wrap) and
+  // reads the buckets up to the next one as (record signature, data)
+  // pairs: accept only that layout, each signature as wide as its
+  // generator; RestoreSchemeFromArena checks the data buckets' record ids.
+  const std::size_t num = view.num_buckets();
+  const auto is_signature = [&view](std::size_t i, int level, int words) {
+    const auto bucket = view.bucket(i);
+    return bucket.kind() == BucketKind::kSignature &&
+           bucket.level() == level && bucket.signature_word_count() == words;
+  };
+  for (std::size_t group = 0; group < num;) {
+    bool ok =
+        is_signature(group, kGroupSignatureLevel, group_generator.words());
+    std::size_t i = group + 1;
+    while (ok && i < num && view.bucket(i).level() != kGroupSignatureLevel) {
+      ok = is_signature(i, kRecordSignatureLevel, record_generator.words()) &&
+           i + 1 < num && view.bucket(i + 1).kind() == BucketKind::kData;
+      i += 2;
+    }
+    if (!ok) {
+      return Status::InvalidArgument(
+          "multi-level signature restore: the group at bucket " +
+          std::to_string(group) +
+          " is not a group signature and (record signature, data) pairs");
+    }
+    group = i;
+  }
   return MultiLevelSignatureIndexing(std::move(dataset), record_generator,
                                      group_generator, std::move(view),
                                      group_size);

@@ -30,7 +30,10 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
       SignatureParams params = SignatureParams(), int group_size = 16);
 
   /// Adopts `view`, bound to a restored program arena; both generators
-  /// are reconstructed from geometry + params.
+  /// are reconstructed from geometry + params. Each group must be a group
+  /// signature followed by (record signature, data) pairs, every
+  /// signature as wide as its generator, or the restore fails with
+  /// InvalidArgument.
   static Result<MultiLevelSignatureIndexing> Restore(
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params, ArenaChannelView view, int group_size);
