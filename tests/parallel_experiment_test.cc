@@ -1,17 +1,22 @@
 // Tests of the parallel replication engine (core/experiment.h): the
 // --jobs 1 vs --jobs 8 bit-identity guarantee, RunTestbed as its serial
 // case, deterministic splitmix64 per-replication seeding with
-// non-overlapping adjacent streams, timing accounting, and the
-// merge-friendliness and round bounds of the confidence stopping rule.
+// non-overlapping adjacent streams, sweeps pinned to lone runs (cold and
+// warm program caches, invalid and sharded cells), timing accounting, and
+// the merge-friendliness and round bounds of the confidence stopping
+// rule.
 
 #include <cstdint>
+#include <filesystem>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/accuracy_controller.h"
 #include "core/experiment.h"
+#include "core/shard.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"
 #include "des/random.h"
@@ -227,6 +232,161 @@ TEST(ParallelExperiment, SweepMatchesIndividualRuns) {
     ExpectIdenticalResults(sweep[i].value(),
                            single.Run(configs[i]).value());
   }
+}
+
+/// A sweep grid that touches every per-cell path of RunSweep. Cell 0
+/// names `second_dir`, so the engine's program cache is recreated for
+/// `dir` at cell 1. Cells 1-4 share one generated dataset, cells 0, 6
+/// and 7 another. Cell 5 is invalid and sits between two valid cells.
+/// Cell 7's min_rounds is below every in-flight window.
+std::vector<TestbedConfig> PinnedSweepGrid(const std::string& dir,
+                                           const std::string& second_dir) {
+  std::vector<TestbedConfig> grid;
+  const auto add = [&](SchemeKind kind, int records,
+                       const std::string& cache_dir) {
+    TestbedConfig config = SmallConfig(kind);
+    config.num_records = records;
+    config.program_cache_dir = cache_dir;
+    grid.push_back(config);
+  };
+  add(SchemeKind::kDistributed, 700, second_dir);
+  add(SchemeKind::kFlat, 400, dir);
+  add(SchemeKind::kDistributed, 400, dir);
+  add(SchemeKind::kHashing, 400, dir);
+  add(SchemeKind::kSignature, 400, dir);
+  add(SchemeKind::kFlat, 400, dir);
+  grid.back().num_records = -1;
+  add(SchemeKind::kFlat, 700, dir);
+  add(SchemeKind::kSignature, 700, dir);
+  grid.back().min_rounds = 1;
+  return grid;
+}
+
+/// An empty snapshot directory under the test's temporary directory.
+std::string FreshCacheDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+TEST(ParallelExperiment, SweepGridMatchesLoneRunsColdAndWarm) {
+  const std::string dir = FreshCacheDir("parallel_experiment_pin_a");
+  const std::string second_dir = FreshCacheDir("parallel_experiment_pin_b");
+  const std::vector<TestbedConfig> grid = PinnedSweepGrid(dir, second_dir);
+  std::vector<Result<SimulationResult>> lone;
+  for (const TestbedConfig& config : grid) {
+    lone.push_back(ParallelExperiment({.jobs = 2}).Run(config));
+  }
+  ASSERT_FALSE(lone[5].ok());
+  // Cell 0's program went to the cache the sweep replaced at cell 1.
+  int valid_in_dir = 0;
+  for (std::size_t c = 1; c < grid.size(); ++c) {
+    if (lone[c].ok()) ++valid_in_dir;
+  }
+  ASSERT_EQ(valid_in_dir, 6);
+
+  const auto expect_lone = [&](const std::vector<Result<SimulationResult>>&
+                                   sweep) {
+    ASSERT_EQ(sweep.size(), grid.size());
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      SCOPED_TRACE("cell " + std::to_string(c));
+      ASSERT_EQ(sweep[c].ok(), lone[c].ok());
+      if (!lone[c].ok()) {
+        EXPECT_EQ(sweep[c].status().ToString(), lone[c].status().ToString());
+        continue;
+      }
+      ExpectIdenticalResults(sweep[c].value(), lone[c].value());
+      EXPECT_TRUE(sweep[c].value().metrics == lone[c].value().metrics);
+    }
+  };
+  for (const int jobs : {1, 3}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    FreshCacheDir("parallel_experiment_pin_a");
+    FreshCacheDir("parallel_experiment_pin_b");
+    ParallelExperiment cold({.jobs = jobs});
+    expect_lone(cold.RunSweep(grid));
+    ASSERT_NE(cold.program_cache(), nullptr);
+    const MetricsRegistry cold_cache = cold.program_cache()->MetricsSnapshot();
+    EXPECT_EQ(cold_cache.Get("program.snapshot_hits") +
+                  cold_cache.Get("program.memory_hits") +
+                  cold_cache.Get("program.builds"),
+              valid_in_dir);
+    EXPECT_EQ(cold_cache.Get("program.builds"), valid_in_dir);
+
+    ParallelExperiment warm({.jobs = jobs});
+    expect_lone(warm.RunSweep(grid));
+    ASSERT_NE(warm.program_cache(), nullptr);
+    const MetricsRegistry warm_cache = warm.program_cache()->MetricsSnapshot();
+    EXPECT_EQ(warm_cache.Get("program.snapshot_hits") +
+                  warm_cache.Get("program.memory_hits") +
+                  warm_cache.Get("program.builds"),
+              valid_in_dir);
+    EXPECT_EQ(warm_cache.Get("program.builds"), 0);
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(second_dir);
+}
+
+TEST(ParallelExperiment, ShardedSweepKeepsPlaceholdersAtTheirIndex) {
+  const std::string dir = FreshCacheDir("parallel_experiment_shard_a");
+  const std::string second_dir = FreshCacheDir("parallel_experiment_shard_b");
+  const std::vector<TestbedConfig> grid = PinnedSweepGrid(dir, second_dir);
+  std::vector<int> caps;
+  for (const TestbedConfig& config : grid) caps.push_back(config.max_rounds);
+  // Shard 2 of 3 owns the middle of the flat replication sequence:
+  // cells 2-5, the invalid cell last, and neither end of the grid.
+  const ShardSpec spec{1, 3};
+  const std::vector<ShardRange> ranges = PartitionSweep(caps, spec);
+  ASSERT_TRUE(ranges.front().empty());
+  ASSERT_TRUE(ranges.back().empty());
+  ASSERT_FALSE(ranges[5].empty());
+
+  std::vector<std::vector<Result<SimulationResult>>> sweeps;
+  std::vector<std::vector<ShardCell>> cells;
+  for (const int jobs : {1, 3}) {
+    ParallelExperiment sharded({.jobs = jobs, .shard = spec});
+    sweeps.push_back(sharded.RunSweep(grid));
+    cells.push_back(sharded.shard_cells());
+  }
+  const Status invalid = ParallelExperiment().Run(grid[5]).status();
+  for (std::size_t s = 0; s < sweeps.size(); ++s) {
+    ASSERT_EQ(sweeps[s].size(), grid.size());
+    ASSERT_EQ(cells[s].size(), grid.size());
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      SCOPED_TRACE("cell " + std::to_string(c));
+      const Result<SimulationResult>& result = sweeps[s][c];
+      EXPECT_EQ(cells[s][c].max_rounds, grid[c].max_rounds);
+      if (c == 5) {
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().ToString(), invalid.ToString());
+        EXPECT_TRUE(cells[s][c].replications.empty());
+        continue;
+      }
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (ranges[c].empty()) {
+        // The placeholder: nothing of the cell ran in this shard.
+        EXPECT_EQ(result.value().requests, 0);
+        EXPECT_EQ(result.value().rounds, 0);
+        EXPECT_TRUE(cells[s][c].replications.empty());
+        continue;
+      }
+      EXPECT_EQ(result.value().rounds, ranges[c].hi - ranges[c].lo);
+      ASSERT_EQ(static_cast<int>(cells[s][c].replications.size()),
+                ranges[c].hi - ranges[c].lo);
+      for (int k = 0; k < ranges[c].hi - ranges[c].lo; ++k) {
+        const ReplicationPayload& payload = cells[s][c].replications[k];
+        EXPECT_EQ(payload.id, ranges[c].lo + k);
+        EXPECT_EQ(payload.access_mean,
+                  cells[0][c].replications[k].access_mean);
+        EXPECT_EQ(payload.tuning_m2, cells[0][c].replications[k].tuning_m2);
+      }
+      ExpectIdenticalResults(result.value(), sweeps[0][c].value());
+    }
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(second_dir);
 }
 
 TEST(ParallelExperiment, RejectsBadConfigsLikeRunTestbed) {
