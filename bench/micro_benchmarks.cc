@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: channel
 // construction per scheme, program restore and snapshot load, client
-// access walks (single- and multichannel), whole replications, Zipf
-// draws, and the RNG. These
+// access walks (single- and multichannel), whole replications, a small
+// engine sweep from snapshots, Zipf draws, and the RNG. These
 // measure *implementation* speed (wall clock), unlike the figure
 // benches, which measure *simulated* bytes.
 //
@@ -20,6 +20,8 @@
 #include "bench_main.h"
 #include "broadcast/snapshot.h"
 #include "client/fleet.h"
+#include "core/experiment.h"
+#include "core/program_cache.h"
 #include "core/simulator.h"
 #include "data/dataset.h"
 #include "des/random.h"
@@ -180,6 +182,49 @@ void BM_RunReplication(benchmark::State& state, SchemeKind kind) {
         RunReplication(server, *dataset, config, ReplicationSeed(7, id++)));
   }
   state.SetItemsProcessed(state.iterations() * config.requests_per_round);
+}
+
+/// One engine sweep over flat, distributed, hashing and signature at
+/// 7000 records, each cell's program restored from a warm snapshot
+/// directory, at jobs 2: the per-cell set-up (dataset, restore, Zipf
+/// table) and the replications it runs beside. A fresh engine per
+/// iteration, so every iteration restores from the files. Counters: the
+/// pool's worker utilization and the coordinator's set-up seconds, per
+/// sweep.
+void BM_SweepFromSnapshots(benchmark::State& state) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "bm_sweep_from_snapshots";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<TestbedConfig> configs;
+  std::unique_ptr<ProgramCache> warm;
+  for (const SchemeKind kind : {SchemeKind::kFlat, SchemeKind::kDistributed,
+                                SchemeKind::kHashing, SchemeKind::kSignature}) {
+    TestbedConfig config;
+    config.scheme = kind;
+    config.num_records = 7000;
+    config.requests_per_round = 200;
+    config.min_rounds = 20;
+    config.seed = 7;
+    config.program_cache_dir = dir.string();
+    if (!BuildTestbedServer(config, &warm).ok()) {
+      state.SkipWithError("cannot warm the snapshot directory");
+      return;
+    }
+    configs.push_back(config);
+  }
+  double utilization = 0.0;
+  double setup_seconds = 0.0;
+  for (auto _ : state) {
+    ParallelExperiment experiment({.jobs = 2});
+    benchmark::DoNotOptimize(experiment.RunSweep(configs));
+    utilization += experiment.timing().worker_utilization();
+    setup_seconds += experiment.timing().setup_seconds;
+  }
+  const double sweeps = static_cast<double>(state.iterations());
+  state.counters["worker_utilization"] = utilization / sweeps;
+  state.counters["setup_seconds"] = setup_seconds / sweeps;
+  std::filesystem::remove_all(dir);
 }
 
 /// Fleet hot path: one shard of the struct-of-arrays population engine
@@ -346,6 +391,10 @@ BENCHMARK_CAPTURE(BM_RunReplication, distributed, SchemeKind::kDistributed)
     ->Arg(7000);
 BENCHMARK_CAPTURE(BM_RunReplication, signature, SchemeKind::kSignature)
     ->Arg(7000);
+
+BENCHMARK(BM_SweepFromSnapshots)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 BENCHMARK(BM_FleetShard)->Arg(1000)->Arg(10000);
 

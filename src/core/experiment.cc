@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -109,30 +110,54 @@ std::shared_ptr<const ZipfDistribution> ParallelExperiment::ZipfFor(
   return table;
 }
 
-Result<SimulationResult> ParallelExperiment::Run(const TestbedConfig& config) {
-  return RunCell(config, 0, config.max_rounds, nullptr);
-}
-
-Result<SimulationResult> ParallelExperiment::RunCell(
-    const TestbedConfig& config, int lo, int hi,
-    std::vector<ReplicationPayload>* payloads) {
-  const auto start = std::chrono::steady_clock::now();
-  const double busy_before = pool_.busy_seconds();
+Result<ParallelExperiment::PreparedCell> ParallelExperiment::Prepare(
+    const TestbedConfig& config) {
   if (Status s = ValidateTestbedConfig(config); !s.ok()) return s;
-
   // Build the dataset and broadcast channel once; replications share them
   // read-only (the access protocols never mutate the channel).
   Result<TestbedServer> built = BuildTestbedServer(config, &program_cache_);
   if (!built.ok()) return built.status();
-  const TestbedServer cell = std::move(built).value();
-
-  // Hoist the Zipf table out of the per-replication path; alive until
-  // pool_.Wait() below, so the raw pointer workers capture stays valid.
-  std::shared_ptr<const ZipfDistribution> zipf_table;
+  PreparedCell cell{config, std::move(built).value(), nullptr};
+  // Hoist the Zipf table out of the per-replication path.
   if (config.zipf_theta > 0.0) {
-    zipf_table = ZipfFor(cell.dataset->size(), config.zipf_theta);
+    cell.zipf = ZipfFor(cell.testbed.dataset->size(), config.zipf_theta);
   }
-  const ZipfDistribution* zipf = zipf_table.get();
+  return cell;
+}
+
+double ParallelExperiment::ChargeInterval(
+    std::chrono::steady_clock::time_point* start, double* busy_before) {
+  const auto now = std::chrono::steady_clock::now();
+  const double wall = std::chrono::duration<double>(now - *start).count();
+  const double busy = pool_.busy_seconds();
+  timing_.wall_seconds += wall;
+  timing_.busy_seconds = busy;
+  timing_.idle_seconds +=
+      std::max(0.0, wall * pool_.size() - (busy - *busy_before));
+  *start = now;
+  *busy_before = busy;
+  return wall;
+}
+
+Result<SimulationResult> ParallelExperiment::Run(const TestbedConfig& config) {
+  auto start = std::chrono::steady_clock::now();
+  double busy_before = pool_.busy_seconds();
+  const Result<PreparedCell> cell = Prepare(config);
+  timing_.setup_seconds += SecondsSince(start);
+  Result<SimulationResult> result =
+      cell.ok() ? RunCell(cell.value(), 0, config.max_rounds, nullptr, {})
+                : cell.status();
+  ChargeInterval(&start, &busy_before);
+  return result;
+}
+
+Result<SimulationResult> ParallelExperiment::RunCell(
+    const PreparedCell& cell, int lo, int hi,
+    std::vector<ReplicationPayload>* payloads,
+    const std::function<void()>& prepare_next) {
+  const TestbedConfig& config = cell.config;
+  const TestbedServer& testbed = cell.testbed;
+  const ZipfDistribution* zipf = cell.zipf.get();
 
   // Streaming ordered merge: keep `jobs + lookahead` replications in
   // flight, merge strictly in replication-id order as results arrive,
@@ -150,20 +175,31 @@ Result<SimulationResult> ParallelExperiment::RunCell(
   SimulationResult merged;
   ReorderBuffer buffer;
   const int window = pool_.size() + lookahead_;
+  // The stopping rule cannot fire before min(min_rounds, max_rounds)
+  // merged rounds, and a shard runs its whole slice: those replications
+  // are guaranteed to merge. With a next cell to prepare they all go in
+  // flight at once, so the workers run them while the coordinator
+  // prepares, and none of them is speculative.
+  int guaranteed = lo;
+  if (prepare_next) {
+    guaranteed =
+        adaptive ? std::min(config.min_rounds, config.max_rounds) : hi;
+  }
   int next_submit = lo;
   int next_merge = lo;
   bool stop = false;
 
-  while (!stop && next_merge < hi) {
-    // Refill the in-flight window (never past hi: an unsharded run's hi
-    // is max_rounds, and replications past it could never be merged).
-    while (next_submit < hi && next_submit < next_merge + window) {
+  // Refill the in-flight window (never past hi: an unsharded run's hi is
+  // max_rounds, and replications past it could never be merged).
+  const auto refill = [&]() {
+    while (next_submit < hi &&
+           next_submit < std::max(next_merge + window, guaranteed)) {
       const int id = next_submit++;
       const std::uint64_t seed =
           ReplicationSeed(config.seed, static_cast<std::uint64_t>(id));
-      pool_.Submit([&cell, &config, &buffer, id, seed, zipf]() {
-        ReplicationResult result =
-            RunReplication(cell.server, *cell.dataset, config, seed, zipf);
+      pool_.Submit([&testbed, &config, &buffer, id, seed, zipf]() {
+        ReplicationResult result = RunReplication(
+            testbed.server, *testbed.dataset, config, seed, zipf);
         std::lock_guard<std::mutex> lock(buffer.mu);
         buffer.completed.emplace(id, std::move(result));
         buffer.peak =
@@ -171,7 +207,11 @@ Result<SimulationResult> ParallelExperiment::RunCell(
         buffer.ready.notify_one();
       });
     }
+  };
+  refill();
+  if (prepare_next) prepare_next();
 
+  while (!stop && next_merge < hi) {
     // Wait for the next id in merge order, then merge the contiguous
     // prefix that has arrived.
     std::vector<std::pair<int, ReplicationResult>> mergeable;
@@ -212,6 +252,7 @@ Result<SimulationResult> ParallelExperiment::RunCell(
         break;
       }
     }
+    if (!stop) refill();
   }
 
   // Drain in-flight speculative replications; they only touch the
@@ -230,19 +271,15 @@ Result<SimulationResult> ParallelExperiment::RunCell(
   merged.access_check = accuracy.access_check();
   merged.tuning_check = accuracy.tuning_check();
 
-  FillChannelShape(cell.server, &merged);
-
-  const double wall = SecondsSince(start);
-  timing_.wall_seconds += wall;
-  timing_.busy_seconds = pool_.busy_seconds();
-  timing_.idle_seconds +=
-      std::max(0.0, wall * pool_.size() - (pool_.busy_seconds() -
-                                           busy_before));
+  FillChannelShape(testbed.server, &merged);
   return merged;
 }
 
 std::vector<Result<SimulationResult>> ParallelExperiment::RunSweep(
     const std::vector<TestbedConfig>& configs) {
+  auto start = std::chrono::steady_clock::now();
+  double busy_before = pool_.busy_seconds();
+
   // One generated Dataset per distinct set of generation inputs: grid
   // cells that only vary the scheme (Figure 4's columns) share it. The
   // cache holds the exact object BuildTestbedDataset would produce, so
@@ -276,54 +313,71 @@ std::vector<Result<SimulationResult>> ParallelExperiment::RunSweep(
     shard_cells_.reserve(configs.size());
   }
 
+  // Cell c's set-up, left in `next`: nothing for a shard's empty slice
+  // (nothing of that cell is ours, so it skips the build entirely).
+  std::optional<Result<PreparedCell>> next;
+  const auto prepare = [&](std::size_t c) {
+    next.reset();
+    if (shard_.active() && ranges[c].empty()) return;
+    const auto setup_start = std::chrono::steady_clock::now();
+    TestbedConfig config = configs[c];
+    if (config.dataset == nullptr && ValidateTestbedConfig(config).ok()) {
+      const DatasetKey key{config.num_records, config.geometry.key_bytes,
+                           config.num_attributes, config.attribute_width,
+                           config.seed};
+      const auto hit =
+          std::find_if(cache.begin(), cache.end(),
+                       [&](const auto& entry) { return entry.first == key; });
+      if (hit != cache.end()) {
+        config.dataset = hit->second;
+      } else {
+        Result<std::shared_ptr<const Dataset>> built =
+            BuildTestbedDataset(config);
+        if (built.ok()) {
+          config.dataset = std::move(built).value();
+          cache.emplace_back(key, config.dataset);
+        }
+        // On failure fall through: Prepare reproduces the error.
+      }
+    }
+    next = Prepare(config);
+    timing_.setup_seconds += SecondsSince(setup_start);
+  };
+
   std::vector<Result<SimulationResult>> results;
   results.reserve(configs.size());
+  if (!configs.empty()) prepare(0);
   for (std::size_t c = 0; c < configs.size(); ++c) {
     const TestbedConfig& config = configs[c];
-    const auto cell_start = std::chrono::steady_clock::now();
+    const std::optional<Result<PreparedCell>> cell = std::move(next);
+    std::function<void()> prepare_next;
+    if (c + 1 < configs.size()) {
+      prepare_next = [&prepare, c]() { prepare(c + 1); };
+    }
     ShardCell shard_cell;
     if (shard_.active()) {
       shard_cell.min_rounds = config.min_rounds;
       shard_cell.max_rounds = config.max_rounds;
       shard_cell.confidence_level = config.confidence_level;
       shard_cell.confidence_accuracy = config.confidence_accuracy;
-      if (ranges[c].empty()) {
-        // Nothing of this cell is ours: skip the build entirely and emit
-        // a placeholder so point order stays aligned across shards.
-        results.push_back(SimulationResult{});
-        shard_cells_.push_back(std::move(shard_cell));
-        timing_.cell_wall_seconds.push_back(SecondsSince(cell_start));
-        continue;
-      }
     }
-    TestbedConfig cell = config;
-    if (cell.dataset == nullptr && ValidateTestbedConfig(cell).ok()) {
-      const DatasetKey key{cell.num_records, cell.geometry.key_bytes,
-                           cell.num_attributes, cell.attribute_width,
-                           cell.seed};
-      const auto hit =
-          std::find_if(cache.begin(), cache.end(),
-                       [&](const auto& entry) { return entry.first == key; });
-      if (hit != cache.end()) {
-        cell.dataset = hit->second;
-      } else {
-        Result<std::shared_ptr<const Dataset>> built =
-            BuildTestbedDataset(cell);
-        if (built.ok()) {
-          cell.dataset = std::move(built).value();
-          cache.emplace_back(key, cell.dataset);
-        }
-        // On failure fall through: Run(cell) reproduces the error.
-      }
-    }
-    if (shard_.active()) {
-      results.push_back(RunCell(cell, ranges[c].lo, ranges[c].hi,
-                                &shard_cell.replications));
-      shard_cells_.push_back(std::move(shard_cell));
+    if (!cell.has_value() || !cell->ok()) {
+      // No replications to hide the next cell's set-up behind. A shard's
+      // empty slice emits a placeholder so point order stays aligned
+      // across shards.
+      if (prepare_next) prepare_next();
+      results.push_back(cell.has_value()
+                            ? Result<SimulationResult>(cell->status())
+                            : SimulationResult{});
+    } else if (shard_.active()) {
+      results.push_back(RunCell(cell->value(), ranges[c].lo, ranges[c].hi,
+                                &shard_cell.replications, prepare_next));
     } else {
-      results.push_back(Run(cell));
+      results.push_back(RunCell(cell->value(), 0, config.max_rounds, nullptr,
+                                prepare_next));
     }
-    timing_.cell_wall_seconds.push_back(SecondsSince(cell_start));
+    if (shard_.active()) shard_cells_.push_back(std::move(shard_cell));
+    timing_.cell_wall_seconds.push_back(ChargeInterval(&start, &busy_before));
   }
   return results;
 }

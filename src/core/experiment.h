@@ -2,6 +2,8 @@
 #ifndef AIRINDEX_CORE_EXPERIMENT_H_
 #define AIRINDEX_CORE_EXPERIMENT_H_
 
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -48,7 +50,10 @@ struct ParallelOptions {
   /// worker finishing early always finds the next replication already
   /// queued; < 0 means "one extra pool width" (in-flight window =
   /// 2 * jobs). Lookahead only trades wall time against wasted
-  /// speculative work — it never affects results.
+  /// speculative work — it never affects results. It bounds the
+  /// speculative work past min_rounds; a sweep cell's replications below
+  /// min_rounds are never speculative, and go in flight all at once
+  /// while the next cell is prepared (ParallelExperiment::RunSweep).
   int lookahead = -1;
   /// Cross-process sweep shard (core/shard.h). The default ({0, 1}) is
   /// the ordinary single-process run. When shard.count > 1, RunSweep
@@ -81,6 +86,11 @@ struct ParallelOptions {
 ///    submitted, and in-flight speculative replications finish but are
 ///    discarded unmerged (at most the in-flight window of waste,
 ///    reported as `replications_discarded` in the timing summary).
+///  - Set-up overlap (RunSweep only): the coordinator prepares cell c+1
+///    (validates it, resolves its dataset, builds or restores its
+///    program, fetches its Zipf table) while the pool runs cell c's
+///    guaranteed replications — the ids the stopping rule cannot end
+///    before. Replications and merges are untouched.
 ///
 /// Consequence: `Run` is bit-identical for every jobs/lookahead value,
 /// and the adaptive stopping behaviour (which replication stops the run)
@@ -99,7 +109,19 @@ class ParallelExperiment {
   /// Runs a grid of configurations, one result per config in input
   /// order — the one sweep entry point. Grid points run sequentially
   /// with their replications parallelised, so each point's statistics
-  /// are independent of the grid around it (and of jobs).
+  /// are independent of the grid around it (and of jobs). Only set-up
+  /// overlaps: while cell c runs, the coordinator prepares cell c+1. A
+  /// cell's guaranteed replications — the ids below
+  /// min(min_rounds, max_rounds), or a shard's whole slice — go in
+  /// flight at once, then the coordinator prepares the next cell before
+  /// it first waits. The stopping rule cannot fire before those ids, so
+  /// none of them is speculative. A cell with nothing to run (an invalid
+  /// config, a failed build, a shard's empty slice) has the next cell
+  /// prepared at once; the last cell prepares nothing. Each cell is
+  /// prepared exactly once, and its result or error stays at its index.
+  /// The timing charges each cell's whole interval, preparation
+  /// included, to wall_seconds and idle_seconds, so on a fresh engine
+  /// wall_seconds is the sum of cell_wall_seconds.
   ///
   /// Cells that share the same generated-dataset inputs
   /// (num_records, key geometry, attribute shape, seed) reuse one
@@ -130,16 +152,37 @@ class ParallelExperiment {
   const ProgramCache* program_cache() const { return program_cache_.get(); }
 
  private:
+  /// A cell ready to run: its config, the server built over its dataset
+  /// and its shared Zipf table (null for uniform requests).
+  struct PreparedCell {
+    TestbedConfig config;
+    TestbedServer testbed;
+    std::shared_ptr<const ZipfDistribution> zipf;
+  };
+
+  /// Validates `config`, builds or restores its server through
+  /// program_cache_ and fetches its Zipf table. Coordinator only.
+  Result<PreparedCell> Prepare(const TestbedConfig& config);
+
   /// The one cell loop: streams replications with absolute ids [lo, hi)
   /// through the pool and merges them in id order. With `payloads` null
   /// (an unsharded run, [0, max_rounds)) the stopping rule ends the cell
   /// on the merged prefix. A sharded cell instead runs its whole slice
   /// with no stopping rule and appends each replication's raw merge
   /// state to `payloads`; its result is the shard's local view, and only
-  /// bench_merge's replay reconstructs the real point.
-  Result<SimulationResult> RunCell(const TestbedConfig& config, int lo,
-                                   int hi,
-                                   std::vector<ReplicationPayload>* payloads);
+  /// bench_merge's replay reconstructs the real point. A non-empty
+  /// `prepare_next` is called exactly once, after the cell's guaranteed
+  /// replications are in flight and before its first wait.
+  Result<SimulationResult> RunCell(const PreparedCell& cell, int lo, int hi,
+                                   std::vector<ReplicationPayload>* payloads,
+                                   const std::function<void()>& prepare_next);
+
+  /// Charges the interval since `*start` to wall_seconds, and the pool
+  /// capacity the workers left unused in it to idle_seconds; moves
+  /// `*start` and `*busy_before` to now and returns the interval's wall
+  /// seconds.
+  double ChargeInterval(std::chrono::steady_clock::time_point* start,
+                        double* busy_before);
 
   /// One shared Zipf sampling table per distinct (ranks, theta):
   /// replications — and same-shape sweep cells, since the cache persists

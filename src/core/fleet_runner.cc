@@ -122,7 +122,11 @@ Result<FleetRunResult> FleetExperiment::Run(const TestbedConfig& config,
                                             const FleetOptions& options) {
   if (Status s = ValidateFleetConfig(config, options); !s.ok()) return s;
 
+  const auto setup_start = std::chrono::steady_clock::now();
   Result<TestbedServer> built = BuildTestbedServer(config, &program_cache_);
+  timing_.setup_seconds += std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - setup_start)
+                               .count();
   if (!built.ok()) return built.status();
   const TestbedServer& cell = built.value();
   const std::shared_ptr<const Dataset>& dataset = cell.dataset;

@@ -493,6 +493,7 @@ JsonValue BenchReportToJson(const BenchReport& report) {
   timing.Set("wall_seconds", JsonValue(report.timing.wall_seconds));
   timing.Set("busy_seconds", JsonValue(report.timing.busy_seconds));
   timing.Set("idle_seconds", JsonValue(report.timing.idle_seconds));
+  timing.Set("setup_seconds", JsonValue(report.timing.setup_seconds));
   timing.Set("shard_index", JsonValue(report.timing.shard_index));
   timing.Set("shard_count", JsonValue(report.timing.shard_count));
   JsonValue cell_walls = JsonValue::MakeArray();
@@ -626,8 +627,12 @@ Result<BenchReport> BenchReportFromJson(const JsonValue& json) {
     if (const JsonValue* idle = Require(*timing, "idle_seconds")) {
       report.timing.idle_seconds = idle->number_value();
     }
-    // Sharding keys are absent in pre-shard reports; the defaults
-    // (shard 0 of 1, no per-cell walls) describe those exactly.
+    // The set-up and sharding keys are absent in older reports; the
+    // defaults (no set-up time, shard 0 of 1, no per-cell walls) stand
+    // in for them.
+    if (const JsonValue* setup = Require(*timing, "setup_seconds")) {
+      report.timing.setup_seconds = setup->number_value();
+    }
     if (const JsonValue* shard_index = Require(*timing, "shard_index")) {
       report.timing.shard_index = static_cast<int>(shard_index->int_value());
     }

@@ -94,7 +94,8 @@ void PrintTimingSummary(std::ostream& os, const RunTiming& timing) {
      << timing.replications_run << " (" << timing.replications_merged
      << " merged, " << timing.replications_discarded
      << " discarded) | reorder peak " << timing.reorder_buffer_peak
-     << " | wall " << FormatDouble(timing.wall_seconds, 2) << " s | "
+     << " | wall " << FormatDouble(timing.wall_seconds, 2) << " s | set-up "
+     << FormatDouble(timing.setup_seconds, 2) << " s | "
      << FormatDouble(timing.replications_per_second(), 1)
      << " reps/s | worker utilization "
      << FormatDouble(100.0 * timing.worker_utilization(), 0) << "% (idle "

@@ -61,6 +61,12 @@ struct RunTiming {
   /// Pool capacity left unused while inside Run()/RunSweep()
   /// (wall_seconds * jobs - busy_seconds, clamped at 0).
   double idle_seconds = 0.0;
+  /// Coordinator seconds spent preparing cells — validating the config,
+  /// resolving the dataset, building or restoring the program, fetching
+  /// the Zipf table — summed over the run. Part of wall_seconds; in a
+  /// sweep, all but the first cell's set-up runs beside the previous
+  /// cell's replications.
+  double setup_seconds = 0.0;
   /// Which sweep shard this run was (core/shard.h), 0-based.
   /// shard_count == 1 is the ordinary unsharded run — and what a merged
   /// report presents itself as.
@@ -80,7 +86,7 @@ struct RunTiming {
 
 /// Prints the one-line per-run timing summary, e.g.:
 ///   timing: jobs 8 | replications 412 (404 merged, 8 discarded) |
-///   reorder peak 5 | wall 1.92 s | 214.6 reps/s |
+///   reorder peak 5 | wall 1.92 s | set-up 0.21 s | 214.6 reps/s |
 ///   worker utilization 93% (idle 1.08 s)
 void PrintTimingSummary(std::ostream& os, const RunTiming& timing);
 

@@ -453,6 +453,7 @@ Result<BenchReport> MergeShardedReports(
     timing.wall_seconds += t.wall_seconds;
     timing.busy_seconds += t.busy_seconds;
     timing.idle_seconds += t.idle_seconds;
+    timing.setup_seconds += t.setup_seconds;
     if (timing.cell_wall_seconds.size() < t.cell_wall_seconds.size()) {
       timing.cell_wall_seconds.resize(t.cell_wall_seconds.size(), 0.0);
     }

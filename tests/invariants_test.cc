@@ -561,6 +561,7 @@ TEST(InvariantsTest, ShardPartitionBitIdentity) {
                    " shard-trial " + std::to_string(trial) + " shards " +
                    std::to_string(count));
       std::vector<ShardedPartial> partials;
+      double setup_seconds = 0.0;
       for (int index = 0; index < count; ++index) {
         const ShardSpec spec{index, count};
         ParallelExperiment experiment({.jobs = 2, .shard = spec});
@@ -580,11 +581,17 @@ TEST(InvariantsTest, ShardPartitionBitIdentity) {
         ASSERT_TRUE(loaded_report.ok()) << loaded_report.status().ToString();
         auto loaded_shard = ShardSectionFromJson(parsed.value());
         ASSERT_TRUE(loaded_shard.ok()) << loaded_shard.status().ToString();
+        EXPECT_DOUBLE_EQ(loaded_report.value().timing.setup_seconds,
+                         experiment.timing().setup_seconds);
+        setup_seconds += loaded_report.value().timing.setup_seconds;
         partials.push_back(ShardedPartial{std::move(loaded_report).value(),
                                           std::move(loaded_shard).value()});
       }
       auto merged = MergeShardedReports(partials);
       ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      // Timing is summed, never compared.
+      EXPECT_GT(setup_seconds, 0.0);
+      EXPECT_DOUBLE_EQ(merged.value().timing.setup_seconds, setup_seconds);
       EXPECT_EQ(CanonicalReportBytes(std::move(merged).value()), want);
     }
   }

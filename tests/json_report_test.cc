@@ -130,6 +130,7 @@ BenchReport MakeReport() {
   report.timing.wall_seconds = 1.25;
   report.timing.busy_seconds = 4.5;
   report.timing.idle_seconds = 0.5;
+  report.timing.setup_seconds = 0.375;
   return report;
 }
 
@@ -159,12 +160,28 @@ TEST(BenchReportTest, JsonRoundTrip) {
   EXPECT_EQ(back.timing.reorder_buffer_peak, 3);
   EXPECT_DOUBLE_EQ(back.timing.wall_seconds, 1.25);
   EXPECT_DOUBLE_EQ(back.timing.idle_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(back.timing.setup_seconds, 0.375);
 
   // Serialize → parse → serialize is byte-identical (stable baselines).
   const std::string once = json.Serialize(2);
   Result<JsonValue> reparsed = JsonValue::Parse(once);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed.value().Serialize(2), once);
+}
+
+TEST(BenchReportTest, SetupSecondsDefaultsToZeroWhenAbsent) {
+  // Reports written before the key existed, such as the committed
+  // baselines, still load.
+  JsonValue json = BenchReportToJson(MakeReport());
+  JsonValue timing = JsonValue::MakeObject();
+  for (const auto& [key, value] : json.Find("timing")->members()) {
+    if (key != "setup_seconds") timing.Set(key, value);
+  }
+  json.Set("timing", std::move(timing));
+  Result<BenchReport> parsed = BenchReportFromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().timing.setup_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(parsed.value().timing.wall_seconds, 1.25);
 }
 
 TEST(BenchReportTest, RejectsWrongSchemaVersion) {

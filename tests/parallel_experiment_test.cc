@@ -414,9 +414,37 @@ TEST(ParallelExperiment, TimingIsAccounted) {
   EXPECT_GT(timing.wall_seconds, 0.0);
   EXPECT_GT(timing.busy_seconds, 0.0);
   EXPECT_GE(timing.idle_seconds, 0.0);
+  // Run prepares its one cell before any replication starts.
+  EXPECT_GT(timing.setup_seconds, 0.0);
+  EXPECT_LT(timing.setup_seconds, timing.wall_seconds);
   EXPECT_GE(timing.worker_utilization(), 0.0);
   EXPECT_LE(timing.worker_utilization(), 1.0);
   EXPECT_GT(timing.replications_per_second(), 0.0);
+}
+
+TEST(ParallelExperiment, SweepWallIsTheSumOfCellWalls) {
+  // A sweep charges each cell's whole interval to wall_seconds,
+  // including the datasets it generates and the programs it builds, so a
+  // fresh engine's wall is exactly the sum of its cell walls.
+  std::vector<TestbedConfig> configs;
+  for (const int records : {900, 1500}) {
+    for (const SchemeKind kind : {SchemeKind::kFlat, SchemeKind::kHashing}) {
+      TestbedConfig config = SmallConfig(kind);
+      config.num_records = records;
+      configs.push_back(config);
+    }
+  }
+  ParallelExperiment experiment({.jobs = 2});
+  for (const Result<SimulationResult>& result : experiment.RunSweep(configs)) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  const RunTiming& timing = experiment.timing();
+  ASSERT_EQ(timing.cell_wall_seconds.size(), configs.size());
+  double cell_walls = 0.0;
+  for (const double seconds : timing.cell_wall_seconds) cell_walls += seconds;
+  EXPECT_DOUBLE_EQ(timing.wall_seconds, cell_walls);
+  EXPECT_GT(timing.setup_seconds, 0.0);
+  EXPECT_LT(timing.setup_seconds, timing.wall_seconds);
 }
 
 TEST(ParallelExperiment, RunTestbedIsTheSerialEngine) {
