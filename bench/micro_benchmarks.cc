@@ -217,7 +217,9 @@ void BM_SweepFromSnapshots(benchmark::State& state) {
   double setup_seconds = 0.0;
   for (auto _ : state) {
     ParallelExperiment experiment({.jobs = 2});
-    benchmark::DoNotOptimize(experiment.RunSweep(configs));
+    std::vector<Result<SimulationResult>> results =
+        experiment.RunSweep(configs);
+    benchmark::DoNotOptimize(results);
     utilization += experiment.timing().worker_utilization();
     setup_seconds += experiment.timing().setup_seconds;
   }

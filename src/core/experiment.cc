@@ -313,12 +313,11 @@ std::vector<Result<SimulationResult>> ParallelExperiment::RunSweep(
     shard_cells_.reserve(configs.size());
   }
 
-  // Cell c's set-up, left in `next`: nothing for a shard's empty slice
-  // (nothing of that cell is ours, so it skips the build entirely).
-  std::optional<Result<PreparedCell>> next;
-  const auto prepare = [&](std::size_t c) {
-    next.reset();
-    if (shard_.active() && ranges[c].empty()) return;
+  // Cell c's set-up, or nothing for a shard's empty slice (nothing of
+  // that cell is ours, so it skips the build entirely).
+  const auto prepare =
+      [&](std::size_t c) -> std::optional<Result<PreparedCell>> {
+    if (shard_.active() && ranges[c].empty()) return std::nullopt;
     const auto setup_start = std::chrono::steady_clock::now();
     TestbedConfig config = configs[c];
     if (config.dataset == nullptr && ValidateTestbedConfig(config).ok()) {
@@ -340,19 +339,21 @@ std::vector<Result<SimulationResult>> ParallelExperiment::RunSweep(
         // On failure fall through: Prepare reproduces the error.
       }
     }
-    next = Prepare(config);
+    Result<PreparedCell> prepared = Prepare(config);
     timing_.setup_seconds += SecondsSince(setup_start);
+    return prepared;
   };
 
   std::vector<Result<SimulationResult>> results;
   results.reserve(configs.size());
-  if (!configs.empty()) prepare(0);
+  std::optional<Result<PreparedCell>> next;
+  if (!configs.empty()) next = prepare(0);
   for (std::size_t c = 0; c < configs.size(); ++c) {
     const TestbedConfig& config = configs[c];
     const std::optional<Result<PreparedCell>> cell = std::move(next);
     std::function<void()> prepare_next;
     if (c + 1 < configs.size()) {
-      prepare_next = [&prepare, c]() { prepare(c + 1); };
+      prepare_next = [&next, &prepare, c]() { next = prepare(c + 1); };
     }
     ShardCell shard_cell;
     if (shard_.active()) {

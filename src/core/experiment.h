@@ -50,10 +50,10 @@ struct ParallelOptions {
   /// worker finishing early always finds the next replication already
   /// queued; < 0 means "one extra pool width" (in-flight window =
   /// 2 * jobs). Lookahead only trades wall time against wasted
-  /// speculative work — it never affects results. It bounds the
-  /// speculative work past min_rounds; a sweep cell's replications below
-  /// min_rounds are never speculative, and go in flight all at once
-  /// while the next cell is prepared (ParallelExperiment::RunSweep).
+  /// speculative work — it never affects results. It bounds only the
+  /// speculative work past min_rounds: a sweep cell's replications below
+  /// min_rounds go in flight at once while the next cell is prepared
+  /// (ParallelExperiment::RunSweep).
   int lookahead = -1;
   /// Cross-process sweep shard (core/shard.h). The default ({0, 1}) is
   /// the ordinary single-process run. When shard.count > 1, RunSweep
@@ -110,18 +110,16 @@ class ParallelExperiment {
   /// order — the one sweep entry point. Grid points run sequentially
   /// with their replications parallelised, so each point's statistics
   /// are independent of the grid around it (and of jobs). Only set-up
-  /// overlaps: while cell c runs, the coordinator prepares cell c+1. A
-  /// cell's guaranteed replications — the ids below
-  /// min(min_rounds, max_rounds), or a shard's whole slice — go in
-  /// flight at once, then the coordinator prepares the next cell before
-  /// it first waits. The stopping rule cannot fire before those ids, so
-  /// none of them is speculative. A cell with nothing to run (an invalid
-  /// config, a failed build, a shard's empty slice) has the next cell
-  /// prepared at once; the last cell prepares nothing. Each cell is
-  /// prepared exactly once, and its result or error stays at its index.
-  /// The timing charges each cell's whole interval, preparation
-  /// included, to wall_seconds and idle_seconds, so on a fresh engine
-  /// wall_seconds is the sum of cell_wall_seconds.
+  /// overlaps: a cell's guaranteed replications (the ids below
+  /// min(min_rounds, max_rounds), which the stopping rule cannot end
+  /// early, or a shard's whole slice) go in flight at once, and the
+  /// coordinator prepares the next cell before it first waits. A cell
+  /// with nothing to run (an invalid config, a failed build, a shard's
+  /// empty slice) has the next cell prepared at once. Each cell is
+  /// prepared exactly once and keeps its result or error at its index.
+  /// Each cell's interval, preparation included, is charged to wall and
+  /// idle time, so a fresh engine's wall_seconds is the sum of its
+  /// cell_wall_seconds.
   ///
   /// Cells that share the same generated-dataset inputs
   /// (num_records, key geometry, attribute shape, seed) reuse one

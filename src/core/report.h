@@ -63,9 +63,10 @@ struct RunTiming {
   double idle_seconds = 0.0;
   /// Coordinator seconds spent preparing cells — validating the config,
   /// resolving the dataset, building or restoring the program, fetching
-  /// the Zipf table — summed over the run. Part of wall_seconds; in a
-  /// sweep, all but the first cell's set-up runs beside the previous
-  /// cell's replications.
+  /// the Zipf table — summed over the run. The replication engine counts
+  /// it inside wall_seconds, and in a sweep all but the first cell's
+  /// set-up runs beside the previous cell's replications. The fleet
+  /// engine's is its server build, timed before its wall starts.
   double setup_seconds = 0.0;
   /// Which sweep shard this run was (core/shard.h), 0-based.
   /// shard_count == 1 is the ordinary unsharded run — and what a merged
