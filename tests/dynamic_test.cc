@@ -440,6 +440,53 @@ TEST(DynamicCacheTest, MutationChangesFingerprintAndResnapshots) {
   EXPECT_GE(cache.MetricsSnapshot().Get("program.memory_hits"), 1);
 }
 
+// D8 checks only that mutation changes the fingerprint; this pins what
+// MaterializeDataset produces for a fixed-seed stream (300 records, rate
+// 4, update Zipf 0.7, 6 epochs): the live dataset's content fingerprint,
+// its size, and one mutated record — so a faster materialization must
+// reproduce the same live set, key order and attribute rewrite.
+TEST(DynamicCacheTest, MaterializedDatasetIsPinned) {
+  const auto universe = MakeUniverse(300);
+  const BucketGeometry geometry;
+  auto base = BuildScheme(SchemeKind::kFlat, universe, geometry);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const Bytes epoch = base.value()->view().cycle_bytes();
+
+  DynamicRuntime runtime;
+  DynamicRuntime::Params p;
+  p.kind = SchemeKind::kFlat;
+  p.universe = universe;
+  p.geometry = geometry;
+  p.update_rate = 4.0;
+  p.update_zipf = 0.7;
+  p.compact_every = 0;
+  p.seed = 0x9e37ULL;
+  p.epoch_bytes = epoch;
+  p.base_scheme = base.value().get();
+  ASSERT_TRUE(runtime.Start(std::move(p)).ok());
+  runtime.AdvanceTo(6 * epoch + 1);
+  ASSERT_EQ(runtime.log().epochs(), 6);
+
+  auto materialized = runtime.MaterializeDataset();
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  const Dataset& live = *materialized.value();
+  EXPECT_EQ(runtime.log().live_count(), 281);
+  EXPECT_EQ(live.size(), runtime.log().live_count());
+  EXPECT_EQ(DatasetFingerprint(live), 0x8e92c87044cc9516ULL);
+  for (int i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live.record(i).id, static_cast<std::uint64_t>(i));
+  }
+  // Universe record 19 (version 54), live at position 18: a delete
+  // earlier in key order shifted it down one.
+  ASSERT_EQ(runtime.log().version(19), 54);
+  const Record& mutated = live.record(18);
+  EXPECT_EQ(mutated.key, universe->record(19).key);
+  EXPECT_EQ(mutated.attributes,
+            (std::vector<std::string>{"tezzvjpu", "sdmyebwg", "wvqapodn",
+                                      "hzrescoi", "ivzcuaju", "dcnaaolu",
+                                      "igngtuzs", "nevrykla"}));
+}
+
 // D9: configurations the dynamic layer cannot compose with.
 TEST(DynamicSimTest, ValidatorRejectsIncompatibleConfigs) {
   TestbedConfig config;

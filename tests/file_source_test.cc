@@ -1,8 +1,10 @@
 // Tests for the file-backed data source and Dataset::FromRecords.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -128,6 +130,73 @@ TEST(FromRecords, AssignsDenseIdsInKeyOrder) {
 
 TEST(FromRecords, RejectsEmpty) {
   EXPECT_FALSE(Dataset::FromRecords({}).ok());
+}
+
+std::vector<Record> RecordsWithKeys(const std::vector<std::string>& keys) {
+  std::vector<Record> records(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    records[i].id = 100 + i;
+    records[i].key = keys[i];
+    records[i].attributes = {std::to_string(i)};
+  }
+  return records;
+}
+
+// Each key list is checked as given (already in key order) and reversed
+// (out of order), so neither the sorted-input path nor the sorting path
+// can skip a check.
+void ExpectRejectedSortedAndReversed(std::vector<std::string> keys,
+                                     const std::string& reason) {
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reversed input" : "sorted input");
+    std::vector<std::string> order = keys;
+    if (reversed) std::reverse(order.begin(), order.end());
+    const Result<Dataset> dataset =
+        Dataset::FromRecords(RecordsWithKeys(order));
+    ASSERT_FALSE(dataset.ok());
+    EXPECT_EQ(dataset.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(dataset.status().message().find(reason), std::string::npos)
+        << dataset.status().ToString();
+  }
+}
+
+TEST(FromRecords, RejectsDuplicateKeys) {
+  ExpectRejectedSortedAndReversed({"aa", "aa", "bb", "cc"}, "duplicate key");
+  ExpectRejectedSortedAndReversed({"aa", "bb", "cc", "cc"}, "duplicate key");
+  ExpectRejectedSortedAndReversed({"aa", "bb", "bb", "cc"}, "duplicate key");
+}
+
+TEST(FromRecords, RejectsEmptyKeys) {
+  ExpectRejectedSortedAndReversed({"", "aa", "bb"}, "empty key");
+}
+
+TEST(FromRecords, RejectsKeysWithReservedCharacters) {
+  ExpectRejectedSortedAndReversed({"aa", "b!", "cc"}, "at or below '!'");
+  ExpectRejectedSortedAndReversed({"aa", "bb", "c c"}, "at or below '!'");
+  ExpectRejectedSortedAndReversed({"!", "aa", "bb"}, "at or below '!'");
+}
+
+TEST(FromRecords, KeepsSortedInputAndReassignsIds) {
+  for (const bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reversed input" : "sorted input");
+    std::vector<std::string> keys = {"aa", "ab", "b", "ba", "c"};
+    if (reversed) std::reverse(keys.begin(), keys.end());
+    const Dataset dataset =
+        Dataset::FromRecords(RecordsWithKeys(keys)).value();
+    ASSERT_EQ(dataset.size(), 5);
+    const std::vector<std::string> want = {"aa", "ab", "b", "ba", "c"};
+    for (int i = 0; i < dataset.size(); ++i) {
+      EXPECT_EQ(dataset.record(i).key, want[static_cast<std::size_t>(i)]);
+      EXPECT_EQ(dataset.record(i).id, static_cast<std::uint64_t>(i));
+      // Attributes travel with their key.
+      const std::size_t given =
+          reversed ? keys.size() - 1 - static_cast<std::size_t>(i)
+                   : static_cast<std::size_t>(i);
+      EXPECT_EQ(dataset.record(i).attributes,
+                (std::vector<std::string>{std::to_string(given)}));
+    }
+    EXPECT_EQ(dataset.config().key_width, 2);
+  }
 }
 
 }  // namespace
