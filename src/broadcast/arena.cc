@@ -1,7 +1,10 @@
 #include "broadcast/arena.h"
 
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,24 +27,29 @@ void CopySpan(std::uint8_t* to, const std::vector<T>& values) {
 
 /// Deterministic string interner: first-touch append order, duplicates
 /// collapse to the first occurrence. The empty string is always {0, 0}.
+/// The table is keyed on the callers' own views (bucket strings and the
+/// dataset keys pointer entries view), which outlive the interner; no key
+/// points into the pool, which moves as it grows.
 class StringPool {
  public:
+  /// Sizes the table for `lookups` distinct strings, the most there can
+  /// be, so it never rehashes.
+  explicit StringPool(std::size_t lookups) { interned_.reserve(lookups); }
+
   ArenaStrRef Intern(std::string_view s) {
     if (s.empty()) return ArenaStrRef{0, 0};
-    const auto it = interned_.find(std::string(s));
-    if (it != interned_.end()) return it->second;
-    const ArenaStrRef ref{static_cast<std::uint32_t>(pool_.size()),
-                          static_cast<std::uint32_t>(s.size())};
-    pool_.append(s);
-    interned_.emplace(std::string(s), ref);
-    return ref;
+    const auto [it, fresh] = interned_.try_emplace(
+        s, ArenaStrRef{static_cast<std::uint32_t>(pool_.size()),
+                       static_cast<std::uint32_t>(s.size())});
+    if (fresh) pool_.append(s);
+    return it->second;
   }
 
   const std::string& pool() const { return pool_; }
 
  private:
   std::string pool_;
-  std::unordered_map<std::string, ArenaStrRef> interned_;
+  std::unordered_map<std::string_view, ArenaStrRef> interned_;
 };
 
 }  // namespace
@@ -56,19 +64,97 @@ std::uint64_t Fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
   return hash;
 }
 
-ProgramArena ProgramArena::Flatten(
+Result<ArenaHeader> ProgramArena::Layout(const ArenaCounts& counts) {
+  constexpr std::uint64_t kMaxBytes = std::numeric_limits<std::uint32_t>::max();
+  // Every element is at least one byte, so a count past 2^32 - 1 cannot
+  // fit; bounding the counts first also keeps the sums below 2^64.
+  for (const std::uint64_t count :
+       {counts.channels, counts.buckets, counts.entries, counts.words,
+        counts.string_bytes, counts.aux}) {
+    if (count > kMaxBytes) {
+      return Status::InvalidArgument(
+          "arena: a section of " + std::to_string(count) +
+          " elements does not fit 32-bit offsets");
+    }
+  }
+  std::uint64_t at = sizeof(ArenaHeader);
+  const auto place = [&at](std::uint64_t count, std::uint64_t unit) {
+    const std::uint64_t offset = at;
+    at = AlignUp(at + count * unit);
+    return offset;
+  };
+  const std::uint64_t channels =
+      place(counts.channels, sizeof(ArenaChannelDesc));
+  const std::uint64_t buckets = place(counts.buckets, sizeof(ArenaBucket));
+  const std::uint64_t entries =
+      place(counts.entries, sizeof(ArenaPointerEntry));
+  const std::uint64_t words = place(counts.words, sizeof(std::uint64_t));
+  const std::uint64_t strings = place(counts.string_bytes, 1);
+  const std::uint64_t aux = place(counts.aux, sizeof(std::int64_t));
+  // Every offset, count and span lies below the total, so one bound on
+  // the total makes all the narrowing below exact.
+  if (at > kMaxBytes) {
+    return Status::InvalidArgument(
+        "arena: a program of " + std::to_string(at) +
+        " bytes does not fit 32-bit offsets");
+  }
+  ArenaHeader header;
+  header.num_channels = static_cast<std::uint32_t>(counts.channels);
+  header.channels_offset = static_cast<std::uint32_t>(channels);
+  header.buckets_offset = static_cast<std::uint32_t>(buckets);
+  header.num_buckets = static_cast<std::uint32_t>(counts.buckets);
+  header.entries_offset = static_cast<std::uint32_t>(entries);
+  header.num_entries = static_cast<std::uint32_t>(counts.entries);
+  header.words_offset = static_cast<std::uint32_t>(words);
+  header.num_words = static_cast<std::uint32_t>(counts.words);
+  header.strings_offset = static_cast<std::uint32_t>(strings);
+  header.string_pool_bytes = static_cast<std::uint32_t>(counts.string_bytes);
+  header.aux_offset = static_cast<std::uint32_t>(aux);
+  header.num_aux = static_cast<std::uint32_t>(counts.aux);
+  header.total_bytes = static_cast<std::uint32_t>(at);
+  return header;
+}
+
+Result<ProgramArena> ProgramArena::Flatten(
     const std::vector<const std::vector<Bucket>*>& channels,
     Bytes switch_cost_bytes, int scheme_kind,
     std::uint64_t dataset_fingerprint, std::uint64_t params_fingerprint,
     const std::vector<std::int64_t>& aux) {
-  // Pass 1: flatten into growable pools (fixed traversal order: channels
-  // in order, buckets in cycle order, local entries before control
-  // entries — the same buckets always give the same bytes).
+  // Pass 1: count every section but the string pool, whose deduplicated
+  // size is known only once it is filled, and reject a program past
+  // 32-bit offsets before filling anything. `lookups` bounds the distinct
+  // strings: the non-empty bucket strings plus two keys per entry.
+  ArenaCounts counts;
+  counts.channels = channels.size();
+  counts.aux = aux.size();
+  std::uint64_t lookups = 0;
+  for (const std::vector<Bucket>* channel : channels) {
+    counts.buckets += channel->size();
+    for (const Bucket& b : *channel) {
+      counts.entries += b.local.size() + b.control.size();
+      counts.words += b.signature.size();
+      lookups += (b.range_lo.empty() ? 0 : 1) + (b.range_hi.empty() ? 0 : 1) +
+                 (b.last_broadcast_key.empty() ? 0 : 1);
+    }
+  }
+  lookups += 2 * counts.entries;
+  if (Result<ArenaHeader> fits = Layout(counts); !fits.ok()) {
+    return fits.status();
+  }
+
+  // Pass 2: fill the pools, each sized once (fixed traversal order:
+  // channels in order, buckets in cycle order, local entries before
+  // control entries — the same buckets always give the same bytes). The
+  // pre-check bounds every index narrowed here.
   std::vector<ArenaChannelDesc> descs;
+  descs.reserve(channels.size());
   std::vector<ArenaBucket> buckets;
+  buckets.reserve(counts.buckets);
   std::vector<ArenaPointerEntry> entries;
+  entries.reserve(counts.entries);
   std::vector<std::uint64_t> words;
-  StringPool strings;
+  words.reserve(counts.words);
+  StringPool strings(lookups);
 
   const auto intern_entries =
       [&](const std::vector<PointerEntry>& source) -> std::pair<std::uint32_t,
@@ -113,39 +199,21 @@ ProgramArena ProgramArena::Flatten(
     }
   }
 
-  // Pass 2: lay the sections out in one buffer.
-  ArenaHeader header;
+  // Pass 3: lay the sections out in one buffer.
+  counts.string_bytes = strings.pool().size();
+  Result<ArenaHeader> layout = Layout(counts);
+  if (!layout.ok()) return layout.status();
+  ArenaHeader header = layout.value();
   header.magic = kMagic;
   header.format_version = kFormatVersion;
   header.scheme_kind = scheme_kind;
-  header.num_channels = static_cast<std::uint32_t>(descs.size());
   header.switch_cost_bytes = switch_cost_bytes;
   header.dataset_fingerprint = dataset_fingerprint;
   header.params_fingerprint = params_fingerprint;
 
-  std::size_t at = sizeof(ArenaHeader);
-  header.channels_offset = static_cast<std::uint32_t>(at);
-  at = AlignUp(at + descs.size() * sizeof(ArenaChannelDesc));
-  header.buckets_offset = static_cast<std::uint32_t>(at);
-  header.num_buckets = static_cast<std::uint32_t>(buckets.size());
-  at = AlignUp(at + buckets.size() * sizeof(ArenaBucket));
-  header.entries_offset = static_cast<std::uint32_t>(at);
-  header.num_entries = static_cast<std::uint32_t>(entries.size());
-  at = AlignUp(at + entries.size() * sizeof(ArenaPointerEntry));
-  header.words_offset = static_cast<std::uint32_t>(at);
-  header.num_words = static_cast<std::uint32_t>(words.size());
-  at = AlignUp(at + words.size() * sizeof(std::uint64_t));
-  header.strings_offset = static_cast<std::uint32_t>(at);
-  header.string_pool_bytes =
-      static_cast<std::uint32_t>(strings.pool().size());
-  at = AlignUp(at + strings.pool().size());
-  header.aux_offset = static_cast<std::uint32_t>(at);
-  header.num_aux = static_cast<std::uint32_t>(aux.size());
-  at = AlignUp(at + aux.size() * sizeof(std::int64_t));
-  header.total_bytes = static_cast<std::uint32_t>(at);
-
   ProgramArena arena;
-  arena.bytes_.assign(at, 0);  // alignment pads stay zero — determinism
+  // Alignment pads stay zero — determinism.
+  arena.bytes_.assign(header.total_bytes, 0);
   std::uint8_t* base = arena.bytes_.data();
   std::memcpy(base, &header, sizeof(header));
   CopySpan(base + header.channels_offset, descs);

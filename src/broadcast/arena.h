@@ -96,6 +96,17 @@ struct ArenaHeader {
 };
 static_assert(sizeof(ArenaHeader) == 88);
 
+/// Element counts of a flattened program's sections: the input of
+/// ProgramArena::Layout.
+struct ArenaCounts {
+  std::uint64_t channels = 0;
+  std::uint64_t buckets = 0;
+  std::uint64_t entries = 0;
+  std::uint64_t words = 0;
+  std::uint64_t string_bytes = 0;
+  std::uint64_t aux = 0;
+};
+
 /// A broadcast program flattened into one contiguous, offset-addressed
 /// buffer.
 ///
@@ -116,12 +127,22 @@ class ProgramArena {
   /// scheme-resolved scalars (replication counts, slot counts, ...) the
   /// restore path needs; see schemes/scheme.cc for the per-scheme layout.
   /// Sizes and pointer phases are copied as given: binding the arena
-  /// (schemes/channel_view.h) is what checks them.
-  static ProgramArena Flatten(
+  /// (schemes/channel_view.h) is what checks them. Strings are interned
+  /// by content through views of the buckets' own strings and of the keys
+  /// their pointer entries view, so those must stay alive for the call.
+  /// InvalidArgument when the program does not fit 32-bit offsets (see
+  /// Layout); nothing is narrowed silently.
+  static Result<ProgramArena> Flatten(
       const std::vector<const std::vector<Bucket>*>& channels,
       Bytes switch_cost_bytes, int scheme_kind,
       std::uint64_t dataset_fingerprint, std::uint64_t params_fingerprint,
       const std::vector<std::int64_t>& aux);
+
+  /// The section layout Flatten writes for `counts`: a header whose
+  /// counts, 8-aligned section offsets and total_bytes are filled in (the
+  /// other fields default). InvalidArgument when any count, offset or the
+  /// total passes 2^32 - 1, the widest a 32-bit offset addresses.
+  static Result<ArenaHeader> Layout(const ArenaCounts& counts);
 
   /// Adopts a raw buffer (e.g. loaded from a snapshot) after validating
   /// the header, the 8-alignment of every section offset, and every

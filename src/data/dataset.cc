@@ -84,8 +84,14 @@ Result<Dataset> Dataset::FromRecords(std::vector<Record> records) {
   if (records.empty()) {
     return Status::InvalidArgument("FromRecords needs at least one record");
   }
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) { return a.key < b.key; });
+  const auto by_key = [](const Record& a, const Record& b) {
+    return a.key < b.key;
+  };
+  // Input already in key order (a materialized live dataset) skips the
+  // sort; the checks below run either way.
+  if (!std::is_sorted(records.begin(), records.end(), by_key)) {
+    std::sort(records.begin(), records.end(), by_key);
+  }
   int max_key_width = 0;
   std::size_t max_attributes = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {

@@ -11,25 +11,22 @@ namespace airindex {
 
 namespace {
 
-/// Deterministic mutated attribute value: same width as the original,
-/// lowercase letters, derived from (original value, record version).
-/// Version 0 is the original; any later version produces a different
-/// string, which is what makes a mutated dataset change its content
-/// fingerprint (core/program_cache.h, DatasetFingerprint).
-std::string MutatedAttribute(const std::string& attribute,
-                             std::int64_t version) {
-  if (version == 0) return attribute;
+/// Rewrites `attribute` in place into its deterministic mutated value:
+/// same width, lowercase letters, derived from (original value, record
+/// version). Version 0 is the original; any later version produces a
+/// different string, which is what makes a mutated dataset change its
+/// content fingerprint (core/program_cache.h, DatasetFingerprint).
+void MutateAttribute(std::string& attribute, std::int64_t version) {
+  if (version == 0) return;
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : attribute) {
     h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
   }
   h ^= static_cast<std::uint64_t>(version) * 0x9e3779b97f4a7c15ULL;
-  std::string out(attribute.size(), 'a');
-  for (char& c : out) {
+  for (char& c : attribute) {
     h = Mix64(h);
     c = static_cast<char>('a' + (h % 26));
   }
-  return out;
 }
 
 }  // namespace
@@ -207,20 +204,18 @@ Result<std::shared_ptr<const Dataset>> DynamicRuntime::MaterializeDataset()
   if (!active_) {
     return Status::FailedPrecondition("dynamic runtime is inactive");
   }
+  // The universe is in key order, so the live records arrive in key
+  // order too and FromRecords keeps them as they are.
   std::vector<Record> records;
   records.reserve(static_cast<std::size_t>(log_->live_count()));
   for (int r = 0; r < universe_->size(); ++r) {
     if (!log_->live(r)) continue;
-    const Record& original = universe_->record(r);
-    Record record;
-    record.id = static_cast<std::uint64_t>(records.size());
-    record.key = original.key;
-    record.attributes.reserve(original.attributes.size());
+    Record& record = records.emplace_back(universe_->record(r));
+    record.id = static_cast<std::uint64_t>(records.size() - 1);
     const std::int64_t version = log_->version(r);
-    for (const std::string& attribute : original.attributes) {
-      record.attributes.push_back(MutatedAttribute(attribute, version));
+    for (std::string& attribute : record.attributes) {
+      MutateAttribute(attribute, version);
     }
-    records.push_back(std::move(record));
   }
   Result<Dataset> dataset = Dataset::FromRecords(std::move(records));
   if (!dataset.ok()) return dataset.status();

@@ -128,11 +128,15 @@ class ArenaChannelView {
   /// The Build path: flattens one cycle of `buckets` into a fresh
   /// untagged arena and binds it, which checks the sizes. The bucket
   /// vector is the builder's intermediate and is dropped here; the
-  /// program keeps only the view.
+  /// program keeps only the view. InvalidArgument when the program does
+  /// not fit an arena's 32-bit offsets.
   static Result<ArenaChannelView> Build(std::vector<Bucket> buckets) {
-    return Bind(std::make_shared<const ProgramArena>(ProgramArena::Flatten(
+    Result<ProgramArena> arena = ProgramArena::Flatten(
         {&buckets}, /*switch_cost_bytes=*/0, /*scheme_kind=*/-1,
-        /*dataset_fingerprint=*/0, /*params_fingerprint=*/0, /*aux=*/{})));
+        /*dataset_fingerprint=*/0, /*params_fingerprint=*/0, /*aux=*/{});
+    if (!arena.ok()) return arena.status();
+    return Bind(
+        std::make_shared<const ProgramArena>(std::move(arena).value()));
   }
 
   /// Binds channel 0 of `arena` — the Restore path. InvalidArgument

@@ -55,7 +55,12 @@ Result<SimpleHashing> SimpleHashing::Build(
   // represents hash value i in its control part and stores the shift to
   // the chain start home_pos(i) = i + displaced records of slots < i.
   const Bytes bucket_bytes = geometry.data_bucket_bytes();
+  std::size_t num_buckets = 0;
+  for (const std::vector<int>& records : slots) {
+    num_buckets += std::max<std::size_t>(records.size(), 1);
+  }
   std::vector<Bucket> buckets;
+  buckets.reserve(num_buckets);
   std::vector<Bytes> chain_start_phase(static_cast<std::size_t>(allocated));
   for (int slot = 0; slot < allocated; ++slot) {
     chain_start_phase[static_cast<std::size_t>(slot)] =
