@@ -299,7 +299,9 @@ void BM_IncrementalPatch(benchmark::State& state) {
 
 /// The alternative discipline: every epoch materializes the live dataset
 /// and rebuilds the whole program from scratch (the compaction path).
-/// Items processed = mutations absorbed, as in BM_IncrementalPatch.
+/// Items processed = mutations absorbed, as in BM_IncrementalPatch. The
+/// 7,000-record argument is the cell size of perfbench's
+/// skew_cache_updates workload.
 void BM_FullRebuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto dataset = BenchDataset(n);
@@ -357,6 +359,7 @@ BENCHMARK_CAPTURE(BM_ChannelBuild, signature, SchemeKind::kSignature)
 BENCHMARK_CAPTURE(BM_ProgramBuild, one_m, SchemeKind::kOneM)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
+BENCHMARK_CAPTURE(BM_ProgramBuild, hashing, SchemeKind::kHashing)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, signature, SchemeKind::kSignature)
     ->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, flat, SchemeKind::kFlat)->Arg(34000);
@@ -401,7 +404,7 @@ BENCHMARK(BM_SweepFromSnapshots)
 BENCHMARK(BM_FleetShard)->Arg(1000)->Arg(10000);
 
 BENCHMARK(BM_IncrementalPatch)->Arg(34000);
-BENCHMARK(BM_FullRebuild)->Arg(34000);
+BENCHMARK(BM_FullRebuild)->Arg(7000)->Arg(34000);
 
 BENCHMARK(BM_ZipfSample)->Arg(4000)->Arg(7000)->Arg(34000);
 BENCHMARK(BM_RngUint64);
