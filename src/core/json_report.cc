@@ -68,6 +68,11 @@ void AppendNumber(std::string* out, double value, bool is_int,
   *out += ec == std::errc() ? std::string(buffer, ptr) : "null";
 }
 
+/// Deepest nesting of arrays and objects a document may have. Reports
+/// nest at most 8 levels (a shard partial); the bound keeps the
+/// recursive descent's stack use fixed on documents from other machines.
+constexpr int kMaxNestingDepth = 256;
+
 /// Recursive-descent JSON parser over a string_view cursor.
 class Parser {
  public:
@@ -117,8 +122,16 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNestingDepth) {
+        return Error("arrays and objects nested deeper than " +
+                     std::to_string(kMaxNestingDepth) + " levels");
+      }
+      ++depth_;
+      Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
+    }
     if (c == '"') {
       Result<std::string> s = ParseString();
       if (!s.ok()) return s.status();
@@ -302,6 +315,8 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  /// Arrays and objects open around the cursor.
+  int depth_ = 0;
 };
 
 void SerializeTo(const JsonValue& value, std::string* out, int indent,

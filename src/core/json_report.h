@@ -76,6 +76,8 @@ class JsonValue {
   std::string Serialize(int indent = -1) const;
 
   /// Parses a complete JSON document (trailing garbage is an error).
+  /// Arrays and objects nested more than 256 deep are rejected with
+  /// InvalidArgument, so a hostile document cannot exhaust the stack.
   static Result<JsonValue> Parse(std::string_view text);
 
  private:

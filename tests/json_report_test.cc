@@ -1,6 +1,6 @@
 // Tests for core/json_report.h: JsonValue build/serialize/parse
-// round-trips, string escaping, NaN/Inf handling, and the versioned
-// BenchReport schema.
+// round-trips, string escaping, NaN/Inf handling, the parser's nesting
+// limit, and the versioned BenchReport schema.
 
 #include "core/json_report.h"
 
@@ -104,6 +104,33 @@ TEST(JsonValueTest, ParseErrors) {
   EXPECT_FALSE(JsonValue::Parse("1 trailing").ok());
   EXPECT_FALSE(JsonValue::Parse("\"bad\\q\"").ok());
   EXPECT_FALSE(JsonValue::Parse("\"\\ud83d\"").ok());  // lone surrogate
+}
+
+/// `inner` wrapped in `depth` nested arrays, e.g. Nested(2, "{}") ==
+/// "[[{}]]".
+std::string Nested(int depth, const std::string& inner = "") {
+  return std::string(static_cast<std::size_t>(depth), '[') + inner +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(JsonValueTest, ParseAcceptsNestingUpToTheLimit) {
+  EXPECT_TRUE(JsonValue::Parse(Nested(256)).ok());
+  EXPECT_TRUE(JsonValue::Parse(Nested(255, "{\"k\": 1}")).ok());
+  // The limit counts open containers, so closing one frees a level.
+  EXPECT_TRUE(
+      JsonValue::Parse("[" + Nested(255) + "," + Nested(255) + "]").ok());
+}
+
+TEST(JsonValueTest, ParseRejectsNestingPastTheLimit) {
+  const Result<JsonValue> one_more = JsonValue::Parse(Nested(257));
+  ASSERT_FALSE(one_more.ok());
+  EXPECT_EQ(one_more.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(JsonValue::Parse(Nested(256, "{}")).ok());
+  // Without the limit the parser recursed once per level, and a 20 KB
+  // file of 10,000 levels crashed bench_compare and bench_merge with a
+  // stack overflow.
+  EXPECT_FALSE(JsonValue::Parse(Nested(10000)).ok());
+  EXPECT_FALSE(JsonValue::Parse(std::string(10000, '[')).ok());
 }
 
 BenchReport MakeReport() {
