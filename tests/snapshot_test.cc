@@ -4,10 +4,11 @@
 // golden snapshot under tests/data/, and the on-disk program cache's
 // warm/cold behaviour.
 //
-// Regenerate the golden file after a deliberate format change with
-//   ./build/tools/program_snapshot write --scheme one_m --records 64 \
-//       tests/data/one_m_n64_v1.snap
-// and bump ProgramArena::kFormatVersion in the same change.
+// Regenerate the golden file after a deliberate format change, from the
+// repository root, with
+//   ./build/tools/program_snapshot write --scheme one_m --records 64 GOLDEN
+// where GOLDEN is tests/data/one_m_n64_v1.snap, and bump
+// ProgramArena::kFormatVersion in the same change.
 
 #include <cstddef>
 #include <cstdint>
