@@ -1,9 +1,11 @@
 // Tests for the CI regression gate (tools/bench_compare_lib.h): matching
 // semantics, CI-bound drift detection, rel-tol fallback, wall-time
-// budgets, and strict counter comparison.
+// budgets, strict counter comparison, and the --identical check.
 
 #include "tools/bench_compare_lib.h"
 
+#include <cmath>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -545,6 +547,66 @@ TEST(BenchCompareTest, StrictCountersDetectDrift) {
       CompareBenchReports(base, extra_counter, strict).passed());
 
   EXPECT_TRUE(CompareBenchReports(base, BaseReport(), strict).passed());
+}
+
+/// `report` as the identity check reads it: written and parsed back.
+JsonValue Reparsed(const BenchReport& report) {
+  Result<JsonValue> parsed =
+      JsonValue::Parse(BenchReportToJson(report).Serialize(2));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.value();
+}
+
+TEST(BenchCompareIdenticalTest, ReportsDifferingOnlyInTimingPass) {
+  BenchReport base = BaseReport();
+  base.config = {{"quick", "true"}, {"resolved.channels", "1"}};
+  BenchReport rerun = base;
+  rerun.timing.wall_seconds = 7.5;
+  rerun.timing.jobs = 4;
+  rerun.timing.cell_wall_seconds = {1.5, 6.0};
+  EXPECT_EQ(FirstReportDifference(Reparsed(base), Reparsed(rerun)),
+            std::nullopt);
+
+  // Members are matched by key, not by position.
+  JsonValue reordered = JsonValue::MakeObject();
+  const JsonValue original = Reparsed(base);
+  for (auto it = original.members().rbegin(); it != original.members().rend();
+       ++it) {
+    reordered.Set(it->first, it->second);
+  }
+  EXPECT_EQ(FirstReportDifference(original, reordered), std::nullopt);
+}
+
+TEST(BenchCompareIdenticalTest, LastDigitOfAPointMeanFails) {
+  BenchReport base = BaseReport();
+  base.points[0].metrics[0].second.mean = 500123.456789;
+  BenchReport cand = base;
+  cand.points[0].metrics[0].second.mean =
+      std::nextafter(base.points[0].metrics[0].second.mean, 1e300);
+  // Far inside the statistical gate's bounds...
+  EXPECT_TRUE(CompareBenchReports(base, cand, CompareOptions{}).passed());
+  // ...but not identical.
+  EXPECT_EQ(FirstReportDifference(Reparsed(base), Reparsed(cand)),
+            "$.points[0].metrics.access_bytes.mean");
+}
+
+TEST(BenchCompareIdenticalTest, ChangedConfigKeyFails) {
+  BenchReport base = BaseReport();
+  base.config = {{"quick", "true"}, {"resolved.channels", "1"}};
+  BenchReport changed_value = base;
+  changed_value.config[1].second = "4";
+  EXPECT_EQ(FirstReportDifference(Reparsed(base), Reparsed(changed_value)),
+            "$.config.resolved.channels");
+
+  BenchReport renamed = base;
+  renamed.config[1].first = "resolved.channel";
+  EXPECT_EQ(FirstReportDifference(Reparsed(base), Reparsed(renamed)),
+            "$.config.resolved.channels");
+  // A key only the second report has is named too.
+  BenchReport extra = base;
+  extra.config.emplace_back("zipf_theta", "0.9");
+  EXPECT_EQ(FirstReportDifference(Reparsed(base), Reparsed(extra)),
+            "$.config.zipf_theta");
 }
 
 }  // namespace

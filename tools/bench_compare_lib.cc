@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 namespace airindex {
@@ -38,7 +39,65 @@ const BenchMetricValue* FindMetric(const BenchPoint& point,
   return nullptr;
 }
 
+/// FirstReportDifference below `path`, ignoring the member `skip` of an
+/// object at this level (empty skips nothing).
+std::optional<std::string> FirstDifference(const JsonValue& a,
+                                           const JsonValue& b,
+                                           const std::string& path,
+                                           std::string_view skip = {}) {
+  if (a.kind() != b.kind()) return path;
+  switch (a.kind()) {
+    case JsonValue::Kind::kNull:
+      return std::nullopt;
+    case JsonValue::Kind::kBool:
+      if (a.bool_value() == b.bool_value()) return std::nullopt;
+      return path;
+    case JsonValue::Kind::kNumber:
+      if (a.is_exact_int() == b.is_exact_int() &&
+          (a.is_exact_int() ? a.int_value() == b.int_value()
+                            : a.number_value() == b.number_value())) {
+        return std::nullopt;
+      }
+      return path;
+    case JsonValue::Kind::kString:
+      if (a.string_value() == b.string_value()) return std::nullopt;
+      return path;
+    case JsonValue::Kind::kArray: {
+      const std::size_t common = std::min(a.size(), b.size());
+      for (std::size_t i = 0; i < common; ++i) {
+        if (std::optional<std::string> diff = FirstDifference(
+                a.items()[i], b.items()[i],
+                path + "[" + std::to_string(i) + "]")) {
+          return diff;
+        }
+      }
+      if (a.size() == b.size()) return std::nullopt;
+      return path + "[" + std::to_string(common) + "]";
+    }
+    case JsonValue::Kind::kObject:
+      for (const auto& [key, value] : a.members()) {
+        if (key == skip) continue;
+        const JsonValue* other = b.Find(key);
+        if (other == nullptr) return path + "." + key;
+        if (std::optional<std::string> diff =
+                FirstDifference(value, *other, path + "." + key)) {
+          return diff;
+        }
+      }
+      for (const auto& [key, value] : b.members()) {
+        if (key != skip && a.Find(key) == nullptr) return path + "." + key;
+      }
+      return std::nullopt;
+  }
+  return path;
+}
+
 }  // namespace
+
+std::optional<std::string> FirstReportDifference(const JsonValue& a,
+                                                 const JsonValue& b) {
+  return FirstDifference(a, b, "$", "timing");
+}
 
 CompareResult CompareBenchReports(const BenchReport& baseline,
                                   const BenchReport& candidate,

@@ -4,6 +4,7 @@
 #ifndef AIRINDEX_TOOLS_BENCH_COMPARE_LIB_H_
 #define AIRINDEX_TOOLS_BENCH_COMPARE_LIB_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,16 @@ struct CompareResult {
 CompareResult CompareBenchReports(const BenchReport& baseline,
                                   const BenchReport& candidate,
                                   const CompareOptions& options);
+
+/// Identity check (bench_compare --identical): compares two reports as
+/// parsed JSON, skipping the root's `timing` block, the one part a
+/// rerun, a warm program cache or a sharded merge may change. Object
+/// members are matched by key, array elements by index; numbers must be
+/// equal exactly, and an integer never equals a fraction. Returns the
+/// path of the first difference (e.g. `$.points[3].metrics.access_bytes
+/// .mean`, or the member one report lacks), or nullopt when equal.
+std::optional<std::string> FirstReportDifference(const JsonValue& a,
+                                                 const JsonValue& b);
 
 }  // namespace airindex
 
