@@ -7,14 +7,6 @@
 
 namespace airindex {
 
-namespace {
-
-/// Bucket::level values distinguishing the two signature levels.
-constexpr int kGroupSignatureLevel = 1;
-constexpr int kRecordSignatureLevel = 0;
-
-}  // namespace
-
 Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Build(
     std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
     SignatureParams params, int group_size) {
@@ -104,7 +96,7 @@ AccessResult MultiLevelWalk(const ArenaChannelView& view, std::string_view key,
   const auto is_group = [&](std::size_t i) {
     const auto b = view.bucket(i);
     return b.kind() == BucketKind::kSignature &&
-           b.level() == kGroupSignatureLevel;
+           b.level() == MultiLevelSignatureIndexing::kGroupSignatureLevel;
   };
 
   // Listen until the next complete group-signature bucket.

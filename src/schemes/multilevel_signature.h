@@ -38,6 +38,10 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params, ArenaChannelView view, int group_size);
 
+  /// Bucket::level values distinguishing the two signature levels.
+  static constexpr int kGroupSignatureLevel = 1;
+  static constexpr int kRecordSignatureLevel = 0;
+
   const ArenaChannelView& view() const override { return view_; }
 
   AccessResult Access(std::string_view key, Bytes tune_in) const override;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -1004,6 +1005,41 @@ TEST(SnapshotTest, RestoreRejectsSignatureBucketsOfTheWrongWidth) {
                     &count, sizeof(count));
         ExpectRestoreRejected(std::move(raw), built);
       }
+    }
+  }
+}
+
+// The walks add bucket sizes to their clocks, and every builder writes
+// each bucket at the size the geometry gives its kind. A restore rejects
+// any other size: a last bucket grown until the cycle sits at 2^63 - 1001,
+// where the walks' clocks would overflow, and a data bucket one byte
+// short.
+TEST(SnapshotTest, RestoreRejectsBucketSizesNoBuilderWrites) {
+  for (const SchemeKind kind : kAllSchemes) {
+    SCOPED_TRACE(SchemeKindToString(kind));
+    const Built built = BuildProgram(kind, 150);
+    ASSERT_TRUE(RestoreThroughSnapshot(built.arena.bytes(), built).ok());
+    const ArenaChannelView& view = built.scheme->view();
+    const auto size_at = [&](std::size_t bucket) {
+      return built.arena.header().buckets_offset +
+             bucket * sizeof(ArenaBucket) + offsetof(ArenaBucket, size);
+    };
+    const std::size_t last = view.num_buckets() - 1;
+    std::size_t data = 0;
+    while (view.bucket(data).kind() != BucketKind::kData) ++data;
+    {
+      SCOPED_TRACE("last bucket grown to a cycle of 2^63 - 1001");
+      const Bytes cycle = std::numeric_limits<std::int64_t>::max() - 1000;
+      std::vector<std::uint8_t> raw = built.arena.bytes();
+      PatchInt64(&raw, size_at(last),
+                 cycle - (view.cycle_bytes() - view.bucket(last).size()));
+      ExpectRestoreRejected(std::move(raw), built);
+    }
+    {
+      SCOPED_TRACE("data bucket " + std::to_string(data) + " one byte short");
+      std::vector<std::uint8_t> raw = built.arena.bytes();
+      PatchInt64(&raw, size_at(data), view.bucket(data).size() - 1);
+      ExpectRestoreRejected(std::move(raw), built);
     }
   }
 }
