@@ -32,6 +32,13 @@ enum class SchemeKind {
 /// Short display name ("flat broadcast", "(1,m) indexing", ...).
 const char* SchemeKindToString(SchemeKind kind);
 
+/// Whether a program of `kind` depends on record attributes: the
+/// signature family and hybrid superimpose them into signature words,
+/// and flat broadcast's Filter scans them. The other kinds build and
+/// walk on keys alone, so over the same keys with any attributes, or
+/// none, they build the same program.
+bool ReadsAttributes(SchemeKind kind);
+
 /// Layout parameters of a multi-disk broadcast (Acharya, Alonso, Franklin
 /// & Zdonik, SIGMOD'95) — a scheduling extension beyond the paper's flat
 /// broadcast. kBroadcastDisks runs the scheduled program's scan family
