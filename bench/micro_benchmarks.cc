@@ -262,13 +262,16 @@ void BM_FleetShard(benchmark::State& state) {
 }
 
 /// One epoch of incremental maintenance per iteration: the runtime
-/// applies rate * N mutations by patching the live (1,m) program in
-/// place (free-list recycling, no rebuild). Items processed = mutations,
-/// so google-benchmark's items/s column reads directly as patches per
-/// second. Hold against BM_FullRebuild: the rebuild's per-epoch cost is
-/// flat in the update rate while patching is linear, so the break-even
-/// update rate is where the two items/s figures cross.
-void BM_IncrementalPatch(benchmark::State& state) {
+/// draws rate * N mutations and patches each into the live (1,m)
+/// program in place as it is drawn (free-list recycling, no rebuild).
+/// Items processed = mutations, so google-benchmark's items/s column
+/// reads directly as patches per second. Hold against BM_FullRebuild:
+/// the rebuild's per-epoch cost is flat in the update rate while
+/// patching is linear, so the break-even update rate is where the two
+/// items/s figures cross. `update_zipf` skews the mutation targets; the
+/// 7,000-record Zipf 0.7 case is the draw mix of perfbench's
+/// skew_cache_updates workload.
+void BM_IncrementalPatch(benchmark::State& state, double update_zipf) {
   const int n = static_cast<int>(state.range(0));
   const auto dataset = BenchDataset(n);
   const BucketGeometry geometry;
@@ -280,6 +283,7 @@ void BM_IncrementalPatch(benchmark::State& state) {
   params.universe = dataset;
   params.geometry = geometry;
   params.update_rate = 4.0;
+  params.update_zipf = update_zipf;
   params.compact_every = 0;
   params.seed = 7;
   params.epoch_bytes = epoch;
@@ -403,7 +407,8 @@ BENCHMARK(BM_SweepFromSnapshots)
 
 BENCHMARK(BM_FleetShard)->Arg(1000)->Arg(10000);
 
-BENCHMARK(BM_IncrementalPatch)->Arg(34000);
+BENCHMARK_CAPTURE(BM_IncrementalPatch, uniform, 0.0)->Arg(34000);
+BENCHMARK_CAPTURE(BM_IncrementalPatch, zipf_0_7, 0.7)->Arg(7000);
 BENCHMARK(BM_FullRebuild)->Arg(7000)->Arg(34000);
 
 BENCHMARK(BM_ZipfSample)->Arg(4000)->Arg(7000)->Arg(34000);

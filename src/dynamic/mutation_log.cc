@@ -17,36 +17,11 @@ MutationLog::MutationLog(int universe_size, double rate, double zipf_theta,
   }
 }
 
-const std::vector<MutationOp>& MutationLog::NextEpoch() {
-  buffer_.clear();
-  const auto n = static_cast<std::uint64_t>(live_.size());
-  credit_ += rate_ * static_cast<double>(n);
+std::int64_t MutationLog::TakeEpochDraws() {
+  credit_ += rate_ * static_cast<double>(live_.size());
   const auto draws = static_cast<std::int64_t>(std::floor(credit_));
   credit_ -= static_cast<double>(draws);
-  for (std::int64_t d = 0; d < draws && n > 0; ++d) {
-    const int r = zipf_.empty()
-                      ? static_cast<int>(rng_.NextBounded(n))
-                      : zipf_.front().Sample(&rng_);
-    MutationOp op;
-    op.record_index = r;
-    const auto index = static_cast<std::size_t>(r);
-    if (live_[index] == 0) {
-      op.kind = MutationOp::Kind::kInsert;
-      live_[index] = 1;
-      ++live_count_;
-    } else if (live_count_ > 2 &&
-               rng_.NextDouble() < kDynamicDeleteFraction) {
-      op.kind = MutationOp::Kind::kDelete;
-      live_[index] = 0;
-      --live_count_;
-    } else {
-      op.kind = MutationOp::Kind::kUpdate;
-    }
-    op.version = ++versions_[index];
-    buffer_.push_back(op);
-  }
-  ++epochs_;
-  return buffer_;
+  return draws;
 }
 
 }  // namespace airindex

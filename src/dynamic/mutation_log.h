@@ -51,9 +51,11 @@ class MutationLog {
   MutationLog(int universe_size, double rate, double zipf_theta,
               std::uint64_t seed);
 
-  /// Generates and applies the next epoch's mutations. The returned
-  /// buffer is valid until the next call.
-  const std::vector<MutationOp>& NextEpoch();
+  /// Generates and applies the next epoch's mutations, handing each op
+  /// to `visit` as soon as it is drawn and applied. The draw and the
+  /// visitor share one inlined loop, so no op is buffered.
+  template <typename Visitor>
+  void NextEpoch(Visitor&& visit);
 
   /// Liveness / version of a universe record under everything emitted
   /// so far.
@@ -78,8 +80,40 @@ class MutationLog {
   /// Fractional draw budget carried between epochs.
   double credit_ = 0.0;
   std::int64_t epochs_ = 0;
-  std::vector<MutationOp> buffer_;
+
+  /// Adds one epoch's draw budget to the carried credit and takes out
+  /// its whole part: the number of draws this epoch makes.
+  std::int64_t TakeEpochDraws();
 };
+
+template <typename Visitor>
+void MutationLog::NextEpoch(Visitor&& visit) {
+  const auto n = static_cast<std::uint64_t>(live_.size());
+  const std::int64_t draws = TakeEpochDraws();
+  for (std::int64_t d = 0; d < draws && n > 0; ++d) {
+    const int r = zipf_.empty()
+                      ? static_cast<int>(rng_.NextBounded(n))
+                      : zipf_.front().Sample(&rng_);
+    MutationOp op;
+    op.record_index = r;
+    const auto index = static_cast<std::size_t>(r);
+    if (live_[index] == 0) {
+      op.kind = MutationOp::Kind::kInsert;
+      live_[index] = 1;
+      ++live_count_;
+    } else if (live_count_ > 2 &&
+               rng_.NextDouble() < kDynamicDeleteFraction) {
+      op.kind = MutationOp::Kind::kDelete;
+      live_[index] = 0;
+      --live_count_;
+    } else {
+      op.kind = MutationOp::Kind::kUpdate;
+    }
+    op.version = ++versions_[index];
+    visit(op);
+  }
+  ++epochs_;
+}
 
 }  // namespace airindex
 
