@@ -9,7 +9,9 @@
 //
 // Usage: fig5_data_availability [--quick] [--csv] [--jobs N]
 //                               [--records N] [--json PATH]
-// (shared bench flags — see bench/bench_main.h).
+//                               [--shard I/N]
+// (shared bench flags — see bench/bench_main.h; with --shard the JSON
+// output is a partial report for tools/bench_merge).
 
 #include <iostream>
 #include <string>
@@ -57,6 +59,7 @@ int Main(int argc, char** argv) {
   ReportTable tuning_table(tuning_columns);
 
   BenchReporter reporter("fig5_data_availability", options);
+  reporter.SetShard(options.shard);
   reporter.AddConfig("num_records", std::to_string(kNumRecords));
 
   std::cout << "Figure 5: access/tuning time vs data availability\n"
@@ -83,7 +86,8 @@ int Main(int argc, char** argv) {
       configs.push_back(config);
     }
   }
-  ParallelExperiment experiment({.jobs = options.jobs});
+  ParallelExperiment experiment(
+      {.jobs = options.jobs, .shard = options.shard});
   const auto runs = experiment.RunSweep(configs);
 
   std::size_t index = 0;
@@ -91,6 +95,7 @@ int Main(int argc, char** argv) {
     std::vector<std::string> access_row = {std::to_string(percent)};
     std::vector<std::string> tuning_row = {std::to_string(percent)};
     for (const auto& scheme : schemes) {
+      const std::size_t cell = index;
       const Result<SimulationResult>& run = runs[index++];
       if (!run.ok()) {
         std::cerr << "simulation failed: " << run.status().ToString() << "\n";
@@ -101,6 +106,9 @@ int Main(int argc, char** argv) {
                                     std::to_string(percent)},
                                    {"scheme", scheme.label}},
                                   sim);
+      if (options.shard.active()) {
+        reporter.AttachShardCell(experiment.shard_cells()[cell]);
+      }
       access_row.push_back(FormatDouble(sim.access.mean(), 0));
       if (scheme.in_tuning_panel) {
         tuning_row.push_back(FormatDouble(sim.tuning.mean(), 0));
