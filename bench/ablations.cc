@@ -532,52 +532,6 @@ void PrintPresetNames(std::ostream& os) {
   for (const Preset& preset : kPresets) os << preset.name << "\n";
 }
 
-/// Names every shared flag the presets do not apply that was given a
-/// non-default value, and returns false if there was one.
-bool CheckUnappliedFlags(const BenchOptions& options) {
-  const BenchOptions defaults;
-  const MultiChannelParams& mc = options.multichannel;
-  const ClientSessionConfig& client = options.client;
-  const ScheduleParams& schedule = options.schedule;
-  const std::pair<const char*, bool> flags[] = {
-      {"--channels", mc.num_channels != defaults.multichannel.num_channels},
-      {"--switch-cost",
-       mc.switch_cost_bytes != defaults.multichannel.switch_cost_bytes},
-      {"--allocation", mc.allocation != defaults.multichannel.allocation},
-      {"--zipf", options.zipf_theta != defaults.zipf_theta},
-      {"--cache-size",
-       client.cache_capacity != defaults.client.cache_capacity},
-      {"--cache-policy", client.cache_policy != defaults.client.cache_policy},
-      {"--session-length",
-       client.session_length != defaults.client.session_length},
-      {"--repeat-prob",
-       client.repeat_probability != defaults.client.repeat_probability},
-      {"--update-rate", client.update_rate != defaults.client.update_rate},
-      {"--update-zipf", client.update_zipf != defaults.client.update_zipf},
-      {"--compact-every",
-       client.compact_every != defaults.client.compact_every},
-      {"--cache-warmup",
-       client.warmup_queries != defaults.client.warmup_queries},
-      {"--fleet-size", options.fleet_size != defaults.fleet_size},
-      {"--program-cache",
-       options.program_cache_dir != defaults.program_cache_dir},
-      {"--shard", options.shard.active()},
-      {"--scheduler", schedule.scheduler != defaults.schedule.scheduler},
-      {"--disks", schedule.num_disks != defaults.schedule.num_disks},
-      {"--retier-requests",
-       schedule.retier_requests != defaults.schedule.retier_requests},
-  };
-  bool ok = true;
-  for (const auto& [flag, given] : flags) {
-    if (!given) continue;
-    std::cerr << "ablations: the presets do not apply " << flag
-              << "; they take only --records, --csv, --jobs, --quick and "
-                 "--json\n";
-    ok = false;
-  }
-  return ok;
-}
-
 int Main(int argc, char** argv) {
   const char* name = argc >= 2 ? argv[1] : "";
   if (std::strcmp(name, "--list") == 0) {
@@ -598,7 +552,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const BenchOptions options = ParseBenchOptions(argc, argv);
-  if (!CheckUnappliedFlags(options)) return 2;
+  if (!CheckUnappliedFlags(options, "ablations")) return 2;
   const int num_records =
       options.records > 0 ? options.records : preset->default_records;
 

@@ -195,6 +195,51 @@ void ApplyWorkloadOptions(const BenchOptions& options,
   config->program_cache_dir = options.program_cache_dir;
 }
 
+bool CheckUnappliedFlags(const BenchOptions& options, const char* program) {
+  const BenchOptions defaults;
+  const MultiChannelParams& mc = options.multichannel;
+  const ClientSessionConfig& client = options.client;
+  const ScheduleParams& schedule = options.schedule;
+  const std::pair<const char*, bool> flags[] = {
+      {"--channels", mc.num_channels != defaults.multichannel.num_channels},
+      {"--switch-cost",
+       mc.switch_cost_bytes != defaults.multichannel.switch_cost_bytes},
+      {"--allocation", mc.allocation != defaults.multichannel.allocation},
+      {"--zipf", options.zipf_theta != defaults.zipf_theta},
+      {"--cache-size",
+       client.cache_capacity != defaults.client.cache_capacity},
+      {"--cache-policy", client.cache_policy != defaults.client.cache_policy},
+      {"--session-length",
+       client.session_length != defaults.client.session_length},
+      {"--repeat-prob",
+       client.repeat_probability != defaults.client.repeat_probability},
+      {"--update-rate", client.update_rate != defaults.client.update_rate},
+      {"--update-zipf", client.update_zipf != defaults.client.update_zipf},
+      {"--compact-every",
+       client.compact_every != defaults.client.compact_every},
+      {"--cache-warmup",
+       client.warmup_queries != defaults.client.warmup_queries},
+      {"--fleet-size", options.fleet_size != defaults.fleet_size},
+      {"--program-cache",
+       options.program_cache_dir != defaults.program_cache_dir},
+      {"--shard", options.shard.active()},
+      {"--scheduler", schedule.scheduler != defaults.schedule.scheduler},
+      {"--disks", schedule.num_disks != defaults.schedule.num_disks},
+      {"--retier-requests",
+       schedule.retier_requests != defaults.schedule.retier_requests},
+  };
+  bool ok = true;
+  for (const auto& [flag, given] : flags) {
+    if (!given) continue;
+    std::fprintf(stderr,
+                 "%s: %s is not applied; this driver takes only --records, "
+                 "--csv, --jobs, --quick and --json\n",
+                 program, flag);
+    ok = false;
+  }
+  return ok;
+}
+
 void PrintProgramCacheSummary(const ProgramCache* cache,
                               const ShardSpec& shard) {
   if (cache == nullptr) return;

@@ -136,6 +136,13 @@ void ApplyMultiChannelOptions(const BenchOptions& options,
 /// fig_client_cache) skip this call.
 void ApplyWorkloadOptions(const BenchOptions& options, TestbedConfig* config);
 
+/// For drivers that apply only --records, --csv, --jobs, --quick and
+/// --json (the ablations presets, filter_comparison): names on stderr,
+/// after `program`, every other shared flag given a non-default value,
+/// and returns false if there was one. The driver then exits 2 rather
+/// than record in its report a flag that did not shape it.
+bool CheckUnappliedFlags(const BenchOptions& options, const char* program);
+
 /// Prints one program-cache telemetry line to stderr (no-op on nullptr —
 /// benches call it unconditionally with engine.program_cache()). Kept off
 /// stdout and out of the JSON report so warm and cold cache runs stay

@@ -3,8 +3,8 @@
 // query class B+-tree air indexes cannot serve. Sweeps signature width.
 //
 // Usage: filter_comparison [--records N] [--csv] [--json PATH]
-// (shared bench flags — see bench/bench_main.h; --quick and --jobs are
-// accepted but have no effect here: the filter walk is deterministic).
+// (--quick and --jobs are accepted but have no effect here: the filter
+// walk is deterministic; any other shared flag exits 2).
 
 #include <iostream>
 #include <memory>
@@ -22,6 +22,7 @@ namespace {
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchOptions(argc, argv);
+  if (!CheckUnappliedFlags(options, "filter_comparison")) return 2;
   const int num_records = options.records > 0 ? options.records : 5000;
   const bool csv = options.csv;
 
