@@ -143,7 +143,7 @@ TEST(Filter, SignatureEqualsBucketOracle) {
                       ->record(static_cast<int>(
                           rng.NextBounded(static_cast<std::uint64_t>(n))))
                       .attributes[rng.NextBounded(4)]
-                : "!" + std::to_string(trial);
+                : std::to_string(trial).insert(0, 1, '!');
         const FilterResult fast = scheme.Filter(value, tune_in);
         const FilterResult oracle =
             FilterOracle(scheme, *dataset, value, tune_in);

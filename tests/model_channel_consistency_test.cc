@@ -109,7 +109,7 @@ INSTANTIATE_TEST_SUITE_P(RecordCounts, ModelChannelTest,
                          testing::Values(1, 2, 17, 18, 100, 289, 290, 1000,
                                          4913, 5000),
                          [](const testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           return std::to_string(info.param).insert(0, 1, 'n');
                          });
 
 }  // namespace
