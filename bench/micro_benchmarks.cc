@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: channel
-// construction per scheme, program restore and snapshot load, client
-// access walks (single- and multichannel), whole replications, a small
-// engine sweep from snapshots, Zipf draws, and the RNG. These
-// measure *implementation* speed (wall clock), unlike the figure
-// benches, which measure *simulated* bytes.
+// construction per scheme, program restore, snapshot load and write, the
+// dataset fingerprint, client access walks (single- and multichannel),
+// whole replications, a small engine sweep from snapshots, Zipf draws,
+// and the RNG. These measure *implementation* speed (wall clock), unlike
+// the figure benches, which measure *simulated* bytes.
 //
 // Accepts google-benchmark's own flags plus --json PATH, which emits the
 // shared bench-report schema with one walltime point per benchmark.
@@ -103,6 +103,37 @@ void BM_SnapshotLoad(benchmark::State& state) {
     benchmark::DoNotOptimize(loaded);
   }
   std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/// The cold path's disk half: WriteFile of the program BM_SnapshotLoad
+/// reads (checksum, temporary file, rename). Items processed = records.
+void BM_SnapshotWrite(benchmark::State& state) {
+  const auto dataset = BenchDataset(static_cast<int>(state.range(0)));
+  auto scheme =
+      BuildScheme(SchemeKind::kDistributed, dataset, BucketGeometry()).value();
+  const ProgramArena arena =
+      FlattenSchemeProgram(SchemeKind::kDistributed, *scheme, 1, 2).value();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bm_snapshot_write.snap")
+          .string();
+  for (auto _ : state) {
+    if (!ProgramSnapshot::WriteFile(path, arena).ok()) {
+      state.SkipWithError("cannot write the snapshot");
+      break;
+    }
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/// The program cache's dataset key: DatasetFingerprint over every key and
+/// attribute of a generated dataset. Items processed = records.
+void BM_DatasetFingerprint(benchmark::State& state) {
+  const auto dataset = BenchDataset(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DatasetFingerprint(*dataset));
+  }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
@@ -375,6 +406,8 @@ BENCHMARK_CAPTURE(BM_ProgramRestore, hashing, SchemeKind::kHashing)
 BENCHMARK_CAPTURE(BM_ProgramRestore, signature, SchemeKind::kSignature)
     ->Arg(34000);
 BENCHMARK(BM_SnapshotLoad)->Arg(34000);
+BENCHMARK(BM_SnapshotWrite)->Arg(34000);
+BENCHMARK(BM_DatasetFingerprint)->Arg(34000);
 
 BENCHMARK_CAPTURE(BM_Access, flat, SchemeKind::kFlat)->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, one_m, SchemeKind::kOneM)->Arg(34000);
