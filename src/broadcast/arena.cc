@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "des/random.h"
+
 namespace airindex {
 
 namespace {
@@ -16,6 +18,13 @@ namespace {
 constexpr std::size_t kAlign = 8;
 
 std::size_t AlignUp(std::size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
+
+/// The little-endian word at `bytes`, at any alignment.
+std::uint64_t LoadWord(const unsigned char* bytes) {
+  std::uint64_t word;
+  std::memcpy(&word, bytes, sizeof(word));
+  return word;
+}
 
 /// Copies `values` to `to`. An empty vector's data() may be null, which
 /// memcpy must not be given even for a zero-byte copy.
@@ -54,14 +63,36 @@ class StringPool {
 
 }  // namespace
 
-std::uint64_t Fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
+std::uint64_t HashFold(std::uint64_t state, const void* data,
+                       std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
+  for (; size >= sizeof(std::uint64_t); size -= sizeof(std::uint64_t)) {
+    state = HashStep(state, LoadWord(bytes));
+    bytes += sizeof(std::uint64_t);
   }
-  return hash;
+  if (size == 0) return state;
+  std::uint64_t tail = 0;
+  std::memcpy(&tail, bytes, size);
+  return HashStep(state, tail);
+}
+
+std::uint64_t HashBytes(const void* data, std::size_t size,
+                        std::uint64_t seed) {
+  constexpr std::size_t kStripe = 4 * sizeof(std::uint64_t);
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint64_t lanes[4] = {0x9e3779b97f4a7c15ull, 0xbf58476d1ce4e5b9ull,
+                            0x94d049bb133111ebull, 0xd6e8feb86659fd93ull};
+  const std::size_t striped = size - size % kStripe;
+  for (std::size_t at = 0; at < striped; at += kStripe) {
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      lanes[lane] = HashStep(
+          lanes[lane], LoadWord(bytes + at + lane * sizeof(std::uint64_t)));
+    }
+  }
+  std::uint64_t acc =
+      HashFold(HashStep(seed, size), bytes + striped, size - striped);
+  for (const std::uint64_t lane : lanes) acc = HashStep(acc, lane);
+  return Mix64(acc);
 }
 
 Result<ArenaHeader> ProgramArena::Layout(const ArenaCounts& counts) {
@@ -256,7 +287,7 @@ Result<ProgramArena> ProgramArena::FromBytes(std::vector<std::uint8_t> bytes) {
 }
 
 std::uint64_t ProgramArena::Checksum() const {
-  return Fnv1a64(bytes_.data(), bytes_.size());
+  return HashBytes(bytes_.data(), bytes_.size());
 }
 
 const ArenaHeader& ProgramArena::header() const {

@@ -2,6 +2,8 @@
 #ifndef AIRINDEX_BROADCAST_ARENA_H_
 #define AIRINDEX_BROADCAST_ARENA_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -120,7 +122,7 @@ struct ArenaCounts {
 class ProgramArena {
  public:
   static constexpr std::uint32_t kMagic = 0x41505247u;  // "GRPA" on disk
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Flattens each channel's bucket sequence, one broadcast cycle in
   /// cycle order, plus scheme metadata into an arena. `aux` carries
@@ -166,7 +168,7 @@ class ProgramArena {
   /// alive.
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
-  /// FNV-1a 64 over the whole buffer; the snapshot header stores it.
+  /// HashBytes over the whole buffer; the snapshot header stores it.
   std::uint64_t Checksum() const;
 
   // --- header accessors -------------------------------------------------
@@ -207,10 +209,37 @@ class ProgramArena {
   std::vector<std::uint8_t> bytes_;
 };
 
-/// FNV-1a 64-bit over a byte range (the arena/snapshot checksum; also
-/// used for the dataset and params fingerprints in core/program_cache.h).
-std::uint64_t Fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t seed = 0xcbf29ce484222325ull);
+// The word hash behind the snapshot checksum (ProgramArena::Checksum)
+// and the program cache's fingerprints (core/program_cache.h). Words are
+// loaded little-endian, as the arena itself assumes.
+static_assert(std::endian::native == std::endian::little,
+              "the arena and its hash assume a little-endian host");
+
+/// One step of the word hash: state = rotl(state ^ word, 31) * K, K odd.
+/// For a fixed word the step is a bijection of the state (xor, rotate and
+/// an odd multiply all are); for a fixed state it is injective in the
+/// word. A chain of steps over two word streams that differ in one word
+/// therefore ends in different states.
+inline std::uint64_t HashStep(std::uint64_t state, std::uint64_t word) {
+  return std::rotl(state ^ word, 31) * 0x9fb21c651e98df25ull;
+}
+
+/// Folds `size` bytes into `state` with HashStep, one little-endian word
+/// at a time; a last partial word is zero-padded. For a fixed size, any
+/// change to the bytes changes a word, so callers that fold the size
+/// first (length prefixes) get a stream no two byte strings share.
+std::uint64_t HashFold(std::uint64_t state, const void* data,
+                       std::size_t size);
+
+/// 64-bit hash of a byte range at any alignment. Four lanes walk the
+/// buffer in 32-byte stripes, one HashStep per word; an accumulator
+/// seeded with HashStep(seed, size) folds the remainder (HashFold) and
+/// then the four lanes in order, and Mix64 finishes it. Every step is a
+/// bijection of its state for a fixed word and injective in the word,
+/// so any change confined to one 8-byte word of the buffer (every
+/// single-bit flip, every single-byte change) changes the result.
+std::uint64_t HashBytes(const void* data, std::size_t size,
+                        std::uint64_t seed = 0);
 
 }  // namespace airindex
 

@@ -9,22 +9,18 @@
 
 namespace airindex {
 
-std::vector<std::uint8_t> ProgramSnapshot::Serialize(
-    const ProgramArena& arena) {
+namespace {
+
+// The header in front of `arena`'s bytes, for Serialize and WriteFile
+// alike, so a written file is Serialize(arena) byte for byte.
+SnapshotHeader HeaderFor(const ProgramArena& arena) {
   SnapshotHeader header;
-  header.magic = kMagic;
-  header.format_version = kFormatVersion;
+  header.magic = ProgramSnapshot::kMagic;
+  header.format_version = ProgramSnapshot::kFormatVersion;
   header.payload_bytes = arena.bytes().size();
   header.payload_checksum = arena.Checksum();
-
-  std::vector<std::uint8_t> out(sizeof(header) + arena.bytes().size());
-  std::memcpy(out.data(), &header, sizeof(header));
-  std::memcpy(out.data() + sizeof(header), arena.bytes().data(),
-              arena.bytes().size());
-  return out;
+  return header;
 }
-
-namespace {
 
 // The header checks Deserialize and LoadFile share, run before any
 // payload byte is read or allocated: `prefix` holds the first
@@ -58,7 +54,7 @@ Result<SnapshotHeader> CheckHeader(const std::uint8_t* prefix,
 // Verifies the payload against the header's checksum, then adopts it.
 Result<ProgramArena> AdoptPayload(const SnapshotHeader& header,
                                   std::vector<std::uint8_t> payload) {
-  if (Fnv1a64(payload.data(), payload.size()) != header.payload_checksum) {
+  if (HashBytes(payload.data(), payload.size()) != header.payload_checksum) {
     return Status::InvalidArgument("snapshot: checksum mismatch (corrupted "
                                    "payload)");
   }
@@ -66,6 +62,16 @@ Result<ProgramArena> AdoptPayload(const SnapshotHeader& header,
 }
 
 }  // namespace
+
+std::vector<std::uint8_t> ProgramSnapshot::Serialize(
+    const ProgramArena& arena) {
+  const SnapshotHeader header = HeaderFor(arena);
+  std::vector<std::uint8_t> out(sizeof(header) + arena.bytes().size());
+  std::memcpy(out.data(), &header, sizeof(header));
+  std::memcpy(out.data() + sizeof(header), arena.bytes().data(),
+              arena.bytes().size());
+  return out;
+}
 
 Result<ProgramArena> ProgramSnapshot::Deserialize(
     const std::vector<std::uint8_t>& bytes) {
@@ -79,15 +85,19 @@ Result<ProgramArena> ProgramSnapshot::Deserialize(
 
 Status ProgramSnapshot::WriteFile(const std::string& path,
                                   const ProgramArena& arena) {
-  const std::vector<std::uint8_t> bytes = Serialize(arena);
+  const SnapshotHeader header = HeaderFor(arena);
+  const std::vector<std::uint8_t>& payload = arena.bytes();
   const std::string tmp = path + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
     return Status::Internal("snapshot: cannot open " + tmp + " for writing");
   }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
+  // The header, then the arena's own bytes: no serialized copy.
+  const bool written =
+      std::fwrite(&header, sizeof(header), 1, file) == 1 &&
+      std::fwrite(payload.data(), 1, payload.size(), file) == payload.size();
   const bool closed = std::fclose(file) == 0;
-  if (written != bytes.size() || !closed) {
+  if (!written || !closed) {
     std::remove(tmp.c_str());
     return Status::Internal("snapshot: short write to " + tmp);
   }

@@ -13,9 +13,10 @@
 namespace airindex {
 
 /// On-disk header of a program snapshot: a fixed prefix in front of the
-/// raw arena buffer. The checksum covers the payload only, so a snapshot
-/// load verifies end-to-end integrity before any arena offset is
-/// dereferenced; the arena's own header then pins the format version.
+/// raw arena buffer. The checksum (HashBytes, broadcast/arena.h) covers
+/// the payload only, so a snapshot load verifies end-to-end integrity
+/// before any arena offset is dereferenced; the arena's own header then
+/// pins the format version.
 struct SnapshotHeader {
   std::uint32_t magic = 0;
   std::uint32_t format_version = 0;
@@ -51,7 +52,9 @@ class ProgramSnapshot {
 
   /// Writes Serialize(arena) to `path` atomically (temp file + rename),
   /// so a concurrent reader — another sweep shard warming the same
-  /// program cache — never observes a half-written snapshot.
+  /// program cache — never observes a half-written snapshot. The header
+  /// and then the arena's own buffer go to the file; nothing is copied
+  /// into a serialized buffer first.
   static Status WriteFile(const std::string& path, const ProgramArena& arena);
 
   /// Reads `path` and checks it exactly as Deserialize checks a buffer

@@ -5,13 +5,14 @@
 #include <cstring>
 
 #include "broadcast/snapshot.h"
+#include "des/random.h"
 
 namespace airindex {
 
 namespace {
 
 std::uint64_t HashInt(std::uint64_t value, std::uint64_t seed) {
-  return Fnv1a64(&value, sizeof(value), seed);
+  return HashStep(seed, value);
 }
 
 std::uint64_t HashDouble(double value, std::uint64_t seed) {
@@ -22,8 +23,7 @@ std::uint64_t HashDouble(double value, std::uint64_t seed) {
 
 std::uint64_t HashStr(std::string_view value, std::uint64_t seed) {
   // Length-prefixed so adjacent fields cannot alias across boundaries.
-  seed = HashInt(value.size(), seed);
-  return Fnv1a64(value.data(), value.size(), seed);
+  return HashFold(HashInt(value.size(), seed), value.data(), value.size());
 }
 
 std::string HexU64(std::uint64_t value) {
@@ -39,8 +39,7 @@ std::string HexU64(std::uint64_t value) {
 }  // namespace
 
 std::uint64_t DatasetFingerprint(const Dataset& dataset) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
-  h = HashInt(static_cast<std::uint64_t>(dataset.size()), h);
+  std::uint64_t h = HashInt(static_cast<std::uint64_t>(dataset.size()), 0);
   for (const Record& record : dataset.records()) {
     h = HashStr(record.key, h);
     h = HashInt(record.attributes.size(), h);
@@ -48,14 +47,13 @@ std::uint64_t DatasetFingerprint(const Dataset& dataset) {
       h = HashStr(attribute, h);
     }
   }
-  return h;
+  return Mix64(h);
 }
 
 std::uint64_t ProgramParamsFingerprint(SchemeKind kind,
                                        const BucketGeometry& geometry,
                                        const SchemeParams& params) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
-  h = HashInt(ProgramArena::kFormatVersion, h);
+  std::uint64_t h = HashInt(ProgramArena::kFormatVersion, 0);
   h = HashInt(static_cast<std::uint64_t>(static_cast<int>(kind)), h);
   h = HashInt(static_cast<std::uint64_t>(geometry.record_bytes), h);
   h = HashInt(static_cast<std::uint64_t>(geometry.key_bytes), h);
@@ -85,7 +83,7 @@ std::uint64_t ProgramParamsFingerprint(SchemeKind kind,
   h = HashInt(static_cast<std::uint64_t>(params.schedule.rotation_slots), h);
   h = HashInt(static_cast<std::uint64_t>(params.schedule.rank_offset), h);
   h = HashInt(static_cast<std::uint64_t>(params.schedule.total_ranks), h);
-  return h;
+  return Mix64(h);
 }
 
 ProgramCache::ProgramCache(std::string dir) : dir_(std::move(dir)) {}

@@ -19,14 +19,19 @@ namespace airindex {
 
 /// Stable fingerprint of a dataset's *content* (keys and attribute
 /// values, not just the generator config), so externally supplied
-/// datasets key correctly too. FNV-1a over the record stream; equal
-/// datasets — however constructed — get equal fingerprints.
+/// datasets key correctly too; equal datasets — however constructed —
+/// get equal fingerprints. The record stream (the record count, then per
+/// record the key's length and bytes, the attribute count, and each
+/// attribute's length and bytes) is folded a word at a time through
+/// HashStep (broadcast/arena.h) and finished with Mix64. The length
+/// prefixes keep fields from aliasing across their boundaries.
 std::uint64_t DatasetFingerprint(const Dataset& dataset);
 
 /// Stable fingerprint of everything besides the dataset that shapes a
 /// single-channel program: scheme kind, bucket geometry, scheme params
 /// and the arena format version (so a format bump invalidates every
-/// cached program at the key level, not just at load time).
+/// cached program at the key level, not just at load time). Folded
+/// through the same HashStep as DatasetFingerprint.
 std::uint64_t ProgramParamsFingerprint(SchemeKind kind,
                                        const BucketGeometry& geometry,
                                        const SchemeParams& params);
@@ -44,7 +49,15 @@ std::uint64_t ProgramParamsFingerprint(SchemeKind kind,
 ///  - on disk (when constructed with a directory): arenas are written as
 ///    versioned, checksummed snapshots (broadcast/snapshot.h) and loaded
 ///    back byte-identically by later runs — the CI smoke benches warm
-///    this directory via actions/cache.
+///    this directory via actions/cache. The file name carries the format
+///    version, and a file of another format (or one that fails its
+///    checksum) is a miss that rebuilds and rewrites it.
+///
+/// The dataset half of the key is DatasetFingerprint, which hashes every
+/// attribute even for the kinds whose programs read keys alone
+/// (ReadsAttributes); perfbench's airbench names its traced snapshots
+/// with the same function, so a key on the builder's own input would
+/// change the benchmark along with the cache.
 ///
 /// Restored schemes are observably identical to freshly built ones
 /// (schemes/scheme.h, RestoreSchemeFromArena), so caching can never

@@ -7,9 +7,11 @@
 // Regenerate the golden file after a deliberate format change, from the
 // repository root, with
 //   ./build/tools/program_snapshot write --scheme one_m --records 64 GOLDEN
-// where GOLDEN is tests/data/one_m_n64_v1.snap, and bump
-// ProgramArena::kFormatVersion in the same change.
+// where GOLDEN is tests/data/one_m_n64_vN.snap for the new version N, and
+// bump ProgramArena::kFormatVersion in the same change. The format-1
+// golden, tests/data/one_m_n64_v1.snap, stays as an old-format fixture.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -151,6 +153,65 @@ TEST(SnapshotTest, RejectsEveryBitFlipInHeaderAndSampledPayload) {
     std::vector<std::uint8_t> corrupt = wire;
     corrupt[pos] ^= 0x20;
     EXPECT_FALSE(ProgramSnapshot::Deserialize(corrupt).ok());
+  }
+}
+
+// The checksum's guarantee, exhaustively on one small program: one bit
+// flipped in any payload byte, not a stride of them, fails the checksum
+// before anything else reads the payload.
+TEST(SnapshotTest, RejectsABitFlipInEveryPayloadByte) {
+  const Built built = BuildProgram(SchemeKind::kFlat, 40);
+  const std::vector<std::uint8_t> wire =
+      ProgramSnapshot::Serialize(built.arena);
+  ASSERT_TRUE(ProgramSnapshot::Deserialize(wire).ok());
+  std::vector<std::uint8_t> corrupt = wire;
+  std::size_t rejected = 0;
+  for (std::size_t pos = sizeof(SnapshotHeader); pos < wire.size(); ++pos) {
+    const auto bit = static_cast<std::uint8_t>(1u << (pos % 8));
+    corrupt[pos] ^= bit;
+    const Result<ProgramArena> loaded = ProgramSnapshot::Deserialize(corrupt);
+    corrupt[pos] ^= bit;
+    if (!loaded.ok() &&
+        loaded.status().message().find("checksum mismatch") !=
+            std::string::npos) {
+      ++rejected;
+    } else {
+      ADD_FAILURE() << "flip at byte " << pos << ": "
+                    << loaded.status().ToString();
+    }
+  }
+  EXPECT_EQ(rejected, built.arena.bytes().size());
+}
+
+// HashBytes reads words at any alignment, and a change to any one byte
+// (so to one word) changes it, at every size from empty through two
+// stripes plus a partial tail.
+TEST(SnapshotTest, HashBytesIgnoresAlignmentAndSeesEveryByteChange) {
+  constexpr std::size_t kMaxSize = 70;
+  std::vector<std::uint8_t> storage(kMaxSize + 1);
+  for (std::size_t size = 0; size <= kMaxSize; ++size) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    std::vector<std::uint8_t> buffer(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      buffer[i] = static_cast<std::uint8_t>(i * 37 + size);
+    }
+    const std::uint64_t hash = HashBytes(buffer.data(), size);
+    // An odd address: one past the start of a heap block.
+    std::copy(buffer.begin(), buffer.end(), storage.begin() + 1);
+    EXPECT_EQ(HashBytes(storage.data() + 1, size), hash);
+    EXPECT_NE(HashBytes(buffer.data(), size, 1), hash);
+    for (std::size_t pos = 0; pos < size; ++pos) {
+      const std::uint8_t original = buffer[pos];
+      for (int value = 0; value < 256; ++value) {
+        if (value == original) continue;
+        buffer[pos] = static_cast<std::uint8_t>(value);
+        if (HashBytes(buffer.data(), size) == hash) {
+          ADD_FAILURE() << "byte " << pos << " set to " << value
+                        << " keeps the hash";
+        }
+      }
+      buffer[pos] = original;
+    }
   }
 }
 
@@ -509,11 +570,79 @@ TEST(SnapshotTest, WriteFileThenLoadFileRoundTrips) {
   std::remove(path.c_str());
 }
 
+// WriteFile writes the header and then the arena's own bytes; the file
+// is Serialize(arena) byte for byte.
+TEST(SnapshotTest, WriteFileEqualsSerialize) {
+  for (const SchemeKind kind :
+       {SchemeKind::kOneM, SchemeKind::kSignature, SchemeKind::kHybrid}) {
+    SCOPED_TRACE(SchemeKindToString(kind));
+    const Built built = BuildProgram(kind, 110);
+    const std::string path = testing::TempDir() + "/snapshot_test_write.snap";
+    ASSERT_TRUE(ProgramSnapshot::WriteFile(path, built.arena).ok());
+    EXPECT_EQ(ReadAll(path), ProgramSnapshot::Serialize(built.arena));
+    std::remove(path.c_str());
+  }
+}
+
+// The format-1 golden stays as an old-format fixture: both readers reject
+// it by its version, and under the format-2 name of its own key the
+// program cache treats it as one miss, rebuilds, and rewrites the file,
+// which the next cache then hits.
+TEST(SnapshotTest, FormatOneSnapshotIsACleanMissThatRebuilds) {
+  const std::string fixture =
+      std::string(AIRINDEX_TEST_DATA_DIR) + "/one_m_n64_v1.snap";
+  const std::vector<std::uint8_t> v1 = ReadAll(fixture);
+  ASSERT_FALSE(v1.empty()) << "missing fixture " << fixture;
+  for (const Result<ProgramArena>& loaded :
+       {ProgramSnapshot::Deserialize(v1), ProgramSnapshot::LoadFile(fixture)}) {
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(
+                  "format version 1 unsupported (want 2)"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+
+  const Built built = BuildProgram(SchemeKind::kOneM, 64);
+  const BucketGeometry geometry;
+  const SchemeParams params;
+  const std::string dir = testing::TempDir();
+  const std::string path = ProgramCache(dir).SnapshotPath(
+      SchemeKind::kOneM, DatasetFingerprint(*built.dataset),
+      ProgramParamsFingerprint(SchemeKind::kOneM, geometry, params));
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(v1.data(), 1, v1.size(), file), v1.size());
+    std::fclose(file);
+  }
+
+  ProgramCache stale(dir);
+  auto rebuilt =
+      stale.GetOrBuild(SchemeKind::kOneM, built.dataset, geometry, params);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  const MetricsRegistry cold = stale.MetricsSnapshot();
+  EXPECT_EQ(cold.Get("program.snapshot_misses"), 1);
+  EXPECT_EQ(cold.Get("program.snapshot_hits"), 0);
+  EXPECT_EQ(cold.Get("program.builds"), 1);
+  EXPECT_EQ(cold.Get("program.snapshot_writes"), 1);
+  EXPECT_EQ(ReadAll(path), ProgramSnapshot::Serialize(built.arena));
+
+  ProgramCache fresh(dir);
+  auto restored =
+      fresh.GetOrBuild(SchemeKind::kOneM, built.dataset, geometry, params);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const MetricsRegistry warm = fresh.MetricsSnapshot();
+  EXPECT_EQ(warm.Get("program.snapshot_hits"), 1);
+  EXPECT_EQ(warm.Get("program.builds"), 0);
+  std::remove(path.c_str());
+}
+
 // The committed golden file pins the on-disk format: if Flatten's byte
 // layout drifts without a version bump, this test fails first.
 TEST(SnapshotTest, GoldenSnapshotLoadsAndMatchesRebuild) {
   const std::string path =
-      std::string(AIRINDEX_TEST_DATA_DIR) + "/one_m_n64_v1.snap";
+      std::string(AIRINDEX_TEST_DATA_DIR) + "/one_m_n64_v2.snap";
   const std::vector<std::uint8_t> wire = ReadAll(path);
   ASSERT_FALSE(wire.empty()) << "missing golden file " << path;
 
@@ -574,8 +703,9 @@ ProgramReadSurface ReadSurfaceOf(const BroadcastScheme& scheme,
 }
 
 // One flattened program of the default recipe (BuildProgram), pinned by
-// its size and FNV-1a checksum as FlattenSchemeProgram wrote it when
-// these values were recorded.
+// its size and checksum (HashBytes) as FlattenSchemeProgram wrote it when
+// these values were recorded. Format 2 moved every checksum but no size:
+// only the arena header's version and fingerprints changed.
 struct PinnedProgram {
   SchemeKind kind;
   int num_records;
@@ -584,24 +714,24 @@ struct PinnedProgram {
 };
 
 constexpr PinnedProgram kPinnedPrograms[] = {
-    {SchemeKind::kFlat, 150, 15696, 0x994a313f468bbfa2ull},
-    {SchemeKind::kOneM, 150, 43968, 0x6f1b24aee9bb5be0ull},
-    {SchemeKind::kDistributed, 150, 29016, 0x765acf16542e95c7ull},
-    {SchemeKind::kHashing, 150, 21632, 0x91ca9a687ad69884ull},
-    {SchemeKind::kSignature, 150, 33696, 0xce9cc826f9096235ull},
-    {SchemeKind::kIntegratedSignature, 150, 17384, 0x83e45591470462d2ull},
-    {SchemeKind::kMultiLevelSignature, 150, 35384, 0xa7d6d72a5c70db3bull},
-    {SchemeKind::kBroadcastDisks, 150, 25128, 0x50a76ebb93fb80c7ull},
-    {SchemeKind::kHybrid, 150, 38456, 0x8f38c060ddfed93full},
-    {SchemeKind::kFlat, 2000, 208096, 0x61c3aa86e6a5e898ull},
-    {SchemeKind::kOneM, 2000, 582520, 0x097ab44a49f62350ull},
-    {SchemeKind::kDistributed, 2000, 423960, 0x27de6b887b706278ull},
-    {SchemeKind::kHashing, 2000, 284960, 0x9934e397d4230789ull},
-    {SchemeKind::kSignature, 2000, 448096, 0xc550bcf629689c9aull},
-    {SchemeKind::kIntegratedSignature, 2000, 229104, 0xba2a4afa091e926aull},
-    {SchemeKind::kMultiLevelSignature, 2000, 469104, 0x6fa8b1cf2fd90125ull},
-    {SchemeKind::kBroadcastDisks, 2000, 332968, 0x1d93d67a67535237ull},
-    {SchemeKind::kHybrid, 2000, 532248, 0x324c54b816cee8d7ull},
+    {SchemeKind::kFlat, 150, 15696, 0x3e897d7a964b321aull},
+    {SchemeKind::kOneM, 150, 43968, 0xc0a1c8d2891ba3baull},
+    {SchemeKind::kDistributed, 150, 29016, 0x1f1bd91e13028984ull},
+    {SchemeKind::kHashing, 150, 21632, 0x28c2c7ee6a7012acull},
+    {SchemeKind::kSignature, 150, 33696, 0xd28464ea3aeeedc1ull},
+    {SchemeKind::kIntegratedSignature, 150, 17384, 0x82206cd30822e262ull},
+    {SchemeKind::kMultiLevelSignature, 150, 35384, 0xff8c1a747b295288ull},
+    {SchemeKind::kBroadcastDisks, 150, 25128, 0x119894d5997dd1a1ull},
+    {SchemeKind::kHybrid, 150, 38456, 0x9ca31a46e05004ecull},
+    {SchemeKind::kFlat, 2000, 208096, 0x342a849a7c5d5aabull},
+    {SchemeKind::kOneM, 2000, 582520, 0xcefa129288ff5021ull},
+    {SchemeKind::kDistributed, 2000, 423960, 0x37f6b5223e504e28ull},
+    {SchemeKind::kHashing, 2000, 284960, 0xa6e1deec5e2cd407ull},
+    {SchemeKind::kSignature, 2000, 448096, 0xe9207ca8d016a34eull},
+    {SchemeKind::kIntegratedSignature, 2000, 229104, 0x16e9af7ef4dfca90ull},
+    {SchemeKind::kMultiLevelSignature, 2000, 469104, 0x4f99f37c0948dc18ull},
+    {SchemeKind::kBroadcastDisks, 2000, 332968, 0xf241fc2bcafb456aull},
+    {SchemeKind::kHybrid, 2000, 532248, 0xb4795722ad5a57f2ull},
 };
 
 // A restored program is the built program, for every scheme at two
