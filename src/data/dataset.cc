@@ -28,16 +28,22 @@ std::string PseudoWord(std::uint64_t h, int width) {
   return out;
 }
 
+// Writes EncodeKey(code, width) to out[0, width); the caller has checked
+// that the width can represent the code.
+void WriteKey(std::uint64_t code, int width, char* out) {
+  std::fill(out, out + width, 'a');
+  for (int i = width - 1; i >= 0 && code > 0; --i) {
+    out[i] = static_cast<char>('a' + static_cast<int>(code % 26));
+    code /= 26;
+  }
+}
+
 }  // namespace
 
 std::string EncodeKey(std::uint64_t code, int width) {
   if (width <= 0 || code > MaxCode(width)) return std::string();
-  std::string out(static_cast<std::size_t>(width), 'a');
-  for (int i = width - 1; i >= 0 && code > 0; --i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<char>('a' + static_cast<int>(code % 26));
-    code /= 26;
-  }
+  std::string out(static_cast<std::size_t>(width), '\0');
+  WriteKey(code, width, out.data());
   return out;
 }
 
@@ -87,10 +93,22 @@ Result<Dataset> Dataset::FromRecords(std::vector<Record> records) {
   const auto by_key = [](const Record& a, const Record& b) {
     return a.key < b.key;
   };
-  // Input already in key order (a materialized live dataset) skips the
-  // sort; the checks below run either way.
-  if (!std::is_sorted(records.begin(), records.end(), by_key)) {
+  // One adjacent-pair pass: keys in strictly increasing order (a
+  // materialized live dataset) are sorted and unique. Anything else is
+  // sorted, then checked for duplicates.
+  const auto unordered =
+      std::adjacent_find(records.begin(), records.end(),
+                         [](const Record& a, const Record& b) {
+                           return !(a.key < b.key);
+                         });
+  if (unordered != records.end()) {
     std::sort(records.begin(), records.end(), by_key);
+    const auto duplicate = std::adjacent_find(
+        records.begin(), records.end(),
+        [](const Record& a, const Record& b) { return a.key == b.key; });
+    if (duplicate != records.end()) {
+      return Status::InvalidArgument("duplicate key: " + duplicate->key);
+    }
   }
   int max_key_width = 0;
   std::size_t max_attributes = 0;
@@ -99,14 +117,11 @@ Result<Dataset> Dataset::FromRecords(std::vector<Record> records) {
     if (key.empty()) {
       return Status::InvalidArgument("record with empty key");
     }
-    for (const char c : key) {
-      if (c <= '!') {
-        return Status::InvalidArgument(
-            "key contains a character at or below '!': " + key);
-      }
-    }
-    if (i > 0 && records[i - 1].key == key) {
-      return Status::InvalidArgument("duplicate key: " + key);
+    bool reserved = false;
+    for (const char c : key) reserved |= c <= '!';
+    if (reserved) {
+      return Status::InvalidArgument(
+          "key contains a character at or below '!': " + key);
     }
     records[i].id = static_cast<std::uint64_t>(i);
     max_key_width = std::max(max_key_width, static_cast<int>(key.size()));
@@ -146,9 +161,7 @@ std::vector<int> Dataset::FindByAttribute(std::string_view value) const {
 }
 
 std::string Dataset::AbsentKey(int i) const {
-  if (i >= 0 && i <= size()) {
-    return absent_keys_[static_cast<std::size_t>(i)];
-  }
+  if (i >= 0 && i <= size()) return std::string(absent_key(i));
   if (synthetic_) {
     return EncodeKey(2 * static_cast<std::uint64_t>(i), config_.key_width);
   }
@@ -159,18 +172,35 @@ std::string Dataset::AbsentKey(int i) const {
 }
 
 void Dataset::InternAbsentKeys() {
-  absent_keys_.reserve(records_.size() + 1);
-  for (int i = 0; i <= size(); ++i) {
-    if (synthetic_) {
-      absent_keys_.push_back(
-          EncodeKey(2 * static_cast<std::uint64_t>(i), config_.key_width));
-    } else if (i == 0) {
-      absent_keys_.push_back("!");
-    } else {
-      absent_keys_.push_back(records_[static_cast<std::size_t>(i - 1)].key +
-                             "!");
+  const std::size_t count = records_.size() + 1;
+  absent_offsets_.resize(count + 1);
+  if (synthetic_) {
+    // The even codes 0, 2, ..., 2·size(), each key_width wide (Generate
+    // checked that the width encodes them).
+    const auto width = static_cast<std::size_t>(config_.key_width);
+    absent_keys_.resize(count * width);
+    for (std::size_t i = 0; i < count; ++i) {
+      absent_offsets_[i] = i * width;
+      WriteKey(2 * static_cast<std::uint64_t>(i), config_.key_width,
+               absent_keys_.data() + i * width);
     }
+    absent_offsets_[count] = count * width;
+    return;
   }
+  // "!", then each key followed by '!'.
+  std::size_t total = 1;
+  for (const Record& record : records_) total += record.key.size() + 1;
+  absent_keys_.resize(total);
+  char* out = absent_keys_.data();
+  *out++ = '!';
+  absent_offsets_[0] = 0;
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    absent_offsets_[i + 1] = static_cast<std::size_t>(out - absent_keys_.data());
+    const std::string& key = records_[i].key;
+    out = std::copy(key.begin(), key.end(), out);
+    *out++ = '!';
+  }
+  absent_offsets_[count] = total;
 }
 
 }  // namespace airindex

@@ -83,12 +83,15 @@ class Dataset {
   /// between keys i-1 and i in either case.
   std::string AbsentKey(int i) const;
 
-  /// Interned view of AbsentKey(i) for i in [0, size()], backed by a
-  /// table precomputed at construction. This is the request hot path:
-  /// RequestGenerator hands the view to Query without allocating. The
-  /// view lives as long as this Dataset instance.
+  /// Interned view of AbsentKey(i) for i in [0, size()], backed by one
+  /// buffer of every absent key, laid out at construction. This is the
+  /// request hot path: RequestGenerator hands the view to Query without
+  /// allocating. The view lives as long as this Dataset instance, moves
+  /// included.
   std::string_view absent_key(int i) const {
-    return absent_keys_[static_cast<std::size_t>(i)];
+    const auto at = static_cast<std::size_t>(i);
+    return std::string_view(absent_keys_.data() + absent_offsets_[at],
+                            absent_offsets_[at + 1] - absent_offsets_[at]);
   }
 
   /// Smallest and largest present key.
@@ -105,13 +108,18 @@ class Dataset {
  private:
   explicit Dataset(DatasetConfig config) : config_(config) {}
 
-  /// Fills absent_keys_ once records_ is final (both factories call it).
+  /// Lays out the absent keys once records_ is final (both factories
+  /// call it).
   void InternAbsentKeys();
 
   DatasetConfig config_;
   std::vector<Record> records_;
-  /// Precomputed AbsentKey(0..size()) so the hot path never allocates.
-  std::vector<std::string> absent_keys_;
+  /// AbsentKey(0..size()) back to back, so the hot path never allocates.
+  /// A vector, not a string: a move keeps its heap buffer (no short-string
+  /// copy), so views handed out before a move stay valid.
+  std::vector<char> absent_keys_;
+  /// Absent key i is absent_keys_[absent_offsets_[i], absent_offsets_[i+1]).
+  std::vector<std::size_t> absent_offsets_;
   bool synthetic_ = true;
 };
 

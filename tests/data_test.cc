@@ -1,7 +1,12 @@
 // Unit tests for the synthetic dictionary data source.
 
+#include <cstddef>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +131,52 @@ TEST(Dataset, PaperScaleGenerates) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().size(), 34000);
   EXPECT_LT(result.value().min_key(), result.value().max_key());
+}
+
+// absent_key(i) views one buffer laid out at construction. Each view
+// equals AbsentKey(i) and the key the class comment defines (the even
+// code 2i for a generated dataset; "!", then key i-1 followed by '!', for
+// an external one), for every i; and the views stay valid, pointing at
+// the same bytes, after the dataset is moved.
+TEST(Dataset, AbsentKeyViewsMatchAbsentKeysAcrossMoves) {
+  DatasetConfig config;
+  config.num_records = 300;
+  config.key_width = 12;
+  Dataset generated = Dataset::Generate(config).value();
+  std::vector<Record> records(5);
+  const std::vector<std::string> keys = {"b", "ba", "bab", "c", "zzzzzzzz"};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    records[i].key = keys[keys.size() - 1 - i];  // reversed: sorted here
+  }
+  Dataset external = Dataset::FromRecords(std::move(records)).value();
+
+  const auto expected = [](const Dataset& dataset, int i) {
+    if (dataset.synthetic()) {
+      return EncodeKey(2 * static_cast<std::uint64_t>(i),
+                       dataset.config().key_width);
+    }
+    return i == 0 ? std::string("!") : dataset.record(i - 1).key + "!";
+  };
+  for (Dataset* dataset : {&generated, &external}) {
+    SCOPED_TRACE(dataset->synthetic() ? "generated" : "external");
+    std::vector<std::string_view> views;
+    std::vector<std::string> want;
+    for (int i = 0; i <= dataset->size(); ++i) {
+      views.push_back(dataset->absent_key(i));
+      want.push_back(expected(*dataset, i));
+      EXPECT_EQ(views.back(), dataset->AbsentKey(i)) << "key " << i;
+      EXPECT_EQ(views.back(), want.back()) << "key " << i;
+    }
+    const Dataset moved = std::move(*dataset);
+    const Dataset copied = moved;
+    for (int i = 0; i <= moved.size(); ++i) {
+      const auto at = static_cast<std::size_t>(i);
+      EXPECT_EQ(views[at], want[at]) << "key " << i;
+      EXPECT_EQ(moved.absent_key(i).data(), views[at].data()) << "key " << i;
+      EXPECT_EQ(moved.absent_key(i), moved.AbsentKey(i)) << "key " << i;
+      EXPECT_EQ(copied.absent_key(i), want[at]) << "key " << i;
+    }
+  }
 }
 
 }  // namespace
