@@ -173,34 +173,31 @@ std::string Dataset::AbsentKey(int i) const {
 
 void Dataset::InternAbsentKeys() {
   const std::size_t count = records_.size() + 1;
-  absent_offsets_.resize(count + 1);
+  absent_offsets_.reserve(count + 1);
+  absent_offsets_.push_back(0);
   if (synthetic_) {
     // The even codes 0, 2, ..., 2·size(), each key_width wide (Generate
     // checked that the width encodes them).
     const auto width = static_cast<std::size_t>(config_.key_width);
     absent_keys_.resize(count * width);
     for (std::size_t i = 0; i < count; ++i) {
-      absent_offsets_[i] = i * width;
-      WriteKey(2 * static_cast<std::uint64_t>(i), config_.key_width,
-               absent_keys_.data() + i * width);
+      WriteKey(2 * i, config_.key_width, absent_keys_.data() + i * width);
+      absent_offsets_.push_back((i + 1) * width);
     }
-    absent_offsets_[count] = count * width;
     return;
   }
   // "!", then each key followed by '!'.
   std::size_t total = 1;
   for (const Record& record : records_) total += record.key.size() + 1;
-  absent_keys_.resize(total);
-  char* out = absent_keys_.data();
-  *out++ = '!';
-  absent_offsets_[0] = 0;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    absent_offsets_[i + 1] = static_cast<std::size_t>(out - absent_keys_.data());
-    const std::string& key = records_[i].key;
-    out = std::copy(key.begin(), key.end(), out);
-    *out++ = '!';
+  absent_keys_.reserve(total);
+  absent_keys_.push_back('!');
+  absent_offsets_.push_back(absent_keys_.size());
+  for (const Record& record : records_) {
+    absent_keys_.insert(absent_keys_.end(), record.key.begin(),
+                        record.key.end());
+    absent_keys_.push_back('!');
+    absent_offsets_.push_back(absent_keys_.size());
   }
-  absent_offsets_[count] = total;
 }
 
 }  // namespace airindex
