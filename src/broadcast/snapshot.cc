@@ -92,7 +92,6 @@ Status ProgramSnapshot::WriteFile(const std::string& path,
   if (file == nullptr) {
     return Status::Internal("snapshot: cannot open " + tmp + " for writing");
   }
-  // The header, then the arena's own bytes: no serialized copy.
   const bool written =
       std::fwrite(&header, sizeof(header), 1, file) == 1 &&
       std::fwrite(payload.data(), 1, payload.size(), file) == payload.size();
