@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: channel
-// construction per scheme, program restore, snapshot load and write, the
-// dataset fingerprint, client access walks (single- and multichannel),
-// whole replications, a small engine sweep from snapshots, Zipf draws,
-// and the RNG. These measure *implementation* speed (wall clock), unlike
-// the figure benches, which measure *simulated* bytes.
+// construction per scheme, program restore, snapshot load and write,
+// dataset generation, key lookup, the dataset fingerprint, client access
+// walks (single- and multichannel), whole replications, a small engine
+// sweep from snapshots, Zipf draws, and the RNG. These measure
+// *implementation* speed (wall clock), unlike the figure benches, which
+// measure *simulated* bytes.
 //
 // Accepts google-benchmark's own flags plus --json PATH, which emits the
 // shared bench-report schema with one walltime point per benchmark.
@@ -22,6 +23,7 @@
 #include "client/fleet.h"
 #include "core/experiment.h"
 #include "core/program_cache.h"
+#include "core/request_generator.h"
 #include "core/simulator.h"
 #include "data/dataset.h"
 #include "des/random.h"
@@ -135,6 +137,35 @@ void BM_DatasetFingerprint(benchmark::State& state) {
     benchmark::DoNotOptimize(DatasetFingerprint(*dataset));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/// Dataset::Generate at the paper's 25-byte keys: records, attributes and
+/// the query-side helpers (absent keys, key lookup). Items processed =
+/// records.
+void BM_DatasetGenerate(benchmark::State& state) {
+  DatasetConfig config;
+  config.num_records = static_cast<int>(state.range(0));
+  config.key_width = 25;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Dataset::Generate(config));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/// Dataset::FindIndex over keys drawn as RequestGenerator draws them at
+/// data availability 0.5: uniform present keys and interleaved absent
+/// keys. Items processed = lookups.
+void BM_FindIndex(benchmark::State& state) {
+  const auto dataset = BenchDataset(static_cast<int>(state.range(0)));
+  RequestGenerator generator(dataset.get(), 0.5, 1000.0, Rng(1));
+  std::vector<std::string_view> keys(4096);
+  for (std::string_view& key : keys) key = generator.NextQuery().key;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dataset->FindIndex(keys[next]));
+    next = (next + 1) % keys.size();
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 
 void BM_Access(benchmark::State& state, SchemeKind kind) {
@@ -408,6 +439,8 @@ BENCHMARK_CAPTURE(BM_ProgramRestore, signature, SchemeKind::kSignature)
 BENCHMARK(BM_SnapshotLoad)->Arg(34000);
 BENCHMARK(BM_SnapshotWrite)->Arg(34000);
 BENCHMARK(BM_DatasetFingerprint)->Arg(34000);
+BENCHMARK(BM_DatasetGenerate)->Arg(4000)->Arg(34000);
+BENCHMARK(BM_FindIndex)->Arg(2000)->Arg(34000);
 
 BENCHMARK_CAPTURE(BM_Access, flat, SchemeKind::kFlat)->Arg(34000);
 BENCHMARK_CAPTURE(BM_Access, one_m, SchemeKind::kOneM)->Arg(34000);
