@@ -106,9 +106,6 @@ class SignatureIndexing : public BroadcastScheme {
   /// slices, O(k * n/64) words for a k-bit query over n records.
   AccessResult Access(std::string_view key, Bytes tune_in) const override;
 
-  /// Bucket-by-bucket reference walk over the view (property tests).
-  AccessResult AccessReference(std::string_view key, Bytes tune_in) const;
-
   /// Attribute filtering — the capability signatures exist for: collect
   /// every record whose attributes carry `value`, sifting one full cycle
   /// of signatures and downloading only the matches (plus false drops).
