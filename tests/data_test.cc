@@ -1,5 +1,6 @@
 // Unit tests for the synthetic dictionary data source.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <set>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
+#include "des/random.h"
 
 namespace airindex {
 namespace {
@@ -60,6 +62,48 @@ TEST(Dataset, RecordIdsAreDenseInKeyOrder) {
   }
 }
 
+// The key-order position of `key` by binary search over the records, or
+// -1: the reference FindIndex must agree with on every string.
+int LowerBoundIndex(const Dataset& dataset, std::string_view key) {
+  const std::vector<Record>& records = dataset.records();
+  const auto it = std::lower_bound(
+      records.begin(), records.end(), key,
+      [](const Record& r, std::string_view k) { return r.key < k; });
+  if (it == records.end() || it->key != key) return -1;
+  return static_cast<int>(it - records.begin());
+}
+
+// Probes near every key: the key, every absent key, the key cut by one
+// byte, extended by 'a' and by '!', with its last byte changed, plus the
+// empty string and a key longer than any in the dataset. Each must look
+// up as the binary search finds it, on a copy and on a moved-to dataset.
+void ExpectFindIndexMatchesLowerBound(const Dataset& dataset) {
+  std::vector<std::string> probes = {
+      "", std::string(static_cast<std::size_t>(dataset.config().key_width) +
+                          1, 'z')};
+  for (int i = 0; i < dataset.size(); ++i) {
+    const std::string& key = dataset.record(i).key;
+    probes.push_back(key);
+    probes.push_back(key.substr(0, key.size() - 1));
+    probes.push_back(key + "a");
+    probes.push_back(key + "!");
+    std::string changed = key;
+    changed.back() = changed.back() == 'z' ? 'a' : 'z';
+    probes.push_back(changed);
+  }
+  for (int i = 0; i <= dataset.size(); ++i) {
+    probes.emplace_back(dataset.absent_key(i));
+  }
+  const Dataset copy = dataset;
+  Dataset source = dataset;
+  const Dataset moved = std::move(source);
+  for (const std::string& probe : probes) {
+    const int expected = LowerBoundIndex(dataset, probe);
+    EXPECT_EQ(copy.FindIndex(probe), expected) << "copy: " << probe;
+    EXPECT_EQ(moved.FindIndex(probe), expected) << "moved: " << probe;
+  }
+}
+
 TEST(Dataset, FindIndexRoundTrips) {
   DatasetConfig config;
   config.num_records = 300;
@@ -70,6 +114,24 @@ TEST(Dataset, FindIndexRoundTrips) {
   }
   EXPECT_EQ(dataset.FindIndex("zzzzzz"), -1);
   EXPECT_EQ(dataset.FindIndex(""), -1);
+  ExpectFindIndexMatchesLowerBound(dataset);
+
+  // An external dataset with keys of mixed widths (1 to 40 bytes), some
+  // of them prefixes of others.
+  Rng rng(41);
+  std::set<std::string> keys = {"a", "ab", "abc", "b", "ba", "bab"};
+  while (keys.size() < 400) {
+    std::string key(1 + rng.NextBounded(40), 'a');
+    for (char& c : key) c = static_cast<char>('a' + rng.NextBounded(26));
+    keys.insert(key);
+  }
+  std::vector<Record> records;
+  for (const std::string& key : keys) records.push_back(Record{0, key, {}});
+  const Dataset external = Dataset::FromRecords(std::move(records)).value();
+  for (int i = 0; i < external.size(); ++i) {
+    EXPECT_EQ(external.FindIndex(external.record(i).key), i);
+  }
+  ExpectFindIndexMatchesLowerBound(external);
 }
 
 TEST(Dataset, AbsentKeysInterleaveAndNeverCollide) {
