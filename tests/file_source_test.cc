@@ -176,6 +176,29 @@ TEST(FromRecords, RejectsKeysWithReservedCharacters) {
   ExpectRejectedSortedAndReversed({"!", "aa", "bb"}, "at or below '!'");
 }
 
+// Bytes 0x80-0xFF (UTF-8 beyond ASCII) are ordinary key bytes: keys
+// order as unsigned bytes, so '!' still sorts below them and key + "!"
+// still falls strictly between a key and its successor.
+TEST(FromRecords, LoadsKeysWithBytesAbove0x7F) {
+  const std::vector<std::string> keys = {"cafe", "caf\xc3\xa9", "cafez",
+                                         "zebra", "\xf4\x8f\xbf\xbf"};
+  const Result<Dataset> loaded = Dataset::FromRecords(RecordsWithKeys(keys));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Dataset& dataset = loaded.value();
+  ASSERT_EQ(dataset.size(), 5);
+  EXPECT_EQ(dataset.record(1).key, "cafez");  // 'z' sorts below 0xC3
+  EXPECT_EQ(dataset.record(2).key, "caf\xc3\xa9");
+  for (int i = 0; i < dataset.size(); ++i) {
+    EXPECT_EQ(dataset.FindIndex(dataset.record(i).key), i) << i;
+    EXPECT_EQ(dataset.FindIndex(dataset.absent_key(i)), -1) << i;
+    EXPECT_LT(dataset.absent_key(i), dataset.record(i).key) << i;
+    if (i > 0) {
+      EXPECT_GT(dataset.absent_key(i), dataset.record(i - 1).key) << i;
+    }
+  }
+  EXPECT_GT(dataset.absent_key(dataset.size()), dataset.max_key());
+}
+
 TEST(FromRecords, KeepsSortedInputAndReassignsIds) {
   for (const bool reversed : {false, true}) {
     SCOPED_TRACE(reversed ? "reversed input" : "sorted input");

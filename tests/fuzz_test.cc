@@ -468,7 +468,7 @@ TEST(TrustBoundaryFuzz, CsvMutantsLoadOrFailCleanly) {
     for (int i = 0; i < d.size(); ++i) {
       const std::string& key = d.record(i).key;
       ASSERT_FALSE(key.empty());
-      for (const char c : key) ASSERT_GT(c, '!');
+      for (const char c : key) ASSERT_GT(static_cast<unsigned char>(c), '!');
       EXPECT_EQ(d.record(i).id, static_cast<std::uint64_t>(i));
       EXPECT_LT(d.absent_key(i), key);
       if (i > 0) {
