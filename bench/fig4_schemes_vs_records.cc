@@ -55,6 +55,9 @@ int Main(int argc, char** argv) {
   }
   ReportTable access_table(columns);
   ReportTable tuning_table(columns);
+  std::vector<std::string> throughput_columns = {"records"};
+  for (const auto& scheme : schemes) throughput_columns.push_back(scheme.label);
+  ReportTable throughput_table(throughput_columns);
 
   BenchReporter reporter("fig4_schemes_vs_records", options);
   reporter.SetShard(options.shard);
@@ -97,6 +100,7 @@ int Main(int argc, char** argv) {
   for (const int num_records : record_counts) {
     std::vector<std::string> access_row = {std::to_string(num_records)};
     std::vector<std::string> tuning_row = {std::to_string(num_records)};
+    std::vector<std::string> throughput_row = {std::to_string(num_records)};
     for (const auto& scheme : schemes) {
       const std::size_t cell = index;
       TestbedConfig config = configs[index];
@@ -147,6 +151,11 @@ int Main(int argc, char** argv) {
       access_row.push_back(FormatDouble(model.access_time, 0));
       tuning_row.push_back(FormatDouble(sim.tuning.mean(), 0));
       tuning_row.push_back(FormatDouble(model.tuning_time, 0));
+      const double cell_wall = experiment.timing().cell_wall_seconds[cell];
+      throughput_row.push_back(
+          cell_wall > 0.0
+              ? FormatDouble(static_cast<double>(sim.requests) / cell_wall, 0)
+              : "-");
       if (sim.anomalies != 0 || sim.outcome_mismatches != 0) {
         std::cerr << "WARNING: " << scheme.label << " at " << num_records
                   << " records: " << sim.anomalies << " anomalies, "
@@ -155,12 +164,17 @@ int Main(int argc, char** argv) {
     }
     access_table.AddRow(access_row);
     tuning_table.AddRow(tuning_row);
+    throughput_table.AddRow(throughput_row);
   }
 
   std::cout << "\n(a) Access time (bytes) vs number of data records\n";
   csv ? access_table.PrintCsv(std::cout) : access_table.Print(std::cout);
   std::cout << "\n(b) Tuning time (bytes) vs number of data records\n";
   csv ? tuning_table.PrintCsv(std::cout) : tuning_table.Print(std::cout);
+  std::cout << "\n(c) Merged requests per second of each cell's wall time "
+               "(wall-clock, console only)\n";
+  csv ? throughput_table.PrintCsv(std::cout)
+      : throughput_table.Print(std::cout);
   std::cout << '\n';
   PrintTimingSummary(std::cout, experiment.timing());
   PrintProgramCacheSummary(experiment.program_cache(), options.shard);
