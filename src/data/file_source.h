@@ -13,9 +13,10 @@ namespace airindex {
 ///
 /// Format: one record per line, `key<delim>attr1<delim>attr2...`;
 /// blank lines and lines starting with '#' are skipped. Keys must be
-/// unique, non-empty, and contain only characters above '!' (see
-/// Dataset::FromRecords). Fails with NotFound when the file cannot be
-/// opened and InvalidArgument on malformed content.
+/// unique, non-empty, and contain only bytes above '!', compared
+/// unsigned, so UTF-8 keys load (see Dataset::FromRecords). Fails with
+/// NotFound when the file cannot be opened and InvalidArgument on
+/// malformed content.
 Result<Dataset> LoadDatasetFromFile(const std::string& path,
                                     char delimiter = ',');
 
