@@ -422,12 +422,23 @@ BENCHMARK_CAPTURE(BM_ChannelBuild, hashing, SchemeKind::kHashing)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ChannelBuild, signature, SchemeKind::kSignature)
     ->Arg(34000);
 
+BENCHMARK_CAPTURE(BM_ProgramBuild, flat, SchemeKind::kFlat)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, one_m, SchemeKind::kOneM)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, distributed, SchemeKind::kDistributed)
     ->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, hashing, SchemeKind::kHashing)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramBuild, signature, SchemeKind::kSignature)
     ->Arg(34000);
+BENCHMARK_CAPTURE(BM_ProgramBuild, integrated_signature,
+                  SchemeKind::kIntegratedSignature)
+    ->Arg(34000);
+BENCHMARK_CAPTURE(BM_ProgramBuild, multilevel_signature,
+                  SchemeKind::kMultiLevelSignature)
+    ->Arg(34000);
+BENCHMARK_CAPTURE(BM_ProgramBuild, broadcast_disks,
+                  SchemeKind::kBroadcastDisks)
+    ->Arg(34000);
+BENCHMARK_CAPTURE(BM_ProgramBuild, hybrid, SchemeKind::kHybrid)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, flat, SchemeKind::kFlat)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, one_m, SchemeKind::kOneM)->Arg(34000);
 BENCHMARK_CAPTURE(BM_ProgramRestore, distributed, SchemeKind::kDistributed)
