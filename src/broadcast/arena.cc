@@ -3,9 +3,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <string_view>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,33 +30,6 @@ void CopySpan(std::uint8_t* to, const std::vector<T>& values) {
   if (values.empty()) return;
   std::memcpy(to, values.data(), values.size() * sizeof(T));
 }
-
-/// Deterministic string interner: first-touch append order, duplicates
-/// collapse to the first occurrence. The empty string is always {0, 0}.
-/// The table is keyed on the callers' own views (bucket strings and the
-/// dataset keys pointer entries view), which outlive the interner; no key
-/// points into the pool, which moves as it grows.
-class StringPool {
- public:
-  /// Sizes the table for `lookups` distinct strings, the most there can
-  /// be, so it never rehashes.
-  explicit StringPool(std::size_t lookups) { interned_.reserve(lookups); }
-
-  ArenaStrRef Intern(std::string_view s) {
-    if (s.empty()) return ArenaStrRef{0, 0};
-    const auto [it, fresh] = interned_.try_emplace(
-        s, ArenaStrRef{static_cast<std::uint32_t>(pool_.size()),
-                       static_cast<std::uint32_t>(s.size())});
-    if (fresh) pool_.append(s);
-    return it->second;
-  }
-
-  const std::string& pool() const { return pool_; }
-
- private:
-  std::string pool_;
-  std::unordered_map<std::string_view, ArenaStrRef> interned_;
-};
 
 }  // namespace
 
@@ -144,117 +114,6 @@ Result<ArenaHeader> ProgramArena::Layout(const ArenaCounts& counts) {
   header.num_aux = static_cast<std::uint32_t>(counts.aux);
   header.total_bytes = static_cast<std::uint32_t>(at);
   return header;
-}
-
-Result<ProgramArena> ProgramArena::Flatten(
-    const std::vector<const std::vector<Bucket>*>& channels,
-    Bytes switch_cost_bytes, int scheme_kind,
-    std::uint64_t dataset_fingerprint, std::uint64_t params_fingerprint,
-    const std::vector<std::int64_t>& aux) {
-  // Pass 1: count every section but the string pool, whose deduplicated
-  // size is known only once it is filled, and reject a program past
-  // 32-bit offsets before filling anything. `lookups` bounds the distinct
-  // strings: the non-empty bucket strings plus two keys per entry.
-  ArenaCounts counts;
-  counts.channels = channels.size();
-  counts.aux = aux.size();
-  std::uint64_t lookups = 0;
-  for (const std::vector<Bucket>* channel : channels) {
-    counts.buckets += channel->size();
-    for (const Bucket& b : *channel) {
-      counts.entries += b.local.size() + b.control.size();
-      counts.words += b.signature.size();
-      lookups += (b.range_lo.empty() ? 0 : 1) + (b.range_hi.empty() ? 0 : 1) +
-                 (b.last_broadcast_key.empty() ? 0 : 1);
-    }
-  }
-  lookups += 2 * counts.entries;
-  if (Result<ArenaHeader> fits = Layout(counts); !fits.ok()) {
-    return fits.status();
-  }
-
-  // Pass 2: fill the pools, each sized once (fixed traversal order:
-  // channels in order, buckets in cycle order, local entries before
-  // control entries — the same buckets always give the same bytes). The
-  // pre-check bounds every index narrowed here.
-  std::vector<ArenaChannelDesc> descs;
-  descs.reserve(channels.size());
-  std::vector<ArenaBucket> buckets;
-  buckets.reserve(counts.buckets);
-  std::vector<ArenaPointerEntry> entries;
-  entries.reserve(counts.entries);
-  std::vector<std::uint64_t> words;
-  words.reserve(counts.words);
-  StringPool strings(lookups);
-
-  const auto intern_entries =
-      [&](const std::vector<PointerEntry>& source) -> std::pair<std::uint32_t,
-                                                                std::uint32_t> {
-    const auto first = static_cast<std::uint32_t>(entries.size());
-    for (const PointerEntry& e : source) {
-      ArenaPointerEntry flat;
-      flat.key_lo = strings.Intern(e.key_lo);
-      flat.key_hi = strings.Intern(e.key_hi);
-      flat.target_phase = e.target_phase;
-      flat.target_channel = e.target_channel;
-      entries.push_back(flat);
-    }
-    return {first, static_cast<std::uint32_t>(source.size())};
-  };
-
-  for (const std::vector<Bucket>* channel : channels) {
-    ArenaChannelDesc desc;
-    desc.first_bucket = static_cast<std::uint32_t>(buckets.size());
-    desc.bucket_count = static_cast<std::uint32_t>(channel->size());
-    descs.push_back(desc);
-    for (const Bucket& b : *channel) {
-      ArenaBucket flat;
-      flat.size = b.size;
-      flat.record_id = b.record_id;
-      flat.next_index_segment_phase = b.next_index_segment_phase;
-      flat.slot = b.slot;
-      flat.hash_value = b.hash_value;
-      flat.shift_phase = b.shift_phase;
-      flat.range_lo = strings.Intern(b.range_lo);
-      flat.range_hi = strings.Intern(b.range_hi);
-      flat.last_broadcast_key = strings.Intern(b.last_broadcast_key);
-      std::tie(flat.local_first, flat.local_count) = intern_entries(b.local);
-      std::tie(flat.control_first, flat.control_count) =
-          intern_entries(b.control);
-      flat.signature_first = static_cast<std::uint32_t>(words.size());
-      flat.signature_count = static_cast<std::uint32_t>(b.signature.size());
-      words.insert(words.end(), b.signature.begin(), b.signature.end());
-      flat.level = b.level;
-      flat.kind = static_cast<std::uint8_t>(b.kind);
-      buckets.push_back(flat);
-    }
-  }
-
-  // Pass 3: lay the sections out in one buffer.
-  counts.string_bytes = strings.pool().size();
-  Result<ArenaHeader> layout = Layout(counts);
-  if (!layout.ok()) return layout.status();
-  ArenaHeader header = layout.value();
-  header.magic = kMagic;
-  header.format_version = kFormatVersion;
-  header.scheme_kind = scheme_kind;
-  header.switch_cost_bytes = switch_cost_bytes;
-  header.dataset_fingerprint = dataset_fingerprint;
-  header.params_fingerprint = params_fingerprint;
-
-  ProgramArena arena;
-  // Alignment pads stay zero — determinism.
-  arena.bytes_.assign(header.total_bytes, 0);
-  std::uint8_t* base = arena.bytes_.data();
-  std::memcpy(base, &header, sizeof(header));
-  CopySpan(base + header.channels_offset, descs);
-  CopySpan(base + header.buckets_offset, buckets);
-  CopySpan(base + header.entries_offset, entries);
-  CopySpan(base + header.words_offset, words);
-  std::memcpy(base + header.strings_offset, strings.pool().data(),
-              strings.pool().size());
-  CopySpan(base + header.aux_offset, aux);
-  return arena;
 }
 
 ProgramArena ProgramArena::Retag(int scheme_kind,
@@ -356,9 +215,9 @@ Status ProgramArena::Validate() const {
         " bytes, buffer has " + std::to_string(bytes_.size()));
   }
   // Sections are bound through typed references (bucket(), entry(),
-  // channel_desc()), so an offset off the 8-byte grid Flatten writes is
-  // as hostile as one out of bounds. Aux is the last section, as Flatten
-  // lays it out and Retag relies on.
+  // channel_desc()), so an offset off the 8-byte grid Layout places them
+  // on is as hostile as one out of bounds. Aux is the last section, as
+  // Layout places it and Retag relies on.
   const auto section_ok = [](std::uint64_t offset, std::uint64_t count,
                              std::uint64_t unit, std::uint64_t end) {
     return offset % kAlign == 0 && offset <= end &&

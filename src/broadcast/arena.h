@@ -11,18 +11,44 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "broadcast/bucket.h"
 
 namespace airindex {
+
+/// Kinds of buckets a scheme can place on the channel.
+enum class BucketKind {
+  /// Carries one data record (all schemes).
+  kData,
+  /// Carries B+-tree index information ((1,m) and distributed indexing).
+  kIndex,
+  /// Carries a record or group signature (signature indexing family).
+  kSignature,
+};
+
+/// Returns a short printable name for a bucket kind.
+inline const char* BucketKindToString(BucketKind kind) {
+  switch (kind) {
+    case BucketKind::kData:
+      return "data";
+    case BucketKind::kIndex:
+      return "index";
+    case BucketKind::kSignature:
+      return "signature";
+  }
+  return "unknown";
+}
+
+/// ArenaPointerEntry::target_channel value meaning "the channel this
+/// bucket is broadcast on": the single-channel case, and the default.
+inline constexpr int kSameChannel = -1;
 
 /// The arena's on-wire structures. Every field is fixed-width and every
 /// cross-structure reference is a 32-bit offset (or index) into one of
 /// the arena's pools, so a flattened program is a single relocatable
 /// buffer: it can be memcpy'd, written to disk and loaded back anywhere
 /// without pointer fixups. All structures are padded explicitly to
-/// multiples of 8 bytes and the pads are zeroed, which is what makes
-/// Flatten deterministic byte-for-byte (the CI snapshot-roundtrip gate
-/// depends on it).
+/// multiples of 8 bytes and the pads are zeroed, which is what makes a
+/// written arena deterministic byte-for-byte (the CI snapshot-roundtrip
+/// gate depends on it).
 ///
 /// A "string ref" is (offset, length) into the arena's string pool; an
 /// "entry ref" is (first, count) into the pointer-entry pool; a "word
@@ -33,7 +59,14 @@ struct ArenaStrRef {
 };
 static_assert(sizeof(ArenaStrRef) == 8);
 
-/// Flattened PointerEntry: the key views become string-pool refs.
+/// One directory entry inside an index bucket: "keys up to `key_hi`
+/// (and from `key_lo`) are reachable at cycle phase `target_phase`".
+/// Phases are byte positions within one broadcast cycle; a client turns a
+/// phase into an absolute arrival time with the program view's
+/// NextArrivalOfPhase (schemes/channel_view.h), which models the paper's
+/// "time offset" pointers uniformly across schemes. `target_channel` is
+/// kSameChannel for the bucket's own channel, otherwise the index of one
+/// of the multichannel program's channels.
 struct ArenaPointerEntry {
   ArenaStrRef key_lo;
   ArenaStrRef key_hi;
@@ -43,7 +76,24 @@ struct ArenaPointerEntry {
 };
 static_assert(sizeof(ArenaPointerEntry) == 32);
 
-/// Flattened Bucket: vectors become pool spans, strings become refs.
+/// One bucket instance on the broadcast cycle. Builders set the fields a
+/// scheme uses and leave the rest defaulted:
+///
+/// - all kinds: kind, size, next_index_segment_phase (schemes with index
+///   segments store the offset every bucket carries in Fig. 2).
+/// - kData: record_id (-1 when the bucket carries no record, e.g. an
+///   empty hash slot); hashing additionally sets slot (the hash value
+///   this position stands for in its control part), hash_value (of the
+///   record carried) and shift_phase (the paper's shift value, resolved
+///   to the phase of the slot's chain start).
+/// - kIndex: level (0 = leaf), the key range of the node's subtree, the
+///   local index (one entry per child) and, for distributed indexing, the
+///   control index (each ancestor's next occurrence, nearest first) and
+///   the key of the data record most recently broadcast before it.
+/// - kSignature: signature words; record_id of the data bucket that
+///   follows.
+///
+/// Strings are string-pool refs, entry and word lists pool spans.
 struct ArenaBucket {
   std::int64_t size = 0;
   std::int64_t record_id = -1;
@@ -98,7 +148,7 @@ struct ArenaHeader {
 };
 static_assert(sizeof(ArenaHeader) == 88);
 
-/// Element counts of a flattened program's sections: the input of
+/// Element counts of an arena's sections: the input of
 /// ProgramArena::Layout.
 struct ArenaCounts {
   std::uint64_t channels = 0;
@@ -109,38 +159,24 @@ struct ArenaCounts {
   std::uint64_t aux = 0;
 };
 
-/// A broadcast program flattened into one contiguous, offset-addressed
-/// buffer.
+class ArenaWriter;
+
+/// A broadcast program in one contiguous, offset-addressed buffer.
 ///
 /// Buckets, index nodes and cross-bucket/cross-channel pointers live in
 /// fixed-width pools referenced by 32-bit offsets, so the whole program
 /// is built once per (scheme, dataset shape), shared read-only across
 /// replications and sweep cells, serialized to disk (broadcast/snapshot.h)
-/// and loaded back byte-identically. Flatten is deterministic byte for
-/// byte and a snapshot round trip returns the same bytes; snapshot_test
-/// and the CI snapshot-roundtrip job gate both.
+/// and loaded back byte-identically. Builders write it through an
+/// ArenaWriter (broadcast/arena_writer.h), which is deterministic byte
+/// for byte, and a snapshot round trip returns the same bytes;
+/// snapshot_test and the CI snapshot-roundtrip job gate both.
 class ProgramArena {
  public:
   static constexpr std::uint32_t kMagic = 0x41505247u;  // "GRPA" on disk
   static constexpr std::uint32_t kFormatVersion = 2;
 
-  /// Flattens each channel's bucket sequence, one broadcast cycle in
-  /// cycle order, plus scheme metadata into an arena. `aux` carries
-  /// scheme-resolved scalars (replication counts, slot counts, ...) the
-  /// restore path needs; see schemes/scheme.cc for the per-scheme layout.
-  /// Sizes and pointer phases are copied as given: binding the arena
-  /// (schemes/channel_view.h) is what checks them. Strings are interned
-  /// by content through views of the buckets' own strings and of the keys
-  /// their pointer entries view, so those must stay alive for the call.
-  /// InvalidArgument when the program does not fit 32-bit offsets (see
-  /// Layout); nothing is narrowed silently.
-  static Result<ProgramArena> Flatten(
-      const std::vector<const std::vector<Bucket>*>& channels,
-      Bytes switch_cost_bytes, int scheme_kind,
-      std::uint64_t dataset_fingerprint, std::uint64_t params_fingerprint,
-      const std::vector<std::int64_t>& aux);
-
-  /// The section layout Flatten writes for `counts`: a header whose
+  /// The section layout of an arena of `counts`: a header whose
   /// counts, 8-aligned section offsets and total_bytes are filled in (the
   /// other fields default). InvalidArgument when any count, offset or the
   /// total passes 2^32 - 1, the widest a 32-bit offset addresses.
@@ -154,10 +190,8 @@ class ProgramArena {
 
   /// This program under a new tag: the same sections up to the aux
   /// section, then `aux`, with the header's kind, fingerprints and aux
-  /// count rewritten and the switch cost zeroed. Because aux is the last
-  /// section, the result is byte-identical to Flatten of the bucket
-  /// sequences this arena was flattened from with the same arguments — a
-  /// copy and a header patch, no re-interning.
+  /// count rewritten and the switch cost zeroed. Aux is the last section,
+  /// so this is a copy and a header patch.
   ProgramArena Retag(int scheme_kind, std::uint64_t dataset_fingerprint,
                      std::uint64_t params_fingerprint,
                      const std::vector<std::int64_t>& aux) const;
@@ -195,7 +229,8 @@ class ProgramArena {
   std::uint32_t num_words() const { return header().num_words; }
   /// The bytes a string ref points at.
   std::string_view str(const ArenaStrRef& ref) const;
-  /// Scheme-resolved scalars stored at Flatten time.
+  /// Scheme-resolved scalars (replication counts, slot counts, ...) the
+  /// restore path needs; see schemes/scheme.cc for the per-scheme layout.
   std::vector<std::int64_t> aux() const;
 
   /// Re-checks every offset's alignment and every offset, span and ref
@@ -204,6 +239,8 @@ class ProgramArena {
   Status Validate() const;
 
  private:
+  friend class ArenaWriter;
+
   ProgramArena() = default;
 
   std::vector<std::uint8_t> bytes_;

@@ -4,13 +4,6 @@
 
 namespace airindex {
 
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t ReplicationSeed(std::uint64_t master_seed,
                               std::uint64_t replication_id) {
   return master_seed ^ Mix64(replication_id);

@@ -1,20 +1,19 @@
 // Layer: 4 (schemes) — see docs/ARCHITECTURE.md for the layer map.
 //
-// A broadcast program: a flattened single-channel arena
-// (broadcast/arena.h) read by 32-bit offset arithmetic — buckets, index
-// entries and signature words resolved from the arena's pools, with no
-// rebuilt trees, no per-bucket heap vectors and no pointer chasing.
-// Every scheme binds one when it is constructed (Build flattens the
-// bucket sequence it laid out and drops it, Restore binds the arena it
-// was restored from), and a multichannel program holds one per channel.
-// The view is the only representation of a program: each Access() is
-// one walk over it, and the code outside the walks (report shape,
-// server counters, PIX frequencies, filters, trace printing) reads the
-// same view.
+// A broadcast program: a single-channel arena (broadcast/arena.h) read
+// by 32-bit offset arithmetic — buckets, index entries and signature
+// words resolved from the arena's pools, with no rebuilt trees, no
+// per-bucket heap vectors and no pointer chasing. Every scheme binds one
+// when it is constructed (Build binds the arena its ArenaWriter wrote,
+// Restore the arena it was restored from), and a multichannel program
+// holds one per channel. The view is the only representation of a
+// program: each Access() is one walk over it, and the code outside the
+// walks (report shape, server counters, PIX frequencies, filters, trace
+// printing) reads the same view.
 //
-// The arena's bucket pool is written in cycle order and its entry pool
-// in local-before-control order (ProgramArena::Flatten), so bucket
-// indices and phases here are exactly those of the bucket sequence the
+// A builder appends its buckets in cycle order and each bucket's local
+// entries before its control entries (broadcast/arena_writer.h), so
+// bucket indices and phases here are exactly those of the cycle the
 // builder laid out.
 #ifndef AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
 #define AIRINDEX_SCHEMES_CHANNEL_VIEW_H_
@@ -32,7 +31,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "broadcast/arena.h"
-#include "broadcast/bucket.h"
+#include "broadcast/arena_writer.h"
 
 namespace airindex {
 
@@ -46,7 +45,7 @@ struct EntryView {
 };
 static_assert(sizeof(EntryView) == 16);
 
-/// View over a flattened single-channel program. Co-owns the arena and
+/// View over a single-channel program arena. Co-owns the arena and
 /// holds raw base pointers into its buffer (stable across moves of the
 /// view — the buffer is heap storage), resolving every walk step by
 /// offset arithmetic. Simulated time is an absolute byte count and a
@@ -125,15 +124,12 @@ class ArenaChannelView {
     const ArenaBucket* b_;
   };
 
-  /// The Build path: flattens one cycle of `buckets` into a fresh
-  /// untagged arena and binds it, which checks the sizes. The bucket
-  /// vector is the builder's intermediate and is dropped here; the
-  /// program keeps only the view. InvalidArgument when the program does
-  /// not fit an arena's 32-bit offsets.
-  static Result<ArenaChannelView> Build(std::vector<Bucket> buckets) {
-    Result<ProgramArena> arena = ProgramArena::Flatten(
-        {&buckets}, /*switch_cost_bytes=*/0, /*scheme_kind=*/-1,
-        /*dataset_fingerprint=*/0, /*params_fingerprint=*/0, /*aux=*/{});
+  /// The Build path: finishes the cycle a builder wrote into `writer`
+  /// (an untagged arena) and binds it, which checks the sizes.
+  /// InvalidArgument when the program does not fit an arena's 32-bit
+  /// offsets.
+  static Result<ArenaChannelView> Bind(ArenaWriter writer) {
+    Result<ProgramArena> arena = std::move(writer).Finish();
     if (!arena.ok()) return arena.status();
     return Bind(
         std::make_shared<const ProgramArena>(std::move(arena).value()));
@@ -256,7 +252,7 @@ class ArenaChannelView {
   /// The bound arena. FlattenSchemeProgram re-tags it.
   const ProgramArena& arena() const { return *arena_; }
 
-  /// The whole pointer-entry pool in flatten order: each bucket's local
+  /// The whole pointer-entry pool in cycle order: each bucket's local
   /// entries, then its control entries. The structural validator makes
   /// one pass over it.
   std::span<const ArenaPointerEntry> entry_pool() const {

@@ -105,66 +105,64 @@ Result<DistributedIndexing> DistributedIndexing::Build(
     return static_cast<Bytes>(target) * bucket_bytes;
   };
 
-  // ---- Pass 2: materialize buckets. ---------------------------------------
-  std::vector<Bucket> buckets;
-  buckets.reserve(layout.size());
+  // ---- Pass 2: write the buckets. ------------------------------------------
+  // An index bucket holds one local entry per child and one control
+  // entry per ancestor (its depth).
+  std::uint64_t entries = 0;
+  for (const Slot& slot : layout) {
+    if (!slot.is_index) continue;
+    const BTreeNode& node = tree.node(slot.node_id);
+    entries += node.children.size() + static_cast<std::size_t>(node.depth);
+  }
+  ArenaWriter writer(*dataset);
+  writer.Reserve({.buckets = layout.size(),
+                  .entries = entries,
+                  .string_bytes = writer.AllKeyBytes()});
   for (std::size_t pos = 0; pos < layout.size(); ++pos) {
     const Slot& slot = layout[pos];
-    Bucket bucket;
-    bucket.size = bucket_bytes;
-    bucket.next_index_segment_phase =
+    const Bytes next_segment =
         static_cast<Bytes>(
             segment_start[static_cast<std::size_t>((slot.segment + 1) %
                                                    num_segments)]) *
         bucket_bytes;
     if (!slot.is_index) {
-      bucket.kind = BucketKind::kData;
+      ArenaBucket& bucket = writer.Append(BucketKind::kData, bucket_bytes);
+      bucket.next_index_segment_phase = next_segment;
       bucket.record_id = slot.record_id;
-      buckets.push_back(std::move(bucket));
       continue;
     }
 
     const BTreeNode& node = tree.node(slot.node_id);
-    bucket.kind = BucketKind::kIndex;
+    ArenaBucket& bucket = writer.Append(BucketKind::kIndex, bucket_bytes);
+    bucket.next_index_segment_phase = next_segment;
     bucket.level = node.level;
-    bucket.range_lo = dataset->record(node.first_record).key;
-    bucket.range_hi = dataset->record(node.last_record).key;
-    bucket.last_broadcast_key =
-        slot.last_record_before >= 0
-            ? dataset->record(slot.last_record_before).key
-            : std::string();
+    bucket.range_lo = writer.Key(node.first_record);
+    bucket.range_hi = writer.Key(node.last_record);
+    if (slot.last_record_before >= 0) {
+      bucket.last_broadcast_key = writer.Key(slot.last_record_before);
+    }
 
-    bucket.local.reserve(node.children.size());
     for (const int child : node.children) {
-      PointerEntry entry;
       if (node.level == 0) {
-        entry.key_lo = dataset->record(child).key;
-        entry.key_hi = entry.key_lo;
-        entry.target_phase = record_phase[static_cast<std::size_t>(child)];
+        writer.AddLocal(child, child,
+                        record_phase[static_cast<std::size_t>(child)]);
       } else {
         const BTreeNode& child_node = tree.node(child);
-        entry.key_lo = dataset->record(child_node.first_record).key;
-        entry.key_hi = dataset->record(child_node.last_record).key;
-        entry.target_phase =
-            next_occurrence_phase(child, static_cast<int>(pos));
+        writer.AddLocal(child_node.first_record, child_node.last_record,
+                        next_occurrence_phase(child, static_cast<int>(pos)));
       }
-      bucket.local.push_back(std::move(entry));
     }
 
     // Control index: each ancestor's next occurrence, nearest first.
-    for (const int ancestor : tree.Ancestors(slot.node_id)) {
+    for (int ancestor = node.parent; ancestor != -1;
+         ancestor = tree.node(ancestor).parent) {
       const BTreeNode& anc = tree.node(ancestor);
-      PointerEntry entry;
-      entry.key_lo = dataset->record(anc.first_record).key;
-      entry.key_hi = dataset->record(anc.last_record).key;
-      entry.target_phase =
-          next_occurrence_phase(ancestor, static_cast<int>(pos));
-      bucket.control.push_back(std::move(entry));
+      writer.AddControl(anc.first_record, anc.last_record,
+                        next_occurrence_phase(ancestor, static_cast<int>(pos)));
     }
-    buckets.push_back(std::move(bucket));
   }
 
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return DistributedIndexing(std::move(dataset), std::move(tree),
                              std::move(view).value(), r, num_segments);

@@ -11,16 +11,13 @@ Result<FlatBroadcast> FlatBroadcast::Build(
   if (dataset == nullptr || dataset->size() == 0) {
     return Status::InvalidArgument("flat broadcast needs a non-empty dataset");
   }
-  std::vector<Bucket> buckets;
-  buckets.reserve(static_cast<std::size_t>(dataset->size()));
+  ArenaWriter writer(*dataset);
+  writer.Reserve({.buckets = static_cast<std::uint64_t>(dataset->size())});
   for (const Record& record : dataset->records()) {
-    Bucket bucket;
-    bucket.kind = BucketKind::kData;
-    bucket.size = geometry.data_bucket_bytes();
-    bucket.record_id = static_cast<std::int64_t>(record.id);
-    buckets.push_back(std::move(bucket));
+    writer.Append(BucketKind::kData, geometry.data_bucket_bytes()).record_id =
+        static_cast<std::int64_t>(record.id);
   }
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return FlatBroadcast(std::move(dataset), std::move(view).value());
 }

@@ -42,12 +42,31 @@ Result<SimpleHashing> SimpleHashing::Build(
   const int allocated = std::max(
       1, static_cast<int>(std::lround(allocation_factor * num_records)));
 
-  // Group records by slot, preserving key order within a slot.
-  std::vector<std::vector<int>> slots(static_cast<std::size_t>(allocated));
+  // Group records by slot, preserving key order within a slot: a
+  // counting sort, so slot s holds chained[chain_begin[s],
+  // chain_begin[s + 1]).
+  std::vector<int> slot_of(static_cast<std::size_t>(num_records));
+  std::vector<int> chain_begin(static_cast<std::size_t>(allocated) + 1, 0);
   for (const Record& record : dataset->records()) {
-    const auto slot = static_cast<std::size_t>(
+    const auto slot = static_cast<int>(
         HashString(record.key) % static_cast<std::uint64_t>(allocated));
-    slots[slot].push_back(static_cast<int>(record.id));
+    slot_of[record.id] = slot;
+    ++chain_begin[static_cast<std::size_t>(slot) + 1];
+  }
+  std::size_t num_buckets = 0;
+  for (int slot = 0; slot < allocated; ++slot) {
+    const auto s = static_cast<std::size_t>(slot);
+    num_buckets += static_cast<std::size_t>(std::max(chain_begin[s + 1], 1));
+    chain_begin[s + 1] += chain_begin[s];
+  }
+  std::vector<int> chained(static_cast<std::size_t>(num_records));
+  {
+    std::vector<int> next(chain_begin.begin(), chain_begin.end() - 1);
+    for (int r = 0; r < num_records; ++r) {
+      int& at = next[static_cast<std::size_t>(
+          slot_of[static_cast<std::size_t>(r)])];
+      chained[static_cast<std::size_t>(at++)] = r;
+    }
   }
 
   // Lay out: per slot, the home bucket (first record, or empty) followed
@@ -55,38 +74,32 @@ Result<SimpleHashing> SimpleHashing::Build(
   // represents hash value i in its control part and stores the shift to
   // the chain start home_pos(i) = i + displaced records of slots < i.
   const Bytes bucket_bytes = geometry.data_bucket_bytes();
-  std::size_t num_buckets = 0;
-  for (const std::vector<int>& records : slots) {
-    num_buckets += std::max<std::size_t>(records.size(), 1);
-  }
-  std::vector<Bucket> buckets;
-  buckets.reserve(num_buckets);
+  ArenaWriter writer(*dataset);
+  writer.Reserve({.buckets = num_buckets});
   std::vector<Bytes> chain_start_phase(static_cast<std::size_t>(allocated));
   for (int slot = 0; slot < allocated; ++slot) {
-    chain_start_phase[static_cast<std::size_t>(slot)] =
-        static_cast<Bytes>(buckets.size()) * bucket_bytes;
-    const std::vector<int>& records = slots[static_cast<std::size_t>(slot)];
-    const std::size_t emitted = std::max<std::size_t>(records.size(), 1);
-    for (std::size_t i = 0; i < emitted; ++i) {
-      Bucket bucket;
-      bucket.kind = BucketKind::kData;
-      bucket.size = bucket_bytes;
-      if (i < records.size()) {
-        bucket.record_id = records[i];
-        bucket.hash_value = slot;
-      }
-      buckets.push_back(std::move(bucket));
+    const auto s = static_cast<std::size_t>(slot);
+    chain_start_phase[s] =
+        static_cast<Bytes>(writer.num_buckets()) * bucket_bytes;
+    if (chain_begin[s] == chain_begin[s + 1]) {
+      writer.Append(BucketKind::kData, bucket_bytes);  // empty home slot
+      continue;
+    }
+    for (int i = chain_begin[s]; i < chain_begin[s + 1]; ++i) {
+      ArenaBucket& bucket = writer.Append(BucketKind::kData, bucket_bytes);
+      bucket.record_id = chained[static_cast<std::size_t>(i)];
+      bucket.hash_value = slot;
     }
   }
-  // Fill the control parts positionally.
-  for (std::size_t pos = 0; pos < buckets.size(); ++pos) {
-    if (pos < static_cast<std::size_t>(allocated)) {
-      buckets[pos].slot = static_cast<std::int64_t>(pos);
-      buckets[pos].shift_phase = chain_start_phase[pos];
-    }
+  // Fill the control parts positionally: position pos < Na stands for
+  // hash value pos, whose chain may start after it.
+  for (std::size_t pos = 0; pos < static_cast<std::size_t>(allocated); ++pos) {
+    ArenaBucket& bucket = writer.bucket(pos);
+    bucket.slot = static_cast<std::int64_t>(pos);
+    bucket.shift_phase = chain_start_phase[pos];
   }
 
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return SimpleHashing(std::move(dataset), std::move(view).value(),
                        allocated);

@@ -96,62 +96,63 @@ Result<HybridIndexing> HybridIndexing::Build(
     }
   }
 
-  // ---- Pass 2: materialize buckets. ---------------------------------------
-  std::vector<Bucket> buckets;
-  buckets.reserve(layout.size());
-  for (std::size_t pos = 0; pos < layout.size(); ++pos) {
-    const Slot& slot = layout[pos];
-    Bucket bucket;
-    bucket.next_index_segment_phase =
+  // ---- Pass 2: write the buckets. ------------------------------------------
+  std::uint64_t children = 0;
+  for (const BTreeNode& node : tree.nodes()) children += node.children.size();
+  const int words = generator.words();
+  ArenaWriter writer(*dataset);
+  writer.Reserve({.buckets = layout.size(),
+                  .entries = static_cast<std::uint64_t>(m) * children,
+                  .words = static_cast<std::uint64_t>(num_records) *
+                           static_cast<std::uint64_t>(words),
+                  .string_bytes = writer.AllKeyBytes()});
+  for (const Slot& slot : layout) {
+    const Bytes next_segment =
         segment_start_phase[static_cast<std::size_t>((slot.segment + 1) % m)];
     switch (slot.kind) {
-      case Slot::kRecordData:
-        bucket.kind = BucketKind::kData;
-        bucket.size = geometry.data_bucket_bytes();
+      case Slot::kRecordData: {
+        ArenaBucket& bucket =
+            writer.Append(BucketKind::kData, geometry.data_bucket_bytes());
+        bucket.next_index_segment_phase = next_segment;
         bucket.record_id = slot.id;
         break;
-      case Slot::kRecordSig:
-        bucket.kind = BucketKind::kSignature;
-        bucket.size = geometry.signature_bucket_bytes();
+      }
+      case Slot::kRecordSig: {
+        ArenaBucket& bucket = writer.Append(BucketKind::kSignature,
+                                            geometry.signature_bucket_bytes());
+        bucket.next_index_segment_phase = next_segment;
         bucket.record_id = slot.id;
-        bucket.signature = generator.RecordSignature(dataset->record(slot.id));
+        generator.SuperimposeRecord(dataset->record(slot.id),
+                                    writer.AddWords(words));
         break;
+      }
       case Slot::kTreeNode: {
         const BTreeNode& node = tree.node(slot.id);
-        bucket.kind = BucketKind::kIndex;
-        bucket.size = geometry.index_bucket_bytes();
+        ArenaBucket& bucket =
+            writer.Append(BucketKind::kIndex, geometry.index_bucket_bytes());
+        bucket.next_index_segment_phase = next_segment;
         bucket.level = node.level;
-        bucket.range_lo =
-            dataset->record(group_first(node.first_record)).key;
-        bucket.range_hi = dataset->record(group_last(node.last_record)).key;
-        bucket.local.reserve(node.children.size());
+        bucket.range_lo = writer.Key(group_first(node.first_record));
+        bucket.range_hi = writer.Key(group_last(node.last_record));
         for (const int child : node.children) {
-          PointerEntry entry;
           if (node.level == 0) {
             // Leaf entries point at group starts.
-            entry.key_lo = dataset->record(group_first(child)).key;
-            entry.key_hi = dataset->record(group_last(child)).key;
-            entry.target_phase =
-                group_start_phase[static_cast<std::size_t>(child)];
+            writer.AddLocal(group_first(child), group_last(child),
+                            group_start_phase[static_cast<std::size_t>(child)]);
           } else {
             const BTreeNode& child_node = tree.node(child);
-            entry.key_lo =
-                dataset->record(group_first(child_node.first_record)).key;
-            entry.key_hi =
-                dataset->record(group_last(child_node.last_record)).key;
-            entry.target_phase =
-                node_phase[static_cast<std::size_t>(slot.segment)]
-                          [static_cast<std::size_t>(child)];
+            writer.AddLocal(group_first(child_node.first_record),
+                            group_last(child_node.last_record),
+                            node_phase[static_cast<std::size_t>(slot.segment)]
+                                      [static_cast<std::size_t>(child)]);
           }
-          bucket.local.push_back(std::move(entry));
         }
         break;
       }
     }
-    buckets.push_back(std::move(bucket));
   }
 
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return HybridIndexing(std::move(dataset), generator, std::move(tree),
                         std::move(view).value(), group_size, m);
@@ -166,8 +167,7 @@ AccessResult HybridWalk(const ArenaChannelView& view, std::string_view key,
                         const SignatureGenerator& generator, int tree_height,
                         int group_size) {
   AccessResult result;
-  const std::vector<std::uint64_t> query = generator.QuerySignature(key);
-  const int words = generator.words();
+  const QueryBits query = generator.Query(key);
 
   // Initial wait + first complete bucket, then the next index segment.
   Bytes t = view.NextBoundaryTime(tune_in);
@@ -219,8 +219,7 @@ AccessResult HybridWalk(const ArenaChannelView& view, std::string_view key,
     ++result.index_probes;
     --group_remaining;
     const auto data = view.bucket((i + 1) % view.num_buckets());
-    if (SignatureGenerator::Matches(bucket.signature_words(), query.data(),
-                                    words)) {
+    if (SignatureGenerator::Covers(bucket.signature_words(), query)) {
       t += data.size();
       result.tuning_time += data.size();
       ++result.probes;
@@ -250,8 +249,7 @@ AccessResult HybridIndexing::Access(std::string_view key,
 FilterResult HybridIndexing::Filter(std::string_view value,
                                     Bytes tune_in) const {
   FilterResult result;
-  const std::vector<std::uint64_t> query = generator_.QuerySignature(value);
-  const int words = generator_.words();
+  const QueryBits query = generator_.Query(value);
   const Bytes cycle = view_.cycle_bytes();
   const std::size_t num = view_.num_buckets();
 
@@ -274,8 +272,7 @@ FilterResult HybridIndexing::Filter(std::string_view value,
     result.tuning_time += sig.size();
     ++result.probes;
     const auto data = view_.bucket((i + 1) % num);
-    if (SignatureGenerator::Matches(sig.signature_words(), query.data(),
-                                    words)) {
+    if (SignatureGenerator::Covers(sig.signature_words(), query)) {
       t += data.size();
       result.tuning_time += data.size();
       ++result.probes;

@@ -30,33 +30,26 @@ Result<IntegratedSignatureIndexing> IntegratedSignatureIndexing::Build(
   const int words = generator.words();
   const int num_records = dataset->size();
 
-  std::vector<Bucket> buckets;
+  const int num_groups = (num_records + group_size - 1) / group_size;
+  ArenaWriter writer(*dataset);
+  writer.Reserve(
+      {.buckets = static_cast<std::uint64_t>(num_records + num_groups),
+       .words = static_cast<std::uint64_t>(num_groups) *
+                static_cast<std::uint64_t>(words)});
   for (int first = 0; first < num_records; first += group_size) {
     const int last = std::min(first + group_size, num_records) - 1;
-    Bucket sig_bucket;
-    sig_bucket.kind = BucketKind::kSignature;
-    sig_bucket.size = group_sig_bytes;
-    sig_bucket.record_id = first;
-    sig_bucket.signature.assign(static_cast<std::size_t>(words), 0);
+    writer.Append(BucketKind::kSignature, group_sig_bytes).record_id = first;
+    std::uint64_t* group = writer.AddWords(words);
     for (int rec = first; rec <= last; ++rec) {
-      const std::vector<std::uint64_t> sig =
-          generator.RecordSignature(dataset->record(rec));
-      for (int w = 0; w < words; ++w) {
-        sig_bucket.signature[static_cast<std::size_t>(w)] |=
-            sig[static_cast<std::size_t>(w)];
-      }
+      generator.SuperimposeRecord(dataset->record(rec), group);
     }
-    buckets.push_back(std::move(sig_bucket));
     for (int rec = first; rec <= last; ++rec) {
-      Bucket data_bucket;
-      data_bucket.kind = BucketKind::kData;
-      data_bucket.size = geometry.data_bucket_bytes();
-      data_bucket.record_id = rec;
-      buckets.push_back(std::move(data_bucket));
+      writer.Append(BucketKind::kData, geometry.data_bucket_bytes())
+          .record_id = rec;
     }
   }
 
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return IntegratedSignatureIndexing(std::move(dataset), generator,
                                      std::move(view).value(), group_size);
@@ -73,8 +66,7 @@ AccessResult IntegratedWalk(const ArenaChannelView& view, std::string_view key,
   AccessResult result;
   const Bytes cycle = view.cycle_bytes();
   const std::size_t num = view.num_buckets();
-  const std::vector<std::uint64_t> query = generator.QuerySignature(key);
-  const int words = generator.words();
+  const QueryBits query = generator.Query(key);
 
   // Listen until the next complete *group signature* bucket.
   Bytes t = tune_in;
@@ -95,8 +87,8 @@ AccessResult IntegratedWalk(const ArenaChannelView& view, std::string_view key,
     result.tuning_time += sig_bucket.size();
     ++result.probes;
     ++result.index_probes;
-    const bool match = SignatureGenerator::Matches(
-        sig_bucket.signature_words(), query.data(), words);
+    const bool match =
+        SignatureGenerator::Covers(sig_bucket.signature_words(), query);
     // Index of the next group-signature bucket.
     std::size_t next_group = i + 1;
     while (next_group < num &&

@@ -284,65 +284,65 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
 
     // The index bucket sequence is identical on every channel that
     // carries it (leaf pointers are absolute channel+phase pairs).
-    std::vector<Bucket> index_buckets;
-    index_buckets.reserve(preorder.size());
-    for (const int node_id : preorder) {
-      const BTreeNode& node = tree.node(node_id);
-      Bucket bucket;
-      bucket.kind = BucketKind::kIndex;
-      bucket.size = bucket_bytes;
-      bucket.next_index_segment_phase = 0;
-      bucket.level = node.level;
-      bucket.range_lo = dataset->record(node.first_record).key;
-      bucket.range_hi = dataset->record(node.last_record).key;
-      bucket.local.reserve(node.children.size());
-      for (const int child : node.children) {
-        PointerEntry entry;
-        if (node.level == 0) {
-          entry.key_lo = dataset->record(child).key;
-          entry.key_hi = entry.key_lo;
-          entry.target_phase = record_phase[static_cast<std::size_t>(child)];
-          entry.target_channel = record_channel[static_cast<std::size_t>(child)];
-        } else {
-          const BTreeNode& child_node = tree.node(child);
-          entry.key_lo = dataset->record(child_node.first_record).key;
-          entry.key_hi = dataset->record(child_node.last_record).key;
-          entry.target_phase = node_phase[static_cast<std::size_t>(child)];
-        }
-        bucket.local.push_back(entry);
-      }
-      index_buckets.push_back(std::move(bucket));
+    std::uint64_t children = 0;
+    for (const BTreeNode& node : tree.nodes()) {
+      children += node.children.size();
     }
-
-    const auto make_data_bucket = [&](int record_id) {
-      Bucket bucket;
-      bucket.kind = BucketKind::kData;
-      bucket.size = bucket_bytes;
-      bucket.record_id = record_id;
-      bucket.next_index_segment_phase =
-          multichannel.allocation == ChannelAllocation::kReplicatedIndex
-              ? 0
-              : kInvalidPhase;
-      return bucket;
+    const auto write_index = [&](ArenaWriter* writer) {
+      for (const int node_id : preorder) {
+        const BTreeNode& node = tree.node(node_id);
+        ArenaBucket& bucket = writer->Append(BucketKind::kIndex, bucket_bytes);
+        bucket.next_index_segment_phase = 0;
+        bucket.level = node.level;
+        bucket.range_lo = writer->Key(node.first_record);
+        bucket.range_hi = writer->Key(node.last_record);
+        for (const int child : node.children) {
+          if (node.level == 0) {
+            writer->AddLocal(child, child,
+                             record_phase[static_cast<std::size_t>(child)],
+                             record_channel[static_cast<std::size_t>(child)]);
+          } else {
+            const BTreeNode& child_node = tree.node(child);
+            writer->AddLocal(child_node.first_record, child_node.last_record,
+                             node_phase[static_cast<std::size_t>(child)]);
+          }
+        }
+      }
     };
 
     const bool index_on_one =
         multichannel.allocation == ChannelAllocation::kIndexOnOne;
     if (index_on_one) {
+      ArenaWriter writer(*dataset);
+      writer.Reserve({.buckets = preorder.size(),
+                      .entries = children,
+                      .string_bytes = writer.AllKeyBytes()});
+      write_index(&writer);
       Result<ArenaChannelView> index_channel =
-          ArenaChannelView::Build(index_buckets);
+          ArenaChannelView::Bind(std::move(writer));
       if (!index_channel.ok()) return index_channel.status();
       program->views_.push_back(std::move(index_channel).value());
     }
     for (int p = 0; p < partitions; ++p) {
       const auto [lo, hi] = PartitionRange(num_records, partitions, p);
       // A replicated-index channel opens with a full copy of the index.
-      std::vector<Bucket> buckets;
-      if (!index_on_one) buckets = index_buckets;
-      buckets.reserve(buckets.size() + static_cast<std::size_t>(hi - lo));
-      for (int r = lo; r < hi; ++r) buckets.push_back(make_data_bucket(r));
+      ArenaWriter writer(*dataset);
+      if (index_on_one) {
+        writer.Reserve({.buckets = static_cast<std::uint64_t>(hi - lo)});
+      } else {
+        writer.Reserve(
+            {.buckets = preorder.size() + static_cast<std::uint64_t>(hi - lo),
+             .entries = children,
+             .string_bytes = writer.AllKeyBytes()});
+        write_index(&writer);
+      }
+      for (int r = lo; r < hi; ++r) {
+        ArenaBucket& bucket = writer.Append(BucketKind::kData, bucket_bytes);
+        bucket.record_id = r;
+        if (!index_on_one) bucket.next_index_segment_phase = 0;
+      }
       Result<ArenaChannelView> channel =
-          ArenaChannelView::Build(std::move(buckets));
+          ArenaChannelView::Bind(std::move(writer));
       if (!channel.ok()) return channel.status();
       program->views_.push_back(std::move(channel).value());
     }

@@ -72,7 +72,7 @@ struct ConflictPlacement {
 /// `switch_cost_bytes` bytes of broadcast — dead air charged to access
 /// time but not to tuning time. Channels may have different cycle
 /// lengths, and a pointer's phase is relative to the cycle of the
-/// channel that owns its target (PointerEntry::target_channel). Each
+/// channel that owns its target (ArenaPointerEntry::target_channel). Each
 /// channel is an arena view, read by the same calls as a single-channel
 /// walk.
 ///
@@ -138,8 +138,7 @@ class MultiChannelProgram : public BroadcastScheme {
   AccessResult AccessIndexed(std::string_view key, Bytes tune_in) const;
 
   // One view per channel, in channel order: a data partition's own
-  // program view for kDataPartitioned, otherwise the layout Build
-  // flattened for that channel.
+  // program view for kDataPartitioned, otherwise the channel Build wrote.
   std::vector<ArenaChannelView> views_;
   /// Bytes of broadcast a client loses on every hop between two distinct
   /// channels.

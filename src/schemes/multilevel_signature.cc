@@ -29,45 +29,40 @@ Result<MultiLevelSignatureIndexing> MultiLevelSignatureIndexing::Build(
   const int group_words = group_generator.words();
   const int num_records = dataset->size();
 
-  std::vector<Bucket> buckets;
+  const int record_words = record_generator.words();
+  const auto num_groups =
+      static_cast<std::uint64_t>((num_records + group_size - 1) / group_size);
+  const auto records = static_cast<std::uint64_t>(num_records);
+  ArenaWriter writer(*dataset);
+  writer.Reserve(
+      {.buckets = num_groups + 2 * records,
+       .words = num_groups * static_cast<std::uint64_t>(group_words) +
+                records * static_cast<std::uint64_t>(record_words)});
   for (int first = 0; first < num_records; first += group_size) {
     const int last = std::min(first + group_size, num_records) - 1;
 
-    Bucket group_bucket;
-    group_bucket.kind = BucketKind::kSignature;
+    ArenaBucket& group_bucket =
+        writer.Append(BucketKind::kSignature, group_sig_bytes);
     group_bucket.level = kGroupSignatureLevel;
-    group_bucket.size = group_sig_bytes;
     group_bucket.record_id = first;
-    group_bucket.signature.assign(static_cast<std::size_t>(group_words), 0);
+    std::uint64_t* group = writer.AddWords(group_words);
     for (int rec = first; rec <= last; ++rec) {
-      const std::vector<std::uint64_t> member =
-          group_generator.RecordSignature(dataset->record(rec));
-      for (int w = 0; w < group_words; ++w) {
-        group_bucket.signature[static_cast<std::size_t>(w)] |=
-            member[static_cast<std::size_t>(w)];
-      }
+      group_generator.SuperimposeRecord(dataset->record(rec), group);
     }
-    buckets.push_back(std::move(group_bucket));
 
     for (int rec = first; rec <= last; ++rec) {
-      Bucket record_sig;
-      record_sig.kind = BucketKind::kSignature;
+      ArenaBucket& record_sig = writer.Append(
+          BucketKind::kSignature, geometry.signature_bucket_bytes());
       record_sig.level = kRecordSignatureLevel;
-      record_sig.size = geometry.signature_bucket_bytes();
       record_sig.record_id = rec;
-      record_sig.signature =
-          record_generator.RecordSignature(dataset->record(rec));
-      buckets.push_back(std::move(record_sig));
-
-      Bucket data_bucket;
-      data_bucket.kind = BucketKind::kData;
-      data_bucket.size = geometry.data_bucket_bytes();
-      data_bucket.record_id = rec;
-      buckets.push_back(std::move(data_bucket));
+      record_generator.SuperimposeRecord(dataset->record(rec),
+                                         writer.AddWords(record_words));
+      writer.Append(BucketKind::kData, geometry.data_bucket_bytes())
+          .record_id = rec;
     }
   }
 
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return MultiLevelSignatureIndexing(std::move(dataset), record_generator,
                                      group_generator, std::move(view).value(),
@@ -86,12 +81,8 @@ AccessResult MultiLevelWalk(const ArenaChannelView& view, std::string_view key,
   AccessResult result;
   const Bytes cycle = view.cycle_bytes();
   const std::size_t num = view.num_buckets();
-  const std::vector<std::uint64_t> group_query =
-      group_generator.QuerySignature(key);
-  const std::vector<std::uint64_t> record_query =
-      record_generator.QuerySignature(key);
-  const int group_words = group_generator.words();
-  const int record_words = record_generator.words();
+  const QueryBits group_query = group_generator.Query(key);
+  const QueryBits record_query = record_generator.Query(key);
 
   const auto is_group = [&](std::size_t i) {
     const auto b = view.bucket(i);
@@ -117,8 +108,8 @@ AccessResult MultiLevelWalk(const ArenaChannelView& view, std::string_view key,
     result.tuning_time += group_bucket.size();
     ++result.probes;
     ++result.index_probes;
-    const bool group_match = SignatureGenerator::Matches(
-        group_bucket.signature_words(), group_query.data(), group_words);
+    const bool group_match =
+        SignatureGenerator::Covers(group_bucket.signature_words(), group_query);
 
     // Locate the next group start (one past this group's members).
     std::size_t next_group = i + 1;
@@ -133,8 +124,8 @@ AccessResult MultiLevelWalk(const ArenaChannelView& view, std::string_view key,
         result.tuning_time += record_sig.size();
         ++result.probes;
         ++result.index_probes;
-        if (!SignatureGenerator::Matches(record_sig.signature_words(),
-                                         record_query.data(), record_words)) {
+        if (!SignatureGenerator::Covers(record_sig.signature_words(),
+                                        record_query)) {
           continue;  // doze over the data bucket
         }
         const auto data_bucket = view.bucket(s + 1);

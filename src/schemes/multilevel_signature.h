@@ -38,7 +38,7 @@ class MultiLevelSignatureIndexing : public BroadcastScheme {
       std::shared_ptr<const Dataset> dataset, const BucketGeometry& geometry,
       SignatureParams params, ArenaChannelView view, int group_size);
 
-  /// Bucket::level values distinguishing the two signature levels.
+  /// ArenaBucket::level values distinguishing the two signature levels.
   static constexpr int kGroupSignatureLevel = 1;
   static constexpr int kRecordSignatureLevel = 0;
 

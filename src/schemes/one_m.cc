@@ -73,46 +73,42 @@ Result<OneMIndexing> OneMIndexing::Build(std::shared_ptr<const Dataset> dataset,
     }
   }
 
-  // Pass 2: materialize buckets with pointer phases.
-  std::vector<Bucket> buckets;
-  buckets.reserve(layout.size());
+  // Pass 2: write the buckets with their pointer phases.
+  std::uint64_t children = 0;
+  for (const BTreeNode& node : tree.nodes()) children += node.children.size();
+  ArenaWriter writer(*dataset);
+  writer.Reserve({.buckets = layout.size(),
+                  .entries = static_cast<std::uint64_t>(m) * children,
+                  .string_bytes = writer.AllKeyBytes()});
   for (const Slot& slot : layout) {
-    Bucket bucket;
-    bucket.size = bucket_bytes;
-    bucket.next_index_segment_phase =
+    const Bytes next_segment =
         segment_start_phase[static_cast<std::size_t>((slot.segment + 1) % m)];
     if (!slot.is_index) {
-      bucket.kind = BucketKind::kData;
+      ArenaBucket& bucket = writer.Append(BucketKind::kData, bucket_bytes);
+      bucket.next_index_segment_phase = next_segment;
       bucket.record_id = slot.record_id;
-      buckets.push_back(std::move(bucket));
       continue;
     }
     const BTreeNode& node = tree.node(slot.node_id);
-    bucket.kind = BucketKind::kIndex;
+    ArenaBucket& bucket = writer.Append(BucketKind::kIndex, bucket_bytes);
+    bucket.next_index_segment_phase = next_segment;
     bucket.level = node.level;
-    bucket.range_lo = dataset->record(node.first_record).key;
-    bucket.range_hi = dataset->record(node.last_record).key;
-    bucket.local.reserve(node.children.size());
+    bucket.range_lo = writer.Key(node.first_record);
+    bucket.range_hi = writer.Key(node.last_record);
     for (const int child : node.children) {
-      PointerEntry entry;
       if (node.level == 0) {
-        entry.key_lo = dataset->record(child).key;
-        entry.key_hi = entry.key_lo;
-        entry.target_phase = record_phase[static_cast<std::size_t>(child)];
+        writer.AddLocal(child, child,
+                        record_phase[static_cast<std::size_t>(child)]);
       } else {
         const BTreeNode& child_node = tree.node(child);
-        entry.key_lo = dataset->record(child_node.first_record).key;
-        entry.key_hi = dataset->record(child_node.last_record).key;
-        entry.target_phase =
-            node_phase[static_cast<std::size_t>(slot.segment)]
-                      [static_cast<std::size_t>(child)];
+        writer.AddLocal(child_node.first_record, child_node.last_record,
+                        node_phase[static_cast<std::size_t>(slot.segment)]
+                                  [static_cast<std::size_t>(child)]);
       }
-      bucket.local.push_back(std::move(entry));
     }
-    buckets.push_back(std::move(bucket));
   }
 
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return OneMIndexing(std::move(dataset), std::move(tree),
                       std::move(view).value(), m);

@@ -28,10 +28,17 @@ ScheduledSegmentStyle StyleForKind(SchemeKind kind) {
   return ScheduledSegmentStyle::kNone;
 }
 
-/// One bucket of the canonical (pre-rotation) cycle; `segment_head` marks
-/// the first bucket of an index segment instance.
+/// One bucket of the canonical (pre-rotation) cycle. Every bucket is one
+/// data bucket wide and its next-index-segment phase follows from the
+/// final order, so the plan holds only the rest: kind, level, record and
+/// an index bucket's key range (record positions, -1 for none).
+/// `segment_head` marks the first bucket of an index segment instance.
 struct SlotPlan {
-  Bucket bucket;
+  BucketKind kind = BucketKind::kData;
+  int level = -1;
+  std::int64_t record_id = -1;
+  int range_lo = -1;
+  int range_hi = -1;
   bool segment_head = false;
 };
 
@@ -137,7 +144,7 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
   // The index segment replicated at the head of every minor cycle. Every
   // bucket is the uniform data size, so slot arithmetic (and the
   // conflict-aware residue test) works in whole slots.
-  std::vector<Bucket> segment;
+  std::vector<SlotPlan> segment;
   int tree_height = 0;
   int entries_per_bucket = 0;
   int probes_absent = 0;
@@ -150,13 +157,12 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
       tree_height = tree.value().height();
       for (const int id : tree.value().PreorderSubtree(tree.value().root())) {
         const BTreeNode& node = tree.value().node(id);
-        Bucket bucket;
+        SlotPlan bucket;
         bucket.kind = BucketKind::kIndex;
-        bucket.size = dt;
         bucket.level = node.level;
-        bucket.range_lo = dataset->record(node.first_record).key;
-        bucket.range_hi = dataset->record(node.last_record).key;
-        segment.push_back(std::move(bucket));
+        bucket.range_lo = node.first_record;
+        bucket.range_hi = node.last_record;
+        segment.push_back(bucket);
       }
       probes_absent = tree_height;
       break;
@@ -174,17 +180,16 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
         const int first = b * entries_per_bucket;
         const int last =
             std::min(num_records, first + entries_per_bucket) - 1;
-        Bucket bucket;
-        bucket.size = dt;
+        SlotPlan bucket;
         if (style == ScheduledSegmentStyle::kHash) {
           bucket.kind = BucketKind::kIndex;
           bucket.level = 0;
-          bucket.range_lo = dataset->record(first).key;
-          bucket.range_hi = dataset->record(last).key;
+          bucket.range_lo = first;
+          bucket.range_hi = last;
         } else {
           bucket.kind = BucketKind::kSignature;
         }
-        segment.push_back(std::move(bucket));
+        segment.push_back(bucket);
       }
       probes_absent = style == ScheduledSegmentStyle::kHash
                           ? 1
@@ -203,18 +208,14 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
                segment.size() * static_cast<std::size_t>(minors));
   for (int minor = 0; minor < minors; ++minor) {
     for (std::size_t s = 0; s < segment.size(); ++s) {
-      SlotPlan slot;
-      slot.bucket = segment[s];
-      slot.segment_head = s == 0;
-      plan.push_back(std::move(slot));
+      plan.push_back(segment[s]);
+      plan.back().segment_head = s == 0;
     }
     for (int i = layout.minor_begin[static_cast<std::size_t>(minor)];
          i < layout.minor_begin[static_cast<std::size_t>(minor) + 1]; ++i) {
       SlotPlan slot;
-      slot.bucket.kind = BucketKind::kData;
-      slot.bucket.size = dt;
-      slot.bucket.record_id = layout.slot_record[static_cast<std::size_t>(i)];
-      plan.push_back(std::move(slot));
+      slot.record_id = layout.slot_record[static_cast<std::size_t>(i)];
+      plan.push_back(slot);
     }
   }
 
@@ -234,25 +235,12 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
     if (slot.segment_head) {
       segment_starts.push_back(static_cast<Bytes>(i) * dt);
     }
-    if (slot.bucket.kind == BucketKind::kData) {
-      const auto record = static_cast<std::size_t>(slot.bucket.record_id);
+    if (slot.kind == BucketKind::kData) {
+      const auto record = static_cast<std::size_t>(slot.record_id);
       occurrences[record].push_back(static_cast<Bytes>(i) * dt);
       record_buckets[record].push_back(i);
     }
   }
-  // Every bucket carries the offset to the next index segment (Fig. 2's
-  // per-bucket pointer) as a cycle phase; wrapping past the cycle end
-  // lands back on the first segment of the next cycle.
-  if (!segment_starts.empty()) {
-    for (int i = 0; i < total; ++i) {
-      const Bytes phase = static_cast<Bytes>(i) * dt;
-      const auto next = std::upper_bound(segment_starts.begin(),
-                                         segment_starts.end(), phase);
-      plan[static_cast<std::size_t>(i)].bucket.next_index_segment_phase =
-          next != segment_starts.end() ? *next : segment_starts.front();
-    }
-  }
-
   if (existing != nullptr) {
     // Restore: validate the bound view slot-by-slot against the
     // recomputed plan instead of trusting the arena blindly.
@@ -262,8 +250,8 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
     }
     for (int i = 0; i < total; ++i) {
       const auto got = existing->bucket(static_cast<std::size_t>(i));
-      const Bucket& want = plan[static_cast<std::size_t>(i)].bucket;
-      if (got.kind() != want.kind || got.size() != want.size ||
+      const SlotPlan& want = plan[static_cast<std::size_t>(i)];
+      if (got.kind() != want.kind || got.size() != dt ||
           got.record_id() != want.record_id || got.level() != want.level) {
         return Status::InvalidArgument(
             "scheduled restore: channel does not match the planned layout");
@@ -272,10 +260,30 @@ Result<ScheduledBroadcast> ScheduledBroadcast::Assemble(
   }
   Result<ArenaChannelView> view = [&]() -> Result<ArenaChannelView> {
     if (existing != nullptr) return std::move(*existing);
-    std::vector<Bucket> buckets;
-    buckets.reserve(plan.size());
-    for (SlotPlan& slot : plan) buckets.push_back(std::move(slot.bucket));
-    return ArenaChannelView::Build(std::move(buckets));
+    ArenaWriter writer(*dataset);
+    writer.Reserve({.buckets = static_cast<std::uint64_t>(total),
+                    .string_bytes = writer.AllKeyBytes()});
+    for (int i = 0; i < total; ++i) {
+      const SlotPlan& slot = plan[static_cast<std::size_t>(i)];
+      ArenaBucket& bucket = writer.Append(slot.kind, dt);
+      bucket.level = slot.level;
+      bucket.record_id = slot.record_id;
+      if (slot.range_lo >= 0) {
+        bucket.range_lo = writer.Key(slot.range_lo);
+        bucket.range_hi = writer.Key(slot.range_hi);
+      }
+      // Every bucket carries the offset to the next index segment (Fig.
+      // 2's per-bucket pointer) as a cycle phase; wrapping past the cycle
+      // end lands back on the first segment of the next cycle.
+      if (!segment_starts.empty()) {
+        const auto next = std::upper_bound(segment_starts.begin(),
+                                           segment_starts.end(),
+                                           static_cast<Bytes>(i) * dt);
+        bucket.next_index_segment_phase =
+            next != segment_starts.end() ? *next : segment_starts.front();
+      }
+    }
+    return ArenaChannelView::Bind(std::move(writer));
   }();
   if (!view.ok()) return view.status();
 

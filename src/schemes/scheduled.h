@@ -136,9 +136,9 @@ class ScheduledBroadcast : public BroadcastScheme {
   int DescentProbes(int record) const;
 
   /// Shared Build/Restore core: derives every table from the assignment
-  /// and either emits and flattens the channel (Build; `existing` null)
-  /// or validates the bound `existing` view against the expected layout
-  /// and keeps it (Restore).
+  /// and either writes the channel (Build; `existing` null) or validates
+  /// the bound `existing` view against the expected layout and keeps it
+  /// (Restore).
   static Result<ScheduledBroadcast> Assemble(
       SchemeKind base_kind, std::shared_ptr<const Dataset> dataset,
       const BucketGeometry& geometry, const SchemeParams& params,

@@ -307,7 +307,7 @@ Result<std::unique_ptr<BroadcastScheme>> RestoreSchemeFromArena(
     return Status::InvalidArgument("restore needs a non-empty dataset");
   }
   // The arena was validated when it was adopted (FromBytes) or written
-  // (Flatten): binding it is the whole restore of the program.
+  // (ArenaWriter): binding it is the whole restore of the program.
   Result<ArenaChannelView> bound = ArenaChannelView::Bind(arena);
   if (!bound.ok()) return bound.status();
   ArenaChannelView view = std::move(bound).value();

@@ -86,10 +86,9 @@ Result<std::unique_ptr<BroadcastScheme>> BuildScheme(
 /// The cacheable form of a built or restored single-channel scheme: the
 /// arena its view is bound to, re-tagged (ProgramArena::Retag) with
 /// `kind`, the two cache fingerprints and the scheme's resolved scalars
-/// as its aux section — a copy and a header patch, byte-identical to
-/// flattening the scheme's channel afresh. `scheme` must be the concrete
-/// scheme BuildScheme(kind, ...) produced — a kind mismatch is an
-/// InvalidArgument, not UB.
+/// as its aux section — a copy and a header patch. `scheme` must be the
+/// concrete scheme BuildScheme(kind, ...) produced — a kind mismatch is
+/// an InvalidArgument, not UB.
 Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
                                           const BroadcastScheme& scheme,
                                           std::uint64_t dataset_fingerprint,
@@ -97,8 +96,8 @@ Result<ProgramArena> FlattenSchemeProgram(SchemeKind kind,
 
 /// Rebuilds a ready-to-query scheme from a flattened arena without
 /// re-running the channel construction: the arena is bound as the
-/// scheme's view (the returned scheme co-owns it) — nothing is inflated
-/// or flattened — and cheap deterministic auxiliaries (index trees,
+/// scheme's view (the returned scheme co-owns it) — nothing is rebuilt or
+/// rewritten — and cheap deterministic auxiliaries (index trees,
 /// signature generators, occurrence maps) are reconstructed from
 /// `dataset`, `geometry`, `params` and the arena's aux scalars.
 /// Observably identical to the freshly built scheme: every Access() walk

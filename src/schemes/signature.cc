@@ -27,6 +27,9 @@ SignatureGenerator::SignatureGenerator(Bytes signature_bytes,
     : signature_bytes_(signature_bytes),
       words_(static_cast<int>((signature_bytes * 8 + 63) / 64)),
       bits_(static_cast<int>(signature_bytes * 8)),
+      mask_(bits_ > 0 && std::has_single_bit(static_cast<unsigned>(bits_))
+                ? static_cast<std::uint64_t>(bits_) - 1
+                : 0),
       params_(params) {}
 
 SignatureGenerator::SignatureGenerator(const BucketGeometry& geometry,
@@ -41,31 +44,69 @@ Bytes ResolveGroupSignatureBytes(const BucketGeometry& geometry,
          std::max<Bytes>(1, static_cast<Bytes>(group_size) / 4);
 }
 
-void SignatureGenerator::SuperimposeField(
-    std::string_view value, std::vector<std::uint64_t>* sig) const {
+template <bool kMask>
+void SignatureGenerator::SuperimposeFields(std::uint64_t* h, int lanes,
+                                           std::uint64_t* sig) const {
+  const auto bits = static_cast<std::uint64_t>(bits_);
+  for (int j = 0; j < params_.bits_per_attribute; ++j) {
+    for (int l = 0; l < lanes; ++l) {
+      const std::uint64_t bit = kMask ? h[l] & mask_ : h[l] % bits;
+      sig[bit / 64] |= 1ULL << (bit % 64);
+      h[l] = Mix64(h[l] + static_cast<std::uint64_t>(j) + 1);
+    }
+  }
+}
+
+void SignatureGenerator::SuperimposeRecord(const Record& record,
+                                           std::uint64_t* sig) const {
+  // Fields per interleaved pass: a default record's key and 8 attributes
+  // take one.
+  constexpr int kLanes = 16;
+  std::uint64_t h[kLanes];
+  int lanes = 0;
+  const auto superimpose = [&] {
+    if (mask_ != 0) {
+      SuperimposeFields<true>(h, lanes, sig);
+    } else {
+      SuperimposeFields<false>(h, lanes, sig);
+    }
+    lanes = 0;
+  };
+  h[lanes++] = HashField(record.key);
+  for (const std::string& attribute : record.attributes) {
+    if (lanes == kLanes) superimpose();
+    h[lanes++] = HashField(attribute);
+  }
+  superimpose();
+}
+
+QueryBits SignatureGenerator::Query(std::string_view value) const {
+  QueryBits query;
   std::uint64_t h = HashField(value);
   for (int j = 0; j < params_.bits_per_attribute; ++j) {
-    const int bit = static_cast<int>(h % static_cast<std::uint64_t>(bits_));
-    (*sig)[static_cast<std::size_t>(bit / 64)] |= 1ULL
-                                                  << (bit % 64);
+    const int bit = static_cast<int>(
+        mask_ != 0 ? h & mask_ : h % static_cast<std::uint64_t>(bits_));
+    if (std::find(query.begin(), query.end(), bit) == query.end()) {
+      query.push_back(bit);
+    }
     h = Mix64(h + static_cast<std::uint64_t>(j) + 1);
   }
+  return query;
 }
 
 std::vector<std::uint64_t> SignatureGenerator::RecordSignature(
     const Record& record) const {
   std::vector<std::uint64_t> sig(static_cast<std::size_t>(words_), 0);
-  SuperimposeField(record.key, &sig);
-  for (const std::string& attribute : record.attributes) {
-    SuperimposeField(attribute, &sig);
-  }
+  SuperimposeRecord(record, sig.data());
   return sig;
 }
 
 std::vector<std::uint64_t> SignatureGenerator::QuerySignature(
     std::string_view key) const {
   std::vector<std::uint64_t> sig(static_cast<std::size_t>(words_), 0);
-  SuperimposeField(key, &sig);
+  for (const int bit : Query(key)) {
+    sig[static_cast<std::size_t>(bit / 64)] |= 1ULL << (bit % 64);
+  }
   return sig;
 }
 
@@ -93,24 +134,20 @@ Result<SignatureIndexing> SignatureIndexing::Build(
   }
 
   SignatureGenerator generator(geometry, params);
-  std::vector<Bucket> buckets;
-  buckets.reserve(static_cast<std::size_t>(2 * dataset->size()));
+  const int words = generator.words();
+  const auto num_records = static_cast<std::uint64_t>(dataset->size());
+  ArenaWriter writer(*dataset);
+  writer.Reserve({.buckets = 2 * num_records,
+                  .words = num_records * static_cast<std::uint64_t>(words)});
   for (const Record& record : dataset->records()) {
-    Bucket sig_bucket;
-    sig_bucket.kind = BucketKind::kSignature;
-    sig_bucket.size = geometry.signature_bucket_bytes();
-    sig_bucket.record_id = static_cast<std::int64_t>(record.id);
-    sig_bucket.signature = generator.RecordSignature(record);
-    buckets.push_back(std::move(sig_bucket));
-
-    Bucket data_bucket;
-    data_bucket.kind = BucketKind::kData;
-    data_bucket.size = geometry.data_bucket_bytes();
-    data_bucket.record_id = static_cast<std::int64_t>(record.id);
-    buckets.push_back(std::move(data_bucket));
+    writer.Append(BucketKind::kSignature, geometry.signature_bucket_bytes())
+        .record_id = static_cast<std::int64_t>(record.id);
+    generator.SuperimposeRecord(record, writer.AddWords(words));
+    writer.Append(BucketKind::kData, geometry.data_bucket_bytes()).record_id =
+        static_cast<std::int64_t>(record.id);
   }
 
-  Result<ArenaChannelView> view = ArenaChannelView::Build(std::move(buckets));
+  Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();
   return SignatureIndexing(std::move(dataset), generator,
                            std::move(view).value());
@@ -147,22 +184,15 @@ std::vector<std::uint64_t> SliceTable(const std::uint64_t* rows,
 
 // The slices a query selects, one per set query bit. A record matches
 // when every selected slice has its bit, so a query with no set bit
-// matches every record, as SignatureGenerator::Matches does.
-using SliceSet = std::vector<const std::uint64_t*>;
+// matches every record, as SignatureGenerator::Covers does.
+using SliceSet = InlineList<const std::uint64_t*, QueryBits::kInline>;
 
 SliceSet SelectSlices(const std::vector<std::uint64_t>& slices,
-                      int num_records,
-                      const std::vector<std::uint64_t>& query) {
+                      int num_records, const QueryBits& query) {
   const std::size_t stride = SliceWords(num_records);
-  int set_bits = 0;
-  for (const std::uint64_t word : query) set_bits += std::popcount(word);
   SliceSet selected;
-  selected.reserve(static_cast<std::size_t>(set_bits));
-  for (std::size_t w = 0; w < query.size(); ++w) {
-    for (std::uint64_t x = query[w]; x != 0; x &= x - 1) {
-      const int b = static_cast<int>(w) * 64 + std::countr_zero(x);
-      selected.push_back(slices.data() + static_cast<std::size_t>(b) * stride);
-    }
+  for (const int bit : query) {
+    selected.push_back(slices.data() + static_cast<std::size_t>(bit) * stride);
   }
   return selected;
 }
@@ -246,8 +276,7 @@ AccessResult SignatureWalk(const ArenaChannelView& view,
   result.access_time = wait;
   result.tuning_time = wait;
 
-  const SliceSet query =
-      SelectSlices(slices, pairs, generator.QuerySignature(key));
+  const SliceSet query = SelectSlices(slices, pairs, generator.Query(key));
   const int target = dataset.FindIndex(key);
   if (target >= 0) {
     const int scanned = (target - start + pairs) % pairs + 1;
@@ -319,8 +348,7 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
 
   // One pass sifts every signature once, so the downloads are the matches
   // of the whole table, visited in key order.
-  const SliceSet query =
-      SelectSlices(slices_, pairs, generator_.QuerySignature(value));
+  const SliceSet query = SelectSlices(slices_, pairs, generator_.Query(value));
   ForEachMatchWord(query, 0, pairs, [&](std::size_t w, std::uint64_t word) {
     for (; word != 0; word &= word - 1) {
       const int position =
@@ -362,7 +390,7 @@ double SignatureIndexing::MeasureFalseDropRate(int sample_queries,
     const int target =
         static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(num)));
     const SliceSet query = SelectSlices(
-        slices_, num, generator_.QuerySignature(dataset_->record(target).key));
+        slices_, num, generator_.Query(dataset_->record(target).key));
     drops += CountMatches(query, num, 0, num) - 1;
     pairs_checked += num - 1;
   }

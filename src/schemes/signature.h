@@ -1,6 +1,8 @@
 #ifndef AIRINDEX_SCHEMES_SIGNATURE_H_
 #define AIRINDEX_SCHEMES_SIGNATURE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -26,13 +28,51 @@ struct SignatureParams {
   Bytes group_signature_bytes = 0;
 };
 
+/// Up to N values in place, more on the heap. The query side holds one
+/// entry per set query bit in these, so a walk allocates nothing unless
+/// its query sets more than N bits.
+template <typename T, std::size_t N>
+class InlineList {
+ public:
+  static constexpr std::size_t kInline = N;
+
+  void push_back(T value) {
+    if (size_ < N) {
+      inline_[size_] = value;
+    } else {
+      if (size_ == N) spilled_.assign(inline_.begin(), inline_.end());
+      spilled_.push_back(value);
+    }
+    ++size_;
+  }
+  std::size_t size() const { return size_; }
+  const T* begin() const {
+    return size_ <= N ? inline_.data() : spilled_.data();
+  }
+  const T* end() const { return begin() + size_; }
+  const T& operator[](std::size_t i) const { return begin()[i]; }
+
+ private:
+  std::array<T, N> inline_{};
+  std::vector<T> spilled_;
+  std::size_t size_ = 0;
+};
+
+/// A query signature as its set bits: the distinct bit positions a query
+/// value hashes to, at most bits_per_attribute of them. The default
+/// weight, 8, fits in place.
+using QueryBits = InlineList<int, 8>;
+
 /// Generates record and query signatures.
 ///
 /// A record signature superimposes (ORs) the bit strings of the key and
 /// every attribute, each attribute hashing to `bits_per_attribute` bit
 /// positions of a (signature_bytes * 8)-bit string — exactly the paper's
 /// "hashing each field of a record into a random bit string and then
-/// superimposing together all the bit strings" (Section 2.3).
+/// superimposing together all the bit strings" (Section 2.3). A field's
+/// positions come from a chain of Mix64 steps over the field's hash,
+/// each reduced modulo the bit count (a mask when the count is a power of
+/// two, which gives the same position).
 ///
 /// A query on the primary key contributes only the key's bit string; a
 /// record *matches* when its signature covers every query bit. A match
@@ -51,10 +91,29 @@ class SignatureGenerator {
   /// Number of 64-bit words per signature.
   int words() const { return words_; }
 
-  /// Full record signature (key + all attributes superimposed).
+  /// ORs the signature of `record` into the words() words at `sig`: on
+  /// zeroed words this writes the record signature, and over a group's
+  /// members in turn their group signature. Builders write straight into
+  /// the arena's word pool this way. The fields' chains are independent,
+  /// so they run interleaved.
+  void SuperimposeRecord(const Record& record, std::uint64_t* sig) const;
+
+  /// The set bits of the query signature of `value`, a key or an
+  /// attribute value.
+  QueryBits Query(std::string_view value) const;
+
+  /// True when the signature at `sig` has every bit of `query`.
+  static bool Covers(const std::uint64_t* sig, const QueryBits& query) {
+    for (const int bit : query) {
+      if (((sig[bit / 64] >> (bit % 64)) & 1) == 0) return false;
+    }
+    return true;
+  }
+
+  /// Full record signature (key + all attributes superimposed) as words.
   std::vector<std::uint64_t> RecordSignature(const Record& record) const;
 
-  /// Query signature for a primary-key lookup.
+  /// Query signature for a primary-key lookup, as words.
   std::vector<std::uint64_t> QuerySignature(std::string_view key) const;
 
   /// True when `record_sig` covers every bit of `query_sig`.
@@ -62,12 +121,16 @@ class SignatureGenerator {
                       const std::uint64_t* query_sig, int words);
 
  private:
-  void SuperimposeField(std::string_view value,
-                        std::vector<std::uint64_t>* sig) const;
+  /// Sets the bits of `lanes` fields whose hashes are `h` (consumed).
+  template <bool kMask>
+  void SuperimposeFields(std::uint64_t* h, int lanes,
+                         std::uint64_t* sig) const;
 
   Bytes signature_bytes_;
   int words_;
   int bits_;
+  /// bits_ - 1 when bits_ is a power of two, else 0 (reduce modulo).
+  std::uint64_t mask_;
   SignatureParams params_;
 };
 
@@ -127,7 +190,7 @@ class SignatureIndexing : public BroadcastScheme {
   std::shared_ptr<const Dataset> dataset_;
   SignatureGenerator generator_;
   /// Its word pool is the record signature table: the alternating cycle
-  /// flattens record k's signature as row k (words() per record).
+  /// writes record k's signature as row k (words() per record).
   ArenaChannelView view_;
   /// The same table bit-sliced (column-major), derived from the word pool
   /// at construction: slice b is a bitmap over records, bit k set when

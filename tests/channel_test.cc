@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "broadcast/geometry.h"
+#include "bucket_oracle.h"
 #include "schemes/channel_view.h"
 
 namespace airindex {
@@ -20,15 +21,15 @@ Bucket MakeBucket(BucketKind kind, Bytes size) {
 }
 
 ArenaChannelView ViewOf(std::vector<Bucket> buckets) {
-  return ArenaChannelView::Build(std::move(buckets)).value();
+  return ViewOfBuckets(std::move(buckets)).value();
 }
 
 TEST(ChannelView, RejectsEmptyAndNonPositive) {
-  EXPECT_FALSE(ArenaChannelView::Build({}).ok());
+  EXPECT_FALSE(ViewOfBuckets({}).ok());
   EXPECT_FALSE(
-      ArenaChannelView::Build({MakeBucket(BucketKind::kData, 0)}).ok());
+      ViewOfBuckets({MakeBucket(BucketKind::kData, 0)}).ok());
   EXPECT_FALSE(
-      ArenaChannelView::Build({MakeBucket(BucketKind::kData, -5)}).ok());
+      ViewOfBuckets({MakeBucket(BucketKind::kData, -5)}).ok());
 }
 
 TEST(ChannelView, UniformPhaseArithmetic) {

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "broadcast/arena.h"
-#include "broadcast/bucket.h"
+#include "bucket_oracle.h"
 #include "schemes/access.h"
 #include "schemes/channel_view.h"
 

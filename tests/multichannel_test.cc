@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "broadcast/schedule.h"
+#include "bucket_oracle.h"
 #include "des/random.h"
 #include "schemes/multichannel.h"
 #include "schemes/scheme.h"
@@ -47,7 +48,7 @@ ArenaChannelView FlatDataChannel(int num_buckets, Bytes bucket_bytes) {
     bucket.record_id = i;
     buckets.push_back(std::move(bucket));
   }
-  return ArenaChannelView::Build(std::move(buckets)).value();
+  return ViewOfBuckets(std::move(buckets)).value();
 }
 
 // The program's channel views, in channel order.
