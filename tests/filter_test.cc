@@ -70,13 +70,14 @@ TEST(Filter, SignatureFindsExactlyTheCarriers) {
   }
 }
 
-// Bucket-by-bucket Filter oracle over the scheme's channel: from the
-// first complete signature bucket at or after tune-in, read one cycle of
-// signature buckets and download the data bucket after each match.
+// Bucket-by-bucket Filter oracle over `channel`, the scheme's channel
+// inflated once by the caller: from the first complete signature bucket
+// at or after tune-in, read one cycle of signature buckets and download
+// the data bucket after each match.
 FilterResult FilterOracle(const SignatureIndexing& scheme,
+                          const InflatedChannel& channel,
                           const Dataset& dataset, const std::string& value,
                           Bytes tune_in) {
-  const InflatedChannel channel(scheme);
   const Bytes cycle = channel.cycle_bytes();
   const std::size_t buckets = channel.num_buckets();
   const std::vector<std::uint64_t> query =
@@ -132,11 +133,9 @@ TEST(Filter, SignatureEqualsBucketOracle) {
       geometry.signature_bytes = width;
       const SignatureIndexing scheme =
           SignatureIndexing::Build(dataset, geometry).value();
+      const InflatedChannel channel(scheme);
       Rng rng(17);
-      // The oracle inflates the channel on every call: fewer tune-ins
-      // past one block keep the test in seconds under the sanitizers.
-      const int trials = n > 1000 ? 40 : 200;
-      for (int trial = 0; trial < trials; ++trial) {
+      for (int trial = 0; trial < 200; ++trial) {
         const Bytes tune_in =
             static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
                 3 * scheme.view().cycle_bytes())));
@@ -151,7 +150,7 @@ TEST(Filter, SignatureEqualsBucketOracle) {
                 : std::to_string(trial).insert(0, 1, '!');
         const FilterResult fast = scheme.Filter(value, tune_in);
         const FilterResult oracle =
-            FilterOracle(scheme, *dataset, value, tune_in);
+            FilterOracle(scheme, channel, *dataset, value, tune_in);
         const auto where = [&] {
           return "n=" + std::to_string(n) + " It=" + std::to_string(width) +
                  " " + value + " @" + std::to_string(tune_in);
