@@ -71,7 +71,7 @@ struct ScheduleParams {
 /// Zipf(theta) popularity of `num_ranks` records at global ranks
 /// [rank_offset, rank_offset + num_ranks), normalized over a population
 /// of `total_ranks` ranks (0 = just these). P(rank k) ∝ 1/(k+1)^theta,
-/// matching core/request_generator.h's rank = record index convention.
+/// matching client/request_stream.h's rank = record index convention.
 std::vector<double> ZipfRankPopularity(int num_ranks, double theta,
                                    int rank_offset = 0, int total_ranks = 0);
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <optional>
 
+#include "client/request_stream.h"
 #include "des/random.h"
 
 namespace airindex {
@@ -17,20 +16,6 @@ namespace {
 /// only trades re-examinations against memory, never results.
 constexpr std::int64_t kWheelSlots = 1024;
 constexpr std::int64_t kWheelMask = kWheelSlots - 1;
-
-/// Residency bits cover the 64 hottest record ranks.
-constexpr int kResidencyBits = 64;
-
-/// last-query encoding: >= 0 is an on-air record index, < kNoLast+1 ...
-/// -1-a is absent-key index a, kNoLast is "no previous query".
-constexpr std::int32_t kNoLast = INT32_MIN;
-
-/// Mirrors RequestGenerator::NextInterArrival exactly (same draw, same
-/// rounding, same floor of one byte).
-Bytes NextInterArrival(Rng* rng, double mean) {
-  const double draw = rng->NextExponential(mean);
-  return std::max<Bytes>(1, static_cast<Bytes>(std::llround(draw)));
-}
 
 }  // namespace
 
@@ -71,33 +56,24 @@ FleetShardResult RunFleetShard(const BroadcastScheme& scheme,
     return result;
   }
   const auto count = static_cast<std::size_t>(last_client - first_client);
-  const int num_records = dataset.size();
-  const int capacity = std::min(params.cache_capacity, kResidencyBits);
+  const int capacity = std::min(params.cache_capacity, kFleetCacheBits);
   const bool cache_on = capacity > 0;
-  const bool session_active =
-      params.session_length > 1 && params.repeat_probability > 0.0;
+  const bool lossy = params.error_model.bucket_error_rate > 0.0;
+  const RequestModel model(
+      &dataset, params.data_availability, params.mean_request_interval_bytes,
+      params.zipf_theta, shared_zipf,
+      SessionWorkload{params.session_length, params.repeat_probability});
 
-  std::optional<ZipfDistribution> owned_zipf;
-  const ZipfDistribution* zipf = shared_zipf;
-  if (zipf == nullptr && params.zipf_theta > 0.0) {
-    owned_zipf.emplace(num_records, params.zipf_theta);
-    zipf = &*owned_zipf;
-  }
-
+  // One calendar slot is one average bucket of the cycle.
   const ArenaChannelView& view = scheme.view();
-  Bytes slot_bytes = params.slot_bytes;
-  if (slot_bytes <= 0) {
-    const auto buckets =
-        static_cast<std::int64_t>(std::max<std::size_t>(
-            1, view.num_buckets()));
-    slot_bytes = std::max<Bytes>(1, view.cycle_bytes() / buckets);
-  }
+  const Bytes slot_bytes = std::max<Bytes>(
+      1, view.cycle_bytes() / static_cast<Bytes>(std::max<std::size_t>(
+                                  1, view.num_buckets())));
 
   // Struct-of-arrays client state (~64 bytes per client).
-  std::vector<Rng> rng(count, Rng(0));
+  std::vector<RequestStream> stream(count, RequestStream(Rng(0)));
+  std::vector<Rng> error_rng(lossy ? count : 0, Rng(0));
   std::vector<Bytes> wake(count, 0);
-  std::vector<std::int32_t> last_code(count, kNoLast);
-  std::vector<std::int32_t> session_remaining(count, 0);
   std::vector<std::int32_t> queries_done(count, 0);
   std::vector<std::uint64_t> cache_bits(count, 0);
   std::vector<std::int32_t> client_hits(count, 0);
@@ -105,66 +81,32 @@ FleetShardResult RunFleetShard(const BroadcastScheme& scheme,
   std::vector<std::vector<std::uint32_t>> wheel(
       static_cast<std::size_t>(kWheelSlots));
   for (std::size_t i = 0; i < count; ++i) {
-    // Client id -> stream: exactly RunReplication's seeding, so client i
-    // draws the request stream of single-client replication i.
+    // Client id -> streams: exactly RunReplication's seeding and split
+    // order, so client i draws and walks as single-client replication i.
     Rng master(
         ReplicationSeed(params.seed, static_cast<std::uint64_t>(
                                          first_client +
                                          static_cast<std::int64_t>(i))));
-    rng[i] = master.Split();
-    wake[i] = NextInterArrival(&rng[i], params.mean_request_interval_bytes);
+    stream[i] = RequestStream(master.Split());
+    if (lossy) error_rng[i] = master.Split();
+    wake[i] = stream[i].NextInterArrival(model);
     wheel[static_cast<std::size_t>((wake[i] / slot_bytes) & kWheelMask)]
         .push_back(static_cast<std::uint32_t>(i));
   }
   result.clients = static_cast<std::int64_t>(count);
 
-  // Serves the query arriving at byte time t for local client ci;
-  // mirrors RequestGenerator::NextQuery's draw order exactly, then the
-  // SessionClient hit/miss split over the residency bits.
+  // Serves the query arriving at byte time t for local client ci: the
+  // client's next query, then the SessionClient hit/miss split over the
+  // residency bits, with every miss walked over the air.
   const auto serve_query = [&](std::uint32_t ci, Bytes t) {
-    Rng& r = rng[ci];
-    std::int32_t code = kNoLast;
-    bool repeated = false;
-    if (session_active) {
-      if (session_remaining[ci] <= 0) {
-        session_remaining[ci] =
-            static_cast<std::int32_t>(params.session_length);
-      }
-      const bool initial =
-          session_remaining[ci] ==
-          static_cast<std::int32_t>(params.session_length);
-      --session_remaining[ci];
-      if (!initial && last_code[ci] != kNoLast &&
-          r.NextBernoulli(params.repeat_probability)) {
-        code = last_code[ci];
-        repeated = true;
-      }
-    }
-    if (!repeated) {
-      const bool on_air = r.NextBernoulli(params.data_availability);
-      if (on_air) {
-        const int index =
-            zipf != nullptr
-                ? zipf->Sample(&r)
-                : static_cast<int>(r.NextBounded(
-                      static_cast<std::uint64_t>(num_records)));
-        code = static_cast<std::int32_t>(index);
-      } else {
-        const auto index = static_cast<int>(r.NextBounded(
-            static_cast<std::uint64_t>(num_records + 1)));
-        code = static_cast<std::int32_t>(-index - 1);
-      }
-      last_code[ci] = code;
-    }
-    const bool on_air = code >= 0;
-    const int index = on_air ? static_cast<int>(code)
-                             : static_cast<int>(-code - 1);
+    const Query query = stream[ci].NextQuery(model);
+    const bool resident_rank =
+        cache_on && query.on_air && query.record < kFleetCacheBits;
 
     ++result.queries;
     // Fresh hit: zero access, zero tuning — exactly SessionClient's hit
     // AccessResult (the histograms record the zeros).
-    if (cache_on && on_air && index < kResidencyBits &&
-        (cache_bits[ci] >> index) & 1u) {
+    if (resident_rank && (cache_bits[ci] >> query.record) & 1u) {
       ++result.cache_hits;
       ++client_hits[ci];
       ++result.found;
@@ -174,10 +116,9 @@ FleetShardResult RunFleetShard(const BroadcastScheme& scheme,
     }
     if (cache_on) ++result.cache_misses;
 
-    const std::string_view key =
-        on_air ? std::string_view(dataset.record(index).key)
-               : dataset.absent_key(index);
-    const AccessResult access = scheme.Access(key, t);
+    const AccessResult access =
+        AirWalk(scheme, query.key, t, params.error_model, params.deadline,
+                lossy ? &error_rng[ci] : nullptr);
     if (access.found) ++result.found;
     result.access_bytes += access.access_time;
     result.tuning_bytes += access.tuning_time;
@@ -185,27 +126,12 @@ FleetShardResult RunFleetShard(const BroadcastScheme& scheme,
     result.bucket_probes += access.probes;
     result.channel_hops += access.channel_hops;
     result.switch_bytes += access.switch_bytes;
-    const auto top = static_cast<std::size_t>(
-        std::max<int>(access.start_channel, access.final_channel));
-    if (top >= result.tuning_bytes_per_channel.size()) {
-      result.tuning_bytes_per_channel.resize(top + 1, 0);
-    }
-    if (access.start_channel == access.final_channel) {
-      result.tuning_bytes_per_channel[static_cast<std::size_t>(
-          access.final_channel)] += access.tuning_time;
-    } else {
-      result.tuning_bytes_per_channel[static_cast<std::size_t>(
-          access.final_channel)] += access.final_channel_tuning;
-      result.tuning_bytes_per_channel[static_cast<std::size_t>(
-          access.start_channel)] +=
-          access.tuning_time - access.final_channel_tuning;
-    }
+    AddTuningByChannel(access, &result.tuning_bytes_per_channel);
     result.access_histogram.Add(access.access_time);
     result.tuning_histogram.Add(access.tuning_time);
 
-    if (cache_on && on_air && index < kResidencyBits && access.found &&
-        !access.abandoned) {
-      cache_bits[ci] |= std::uint64_t{1} << index;
+    if (resident_rank && access.found && !access.abandoned) {
+      cache_bits[ci] |= std::uint64_t{1} << query.record;
       // Top-score steady state: keep the `capacity` hottest ranks among
       // residents plus the newcomer (rank == record index under the
       // Zipf-ranked workload), so the victim is the highest resident
@@ -251,8 +177,7 @@ FleetShardResult RunFleetShard(const BroadcastScheme& scheme,
           --active;
           break;
         }
-        t += NextInterArrival(&rng[ci],
-                              params.mean_request_interval_bytes);
+        t += stream[ci].NextInterArrival(model);
         if (t / slot_bytes == s) continue;  // next arrival still due now
         wake[ci] = t;
         wheel[static_cast<std::size_t>((t / slot_bytes) & kWheelMask)]

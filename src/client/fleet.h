@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "client/air_walk.h"
 #include "common/types.h"
 #include "data/dataset.h"
 #include "des/zipf.h"
@@ -13,16 +14,21 @@
 
 namespace airindex {
 
+/// Residency bits a fleet client carries: its cache is one mask over the
+/// 64 hottest record ranks.
+inline constexpr int kFleetCacheBits = 64;
+
 /// Workload of one simulated client population ("fleet").
 ///
 /// A fleet is N independent clients tuned to ONE shared broadcast cycle.
-/// Each client runs the same renewal process the single-client testbed
-/// runs (core/request_generator.h): exponential inter-arrival gaps,
-/// availability/Zipf key draws and the session-repeat chain — seeded per
-/// client with ReplicationSeed(seed, client_id), so client `i`'s request
-/// stream is byte-identical to replication `i` of the single-client
-/// engine. A fleet of size 1 therefore reproduces RunReplication's
-/// request-level results exactly (tests/fleet_test.cc pins this).
+/// Each client is the single-client testbed's client: a RequestStream
+/// over one shared RequestModel (client/request_stream.h) and the
+/// over-the-air walk (client/air_walk.h), seeded per client with
+/// ReplicationSeed(seed, client_id) and split in replication order —
+/// the request stream first, then the error stream. So client `i` draws
+/// and walks exactly what replication `i` of the single-client engine
+/// does, and a fleet of size 1 reproduces RunReplication's request-level
+/// results (tests/fleet_test.cc and invariants_test's I10 pin this).
 struct FleetParams {
   /// Clients in the whole fleet (across every shard).
   std::int64_t fleet_size = 1;
@@ -34,8 +40,8 @@ struct FleetParams {
   /// the steady state matches the analytical TopScoreResidency over the
   /// top-64 ranks.
   int cache_capacity = 0;
-  /// Session workload (mirrors SessionWorkload in the request
-  /// generator): length 1 or repeat probability 0 disables repeats.
+  /// Session workload (SessionWorkload in client/request_stream.h):
+  /// length 1 or repeat probability 0 disables repeats.
   int session_length = 1;
   double repeat_probability = 0.0;
   /// Probability a requested key is on air.
@@ -46,9 +52,10 @@ struct FleetParams {
   double zipf_theta = 0.0;
   /// Master seed; client i draws from ReplicationSeed(seed, i).
   std::uint64_t seed = 42;
-  /// Width of one calendar slot of the bucket-pass loop, in bytes;
-  /// <= 0 means one data bucket of the scheme's channel.
-  Bytes slot_bytes = 0;
+  /// Client impatience; 0 = patient clients.
+  DeadlinePolicy deadline;
+  /// Unreliable channel; rate 0 = lossless.
+  ErrorModel error_model;
 };
 
 /// Commutative statistics of one fleet shard.
@@ -72,9 +79,8 @@ struct FleetShardResult {
   std::int64_t bucket_probes = 0;
   std::int64_t channel_hops = 0;
   std::int64_t switch_bytes = 0;
-  /// Tuning bytes attributed per channel (ResultHandler's split: the
-  /// final channel gets final_channel_tuning, the start channel the
-  /// rest). Sized by the highest channel touched.
+  /// Tuning bytes attributed per channel (AddTuningByChannel, the split
+  /// ResultHandler uses). Sized by the highest channel touched.
   std::vector<std::int64_t> tuning_bytes_per_channel;
   Histogram access_histogram;
   Histogram tuning_histogram;
@@ -98,15 +104,17 @@ struct FleetShardResult {
 
 /// Advances clients [first_client, last_client) of the fleet through all
 /// of `params.queries_per_client` queries against `scheme`'s broadcast
-/// cycle, in batched per-slot passes over a calendar wheel: cost scales
-/// with slots-touched x waking-clients, not clients x simulator events.
+/// cycle, in batched per-slot passes over a calendar wheel (one slot is
+/// one average bucket of the cycle): cost scales with slots-touched x
+/// waking-clients, not clients x simulator events.
 ///
-/// Per-client state lives in struct-of-arrays vectors (RNG state, next
-/// wake byte-time, last-query key code, session position, cache
-/// residency bits, hit count — ~64 bytes per client). `shared_zipf`,
-/// when non-null, must match (dataset.size(), params.zipf_theta);
-/// otherwise a local table is built when zipf_theta > 0. Sampling from
-/// the shared table is identical to a locally built one.
+/// Per-client state lives in struct-of-arrays vectors (request stream,
+/// next wake byte-time, progress, cache residency bits, hit count —
+/// ~64 bytes per client — plus an error stream on a lossy channel).
+/// `shared_zipf`, when non-null, must match (dataset.size(),
+/// params.zipf_theta); otherwise a local table is built when
+/// zipf_theta > 0. Sampling from the shared table is identical to a
+/// locally built one.
 ///
 /// The result depends only on (scheme, dataset, params, client range) —
 /// never on which thread runs the shard or how ranges are partitioned —

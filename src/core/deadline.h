@@ -1,35 +1,8 @@
 #ifndef AIRINDEX_CORE_DEADLINE_H_
 #define AIRINDEX_CORE_DEADLINE_H_
 
-#include <string_view>
-
-#include "schemes/access.h"
-
-namespace airindex {
-
-/// Client-impatience model: a mobile user abandons a request once
-/// `access_deadline_bytes` of broadcast have elapsed without the record
-/// arriving (e.g., a navigation query that is useless after the exit has
-/// been passed). Deadline 0 disables the model.
-struct DeadlinePolicy {
-  Bytes access_deadline_bytes = 0;
-};
-
-/// Applies the policy to a completed protocol walk: a walk that would
-/// finish after the deadline is truncated at the deadline — the client
-/// powers down, the record is not obtained (found = false), and the
-/// listening charge is prorated to the listening the client did before
-/// giving up (protocol walks interleave listening uniformly enough that
-/// proration is exact for scan schemes and a close bound for
-/// probe schemes).
-AccessResult ApplyDeadline(const AccessResult& walk,
-                           const DeadlinePolicy& policy);
-
-/// Convenience: run `scheme`'s protocol and apply the policy.
-AccessResult AccessWithDeadline(const BroadcastScheme& scheme,
-                                std::string_view key, Bytes tune_in,
-                                const DeadlinePolicy& policy);
-
-}  // namespace airindex
+// Forwarding header: DeadlinePolicy and ApplyDeadline live with the
+// client's over-the-air walk in client/air_walk.h.
+#include "client/air_walk.h"
 
 #endif  // AIRINDEX_CORE_DEADLINE_H_

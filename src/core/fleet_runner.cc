@@ -16,9 +16,6 @@ namespace airindex {
 
 namespace {
 
-/// Residency bits a fleet client carries (client/fleet.h).
-constexpr int kFleetCacheBits = 64;
-
 /// Builds the fleet.* registry from the merged totals. Every run touches
 /// the same names in the same order (conditional blocks included), so
 /// two runs with equal totals produce byte-identical JSON counters.
@@ -84,28 +81,33 @@ Status ValidateFleetConfig(const TestbedConfig& config,
   if (options.shards < 1) {
     return Status::InvalidArgument("shards must be >= 1");
   }
+  // Each gate below names what the fleet's client lacks; deadlines and
+  // the lossy channel need nothing, since both engines walk through
+  // client/air_walk.h.
+  //
+  // A fleet client's cache is one 64-bit residency mask over the hottest
+  // record ranks.
   if (config.client.cache_capacity > kFleetCacheBits) {
     return Status::InvalidArgument(
         "fleet cache capacity is limited to the 64 residency bits");
   }
+  // A replication replays its own mutation history; the clients of a
+  // fleet share one server, so they need one history advanced in time
+  // order across every shard, which the fleet does not run.
   if (config.client.update_rate > 0.0) {
     return Status::InvalidArgument(
         "fleet mode does not support server updates");
   }
+  // Warmup fills a SessionClient's cache from the measured stream; the
+  // residency mask has no warm path, so fleet clients start cold.
   if (config.client.warmup_queries > 0) {
     return Status::InvalidArgument(
         "fleet mode does not support cache warmup (clients start cold)");
   }
-  if (config.error_model.bucket_error_rate > 0.0) {
-    return Status::InvalidArgument(
-        "fleet mode does not support the unreliable channel");
-  }
-  if (config.deadline.access_deadline_bytes > 0) {
-    return Status::InvalidArgument(
-        "fleet mode does not support deadlines");
-  }
-  // The fleet engine replays one immutable program against millions of
-  // phases; there is no per-client request stream to re-tier from.
+  // Re-tiering rebuilds a replication's program from that client's own
+  // requests. A fleet's clients share one immutable program, and a
+  // shared re-tierer would observe requests in an order that depends on
+  // the shard partition.
   if (config.params.schedule.scheduler == SchedulerKind::kOnline) {
     return Status::InvalidArgument(
         "fleet mode does not support online re-tiering");
@@ -147,6 +149,8 @@ Result<FleetRunResult> FleetExperiment::Run(const TestbedConfig& config,
   params.mean_request_interval_bytes = config.mean_request_interval_bytes;
   params.zipf_theta = config.zipf_theta;
   params.seed = config.seed;
+  params.deadline = config.deadline;
+  params.error_model = config.error_model;
 
   // Never more shards than clients; ranges differ by at most one client.
   const int shards = static_cast<int>(std::min<std::int64_t>(

@@ -41,9 +41,10 @@ struct FleetRunResult {
 };
 
 /// Checks that `config` describes a workload the fleet engine supports:
-/// the client cache must fit the 64 residency bits, and the
-/// single-client-only extensions (server updates, unreliable channel,
-/// deadlines, cache warmup) must be off.
+/// the client cache must fit the 64 residency bits, and server updates,
+/// cache warmup and online re-tiering must be off (the reasons and the
+/// tests are in docs/ARCHITECTURE.md §6). Deadlines and the unreliable
+/// channel run as in the single-client engine.
 Status ValidateFleetConfig(const TestbedConfig& config,
                            const FleetOptions& options);
 

@@ -1,85 +1,35 @@
 #ifndef AIRINDEX_CORE_REQUEST_GENERATOR_H_
 #define AIRINDEX_CORE_REQUEST_GENERATOR_H_
 
-#include <optional>
-#include <string_view>
-
-#include "common/types.h"
-#include "data/dataset.h"
-#include "des/random.h"
-#include "des/zipf.h"
+#include "client/request_stream.h"
 
 namespace airindex {
 
-/// One generated user request.
-struct Query {
-  /// The key the mobile client asks for — a view into the Dataset's
-  /// interned key storage (record keys or the precomputed absent-key
-  /// table), valid as long as the dataset outlives the query. Carrying a
-  /// view keeps query generation allocation-free on the hot path.
-  std::string_view key;
-  /// Whether the key is actually on the broadcast (by construction).
-  bool on_air = false;
-};
-
-/// Session workload of the stateful-client extension: queries arrive in
-/// sessions of `length`, and every non-initial query of a session
-/// repeats the previous query's key with probability
-/// `repeat_probability` (temporal locality). The defaults — and any
-/// combination where no repeat is possible — consume no extra RNG
-/// draws, so the paper's stateless request stream stays byte-identical.
-struct SessionWorkload {
-  int length = 1;
-  double repeat_probability = 0.0;
-
-  /// True when a repeat draw can ever happen.
-  bool active() const { return length > 1 && repeat_probability > 0.0; }
-};
-
-/// The testbed's RequestGenerator (paper Section 3): produces requests
-/// "periodically based on certain distribution ... the request generation
-/// process follows exponential distribution".
-///
-/// Keys are drawn from the broadcast records with probability
-/// `data_availability`, otherwise uniformly from the dataset's
-/// guaranteed-absent keys (which interleave the present ones, so misses
-/// walk the same index paths as hits). Present keys are uniform by
-/// default; with zipf_theta > 0 they follow Zipf(theta) by record rank —
-/// the skewed-popularity extension used with broadcast disks.
+/// The testbed's RequestGenerator (paper Section 3): one client's request
+/// process, as one RequestModel (client/request_stream.h) plus the one
+/// RequestStream that draws from it.
 class RequestGenerator {
  public:
-  /// `shared_zipf`, when non-null, is used instead of constructing a
-  /// Zipf table locally — the replication engine hoists the O(n)
-  /// harmonic-sum construction out of the per-replication path and
-  /// shares one table across replications and same-shape sweep cells.
-  /// It must match (dataset->size(), zipf_theta) and outlive the
-  /// generator; sampling from it is identical to a locally-built table.
+  /// The model's arguments (the replication engine passes its shared
+  /// Zipf table, built once per sweep shape), plus the stream's `rng`.
   RequestGenerator(const Dataset* dataset, double data_availability,
                    double mean_interval_bytes, Rng rng,
                    double zipf_theta = 0.0,
                    const ZipfDistribution* shared_zipf = nullptr,
-                   SessionWorkload session = {});
+                   SessionWorkload session = {})
+      : model_(dataset, data_availability, mean_interval_bytes, zipf_theta,
+               shared_zipf, session),
+        stream_(rng) {}
 
   /// Bytes until the next request arrives (exponential draw, >= 1).
-  Bytes NextInterArrival();
+  Bytes NextInterArrival() { return stream_.NextInterArrival(model_); }
 
   /// Draws the next query.
-  Query NextQuery();
+  Query NextQuery() { return stream_.NextQuery(model_); }
 
  private:
-  const Dataset* dataset_;
-  double data_availability_;
-  double mean_interval_bytes_;
-  Rng rng_;
-  std::optional<ZipfDistribution> owned_zipf_;
-  /// Points at owned_zipf_ or the shared table; nullptr = uniform.
-  const ZipfDistribution* zipf_ = nullptr;
-  SessionWorkload session_;
-  /// Queries remaining in the current session (counting the one about
-  /// to be drawn); the session boundary resets the repeat chain.
-  int session_remaining_ = 0;
-  Query last_query_;
-  bool has_last_query_ = false;
+  RequestModel model_;
+  RequestStream stream_;
 };
 
 }  // namespace airindex

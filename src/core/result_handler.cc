@@ -32,20 +32,7 @@ void ResultHandler::Add(const AccessResult& result, bool expected_on_air) {
   error_retries_ += result.retries;
   channel_hops_ += result.channel_hops;
   switch_bytes_ += result.switch_bytes;
-  const int top =
-      std::max<int>(result.start_channel, result.final_channel);
-  if (static_cast<std::size_t>(top) >= tuning_by_channel_.size()) {
-    tuning_by_channel_.resize(static_cast<std::size_t>(top) + 1, 0);
-  }
-  if (result.start_channel == result.final_channel) {
-    tuning_by_channel_[static_cast<std::size_t>(result.final_channel)] +=
-        result.tuning_time;
-  } else {
-    tuning_by_channel_[static_cast<std::size_t>(result.final_channel)] +=
-        result.final_channel_tuning;
-    tuning_by_channel_[static_cast<std::size_t>(result.start_channel)] +=
-        result.tuning_time - result.final_channel_tuning;
-  }
+  AddTuningByChannel(result, &tuning_by_channel_);
   // An abandoned request legitimately misses an on-air record.
   if (!result.abandoned && result.found != expected_on_air) {
     ++outcome_mismatches_;

@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "broadcast/schedule.h"
+#include "client/air_walk.h"
 #include "client/session_client.h"
 #include "core/broadcast_server.h"
-#include "core/deadline.h"
-#include "core/error_model.h"
 #include "core/experiment.h"
 #include "core/request_generator.h"
 #include "core/result_handler.h"
@@ -71,13 +70,12 @@ struct ScheduleRuntime {
 
   bool observing() const { return retierer.has_value(); }
 
-  /// Feeds one on-air request to the retierer. Closing an epoch re-tiers
-  /// and rebuilds the live program; a rebuild failure keeps the previous
-  /// program and is counted rather than fatal (the boundary/frequency
-  /// template never changes, so failures need a logic bug to occur).
-  void Observe(std::string_view key) {
-    const int record = dataset->FindIndex(key);
-    if (record < 0) return;
+  /// Feeds one on-air request (its drawn record) to the retierer.
+  /// Closing an epoch re-tiers and rebuilds the live program; a rebuild
+  /// failure keeps the previous program and is counted rather than fatal
+  /// (the boundary/frequency template never changes, so failures need a
+  /// logic bug to occur).
+  void Observe(int record) {
     retierer->Observe(record);
     if (retierer->observed_this_epoch() < params.schedule.retier_requests) {
       return;
@@ -211,10 +209,10 @@ MetricsRegistry SnapshotRunMetrics(Bytes end_time,
 /// The client's one request path: the stateless client fetches every
 /// request here and the session client every cache miss. The mutable
 /// overlay serves the walk when the dynamic-dataset layer is active,
-/// otherwise the live program does — through the unreliable-channel
-/// model when the channel is lossy (the validator pins dynamic runs to
-/// a lossless single channel, so the two never compose). The deadline
-/// truncates whichever walk ran.
+/// otherwise the live program does, through the client's over-the-air
+/// walk (client/air_walk.h: the lossy or plain walk, then the deadline).
+/// The validator pins dynamic runs to a lossless single channel, so the
+/// overlay needs only the deadline.
 struct ServerFetcher final : RecordFetcher {
   ServerFetcher(const ScheduleRuntime* schedule_in,
                 const TestbedConfig* config_in, Rng* error_rng_in,
@@ -230,16 +228,11 @@ struct ServerFetcher final : RecordFetcher {
   DynamicRuntime* dynamic;
 
   AccessResult Fetch(std::string_view key, Bytes tune_in) override {
-    AccessResult walk;
     if (dynamic->active()) {
-      walk = dynamic->Access(key, tune_in);
-    } else if (config->error_model.bucket_error_rate > 0.0) {
-      walk = AccessWithErrors(schedule->scheme(), key, tune_in,
-                              config->error_model, error_rng);
-    } else {
-      walk = schedule->scheme().Access(key, tune_in);
+      return ApplyDeadline(dynamic->Access(key, tune_in), config->deadline);
     }
-    return ApplyDeadline(walk, config->deadline);
+    return AirWalk(schedule->scheme(), key, tune_in, config->error_model,
+                   config->deadline, error_rng);
   }
 };
 
@@ -586,7 +579,7 @@ ReplicationResult RunReplication(const BroadcastServer& server,
     const AccessResult access = session != nullptr
                                     ? session->Access(query.key, now)
                                     : fetcher.Fetch(query.key, now);
-    if (schedule.observing() && query.on_air) schedule.Observe(query.key);
+    if (schedule.observing() && query.on_air) schedule.Observe(query.record);
     // Liveness-adjusted outcome expectation, evaluated at the same
     // tune-in instant the access ran: a record the MutationLog has
     // deleted is legitimately not found.

@@ -6,9 +6,8 @@
 #include <string>
 
 #include "broadcast/geometry.h"
+#include "client/air_walk.h"
 #include "client/client_cache.h"
-#include "core/deadline.h"
-#include "core/error_model.h"
 #include "data/dataset.h"
 #include "schemes/multichannel.h"
 #include "schemes/scheme.h"
@@ -79,10 +78,10 @@ struct TestbedConfig {
   /// and reproduces the paper's stateless client byte-identically.
   ClientSessionConfig client;
 
-  /// Unreliable-channel model (extension; see core/error_model.h).
+  /// Unreliable-channel model (extension; see client/air_walk.h).
   /// A zero error rate reproduces the paper's lossless channel.
   ErrorModel error_model;
-  /// Client impatience (extension; see core/deadline.h). Deadline 0
+  /// Client impatience (extension; see client/air_walk.h). Deadline 0
   /// reproduces the paper's patient clients.
   DeadlinePolicy deadline;
 

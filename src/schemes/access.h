@@ -1,8 +1,10 @@
 #ifndef AIRINDEX_SCHEMES_ACCESS_H_
 #define AIRINDEX_SCHEMES_ACCESS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "common/types.h"
 #include "schemes/channel_view.h"
@@ -36,7 +38,7 @@ struct AccessResult {
   /// past its first bucket. Subset of `probes`.
   int overflow_hops = 0;
   /// Unreliable channel: attempts abandoned after a corrupted bucket
-  /// read (core/error_model.h). 0 on a lossless channel.
+  /// read (client/air_walk.h). 0 on a lossless channel.
   int retries = 0;
   /// Protocol anomalies (stale pointer dereferences, loop-guard trips).
   /// Always 0 for a well-formed channel; tests assert this.
@@ -62,6 +64,25 @@ struct AccessResult {
   /// was spent on start_channel. Meaningful only when they differ.
   Bytes final_channel_tuning = 0;
 };
+
+/// Adds `result`'s tuning bytes to `by_channel`, indexed by channel id:
+/// the final channel gets final_channel_tuning and the start channel the
+/// rest (all of it on a walk without a hop). Grows `by_channel` to the
+/// highest channel the walk touched.
+inline void AddTuningByChannel(const AccessResult& result,
+                               std::vector<std::int64_t>* by_channel) {
+  const auto from = static_cast<std::size_t>(result.start_channel);
+  const auto to = static_cast<std::size_t>(result.final_channel);
+  if (std::max(from, to) >= by_channel->size()) {
+    by_channel->resize(std::max(from, to) + 1, 0);
+  }
+  if (from == to) {
+    (*by_channel)[to] += result.tuning_time;
+  } else {
+    (*by_channel)[to] += result.final_channel_tuning;
+    (*by_channel)[from] += result.tuning_time - result.final_channel_tuning;
+  }
+}
 
 /// A fully built broadcast program: one cycle's bucket sequence, held as
 /// the bound arena view, plus the scheme's client access protocol.

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/deadline.h"
+#include "client/air_walk.h"
 #include "core/experiment.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"

@@ -1,6 +1,6 @@
 // Composition of the two client-side extension models: a walk over the
-// unreliable channel (core/error_model.h) truncated by an impatient
-// client (core/deadline.h). The composed result must stay
+// unreliable channel truncated by an impatient client (both in
+// client/air_walk.h). The composed result must stay
 // self-consistent — a truncated request is never "found", never charges
 // more bytes than the deadline allows, and keeps listening, dead air and
 // channel accounting within the truncated budget.
@@ -12,8 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/deadline.h"
-#include "core/error_model.h"
+#include "client/air_walk.h"
 #include "des/random.h"
 #include "schemes/multichannel.h"
 #include "schemes/scheme.h"

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/error_model.h"
+#include "client/air_walk.h"
 #include "data/dataset.h"
 #include "des/random.h"
 #include "schemes/scheme.h"

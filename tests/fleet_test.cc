@@ -3,6 +3,8 @@
 // consistency and the closed-form (1,m) percentile model.
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +40,8 @@ FleetParams ParamsFrom(const TestbedConfig& config, int queries) {
   params.mean_request_interval_bytes = config.mean_request_interval_bytes;
   params.zipf_theta = config.zipf_theta;
   params.seed = config.seed;
+  params.deadline = config.deadline;
+  params.error_model = config.error_model;
   return params;
 }
 
@@ -233,27 +237,41 @@ TEST(FleetTest, RunnerMetricsAreConsistent) {
   EXPECT_EQ(run.value().num_channels, 4);
 }
 
-/// Unsupported single-client extensions are rejected loudly instead of
-/// silently ignored.
+/// The fleet's four gates, each on a config the single-client engine
+/// accepts, so the fleet's own gate is the one that fires: caches past
+/// the 64 residency bits, server updates, cache warmup and online
+/// re-tiering (docs/ARCHITECTURE.md §6 gives each reason). Deadlines
+/// and the unreliable channel run through the shared client walk, so
+/// they validate.
 TEST(FleetTest, ValidationRejectsUnsupportedExtensions) {
   const FleetOptions options;
+  // Each gate's config and a phrase of its error message.
+  std::vector<std::pair<std::string, TestbedConfig>> rejected(4);
+  rejected[0].first = "64 residency bits";
+  rejected[0].second.client.cache_capacity = 65;
+  rejected[1].first = "server updates";
+  rejected[1].second.client.update_rate = 2.0;
+  rejected[2].first = "cache warmup";
+  rejected[2].second.client.cache_capacity = 16;
+  rejected[2].second.client.warmup_queries = 10;
+  rejected[3].first = "online re-tiering";
+  rejected[3].second.params.schedule.scheduler = SchedulerKind::kOnline;
+  for (const auto& [phrase, config] : rejected) {
+    SCOPED_TRACE(phrase);
+    EXPECT_TRUE(ValidateTestbedConfig(config).ok());
+    const Status status = ValidateFleetConfig(config, options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(phrase), std::string::npos)
+        << status.ToString();
+  }
+
   TestbedConfig config;
-  config.client.cache_capacity = 65;
-  EXPECT_FALSE(ValidateFleetConfig(config, options).ok());
-  config = TestbedConfig{};
-  config.client.update_rate = 2.0;
-  EXPECT_FALSE(ValidateFleetConfig(config, options).ok());
-  config = TestbedConfig{};
-  config.client.cache_capacity = 16;
-  config.client.warmup_queries = 10;
-  EXPECT_FALSE(ValidateFleetConfig(config, options).ok());
-  config = TestbedConfig{};
+  EXPECT_TRUE(ValidateFleetConfig(config, options).ok());
   config.error_model.bucket_error_rate = 0.1;
-  EXPECT_FALSE(ValidateFleetConfig(config, options).ok());
-  config = TestbedConfig{};
+  EXPECT_TRUE(ValidateFleetConfig(config, options).ok());
   config.deadline.access_deadline_bytes = 1000;
-  EXPECT_FALSE(ValidateFleetConfig(config, options).ok());
-  config = TestbedConfig{};
+  EXPECT_TRUE(ValidateFleetConfig(config, options).ok());
+  config.client.cache_capacity = 64;
   EXPECT_TRUE(ValidateFleetConfig(config, options).ok());
 }
 

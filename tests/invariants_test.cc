@@ -37,6 +37,14 @@
 //      program keeps I1/I3, found tracks MutationLog liveness exactly,
 //      and the dynamic.* counter identities hold. The jobs property
 //      draws an update rate too, so I6 covers the mutation engine.
+//
+// Fleet property (client/fleet.h):
+//  I10. a fleet of one client is replication 0: over every kind, 1–4
+//      channels, availability, skew, sessions, channel errors and
+//      deadlines (and the cache, where neither cache can evict), the
+//      fleet's found count, access and tuning histograms, tuning,
+//      index-probe, bucket-probe and per-channel tuning totals, and
+//      cache hits and misses equal RunReplication's.
 
 #include <algorithm>
 #include <cstdint>
@@ -48,7 +56,10 @@
 
 #include "broadcast/schedule.h"
 #include "broadcast/snapshot.h"
+#include "client/fleet.h"
+#include "core/broadcast_server.h"
 #include "core/experiment.h"
+#include "core/fleet_runner.h"
 #include "core/json_report.h"
 #include "core/shard.h"
 #include "core/simulator.h"
@@ -594,6 +605,139 @@ TEST(InvariantsTest, ShardPartitionBitIdentity) {
       EXPECT_DOUBLE_EQ(merged.value().timing.setup_seconds, setup_seconds);
       EXPECT_EQ(CanonicalReportBytes(std::move(merged).value()), want);
     }
+  }
+}
+
+// I10 support: histograms are integer bucket arrays, so equal counts,
+// ranges and a quantile at every sample rank pin equal distributions.
+void ExpectSameHistogram(const Histogram& a, const Histogram& b) {
+  ASSERT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  for (std::int64_t k = 0; k <= a.count(); ++k) {
+    const double q =
+        static_cast<double>(k) / static_cast<double>(std::max<std::int64_t>(
+                                     a.count(), 1));
+    EXPECT_EQ(a.Quantile(q), b.Quantile(q)) << "quantile " << q;
+  }
+}
+
+// I10: the fleet's client is the replication's client. Client 0 of a
+// fleet draws ReplicationSeed(seed, 0)'s request and error streams and
+// walks through the same AirWalk, so a fleet of one reproduces
+// replication 0 request for request. The kind cycles through all nine;
+// the cache is on only where neither cache can evict (<= 64 records and
+// capacity >= records), since the fleet's top-score residency and the
+// session client's LRU differ once they evict.
+TEST(InvariantsTest, FleetOfOneIsReplicationZero) {
+  constexpr std::uint64_t kFleetSeedBase = 1u << 23;
+  constexpr int kNumFleetCases = 72;
+  for (std::uint64_t i = 0; i < kNumFleetCases; ++i) {
+    Rng rng(ReplicationSeed(kHarnessSeed, kFleetSeedBase + i));
+    RandomCase c = DrawCase(&rng);
+    c.scheme = kAllSchemes[i % std::size(kAllSchemes)];
+    const bool cache_on = rng.NextBounded(2) == 0;
+    if (cache_on) {
+      c.num_records = 12 + static_cast<int>(rng.NextBounded(53));
+      if (c.params.schedule.active()) {
+        c.params.schedule.num_disks =
+            std::min(c.params.schedule.num_disks,
+                     c.num_records / c.multichannel.num_channels);
+      }
+    }
+
+    TestbedConfig config;
+    config.scheme = c.scheme;
+    config.geometry = c.geometry;
+    config.multichannel = c.multichannel;
+    config.params = c.params;
+    config.num_records = c.num_records;
+    config.data_availability = (rng.NextBounded(2) == 0) ? 1.0 : 0.6;
+    config.zipf_theta = (rng.NextBounded(2) == 0) ? 0.0 : 0.8;
+    if (rng.NextBounded(2) == 0) {
+      config.client.session_length = 3;
+      config.client.repeat_probability = 0.4;
+    }
+    if (cache_on) {
+      config.client.cache_capacity =
+          c.num_records +
+          static_cast<int>(rng.NextBounded(
+              static_cast<std::uint64_t>(65 - c.num_records)));
+    }
+    config.error_model.bucket_error_rate =
+        (rng.NextBounded(2) == 0) ? 0.0 : 0.03;
+    const bool deadline_on = rng.NextBounded(2) == 0;
+    config.requests_per_round = 40;
+    config.seed = ReplicationSeed(kHarnessSeed, 11000 + i);
+
+    const auto dataset = BuildTestbedDataset(config).value();
+    auto built = BroadcastServer::Create(config.scheme, dataset,
+                                         config.geometry,
+                                         ResolvedSchemeParams(config),
+                                         config.multichannel);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const BroadcastServer server = std::move(built).value();
+    // Half a cycle truncates a good share of the walks.
+    if (deadline_on) {
+      config.deadline.access_deadline_bytes =
+          std::max<Bytes>(1, server.channel().cycle_bytes() / 2);
+    }
+    SCOPED_TRACE("harness seed " + std::to_string(kHarnessSeed) +
+                 " fleet case " + std::to_string(i) + ": " +
+                 std::string(SchemeKindToString(c.scheme)) + ", n=" +
+                 std::to_string(c.num_records) + ", channels=" +
+                 std::to_string(c.multichannel.num_channels) + ", cache=" +
+                 std::to_string(config.client.cache_capacity) +
+                 ", errors=" +
+                 std::to_string(config.error_model.bucket_error_rate) +
+                 ", deadline=" +
+                 std::to_string(config.deadline.access_deadline_bytes));
+    FleetOptions options;
+    options.fleet_size = 1;
+    options.queries_per_client = config.requests_per_round;
+    ASSERT_TRUE(ValidateFleetConfig(config, options).ok());
+
+    const ReplicationResult rep = RunReplication(
+        server, *dataset, config, ReplicationSeed(config.seed, 0));
+    FleetParams params;
+    params.fleet_size = 1;
+    params.queries_per_client = config.requests_per_round;
+    params.cache_capacity = config.client.cache_capacity;
+    params.session_length = config.client.session_length;
+    params.repeat_probability = config.client.repeat_probability;
+    params.data_availability = config.data_availability;
+    params.mean_request_interval_bytes = config.mean_request_interval_bytes;
+    params.zipf_theta = config.zipf_theta;
+    params.seed = config.seed;
+    params.deadline = config.deadline;
+    params.error_model = config.error_model;
+    const FleetShardResult fleet =
+        RunFleetShard(server.scheme(), *dataset, params, 0, 1);
+
+    EXPECT_EQ(fleet.queries, rep.requests);
+    EXPECT_EQ(fleet.found, rep.found);
+    ExpectSameHistogram(fleet.access_histogram, rep.access_histogram);
+    ExpectSameHistogram(fleet.tuning_histogram, rep.tuning_histogram);
+    EXPECT_EQ(fleet.tuning_bytes, rep.metrics.Get("client.bytes_listened"));
+    EXPECT_EQ(fleet.index_probes, rep.metrics.Get("client.index_probes"));
+    EXPECT_EQ(fleet.bucket_probes,
+              rep.metrics.Get("client.buckets_listened"));
+    for (int ch = 0; ch < server.num_channels(); ++ch) {
+      const auto at = static_cast<std::size_t>(ch);
+      const std::int64_t fleet_tuning =
+          at < fleet.tuning_bytes_per_channel.size()
+              ? fleet.tuning_bytes_per_channel[at]
+              : 0;
+      // A single channel has no per-channel counter: all of it is ch0.
+      EXPECT_EQ(fleet_tuning,
+                server.num_channels() > 1
+                    ? rep.metrics.Get("client.tuning_bytes_ch" +
+                                      std::to_string(ch))
+                    : rep.metrics.Get("client.bytes_listened"))
+          << "channel " << ch;
+    }
+    EXPECT_EQ(fleet.cache_hits, rep.metrics.Get("client.cache_hits"));
+    EXPECT_EQ(fleet.cache_misses, rep.metrics.Get("client.cache_misses"));
   }
 }
 
