@@ -92,9 +92,7 @@ Result<TestbedServer> BuildTestbedServer(
 }
 
 ParallelExperiment::ParallelExperiment(ParallelOptions options)
-    : pool_(options.jobs),
-      lookahead_(options.lookahead < 0 ? pool_.size() : options.lookahead),
-      shard_(options.shard) {
+    : pool_(options.jobs), shard_(options.shard) {
   timing_.jobs = pool_.size();
   timing_.shard_index = shard_.index;
   timing_.shard_count = shard_.count;
@@ -159,14 +157,14 @@ Result<SimulationResult> ParallelExperiment::RunCell(
   const TestbedServer& testbed = cell.testbed;
   const ZipfDistribution* zipf = cell.zipf.get();
 
-  // Streaming ordered merge: keep `jobs + lookahead` replications in
-  // flight, merge strictly in replication-id order as results arrive,
-  // and — unsharded — stop submitting the moment the rule fires on the
-  // merged prefix. Replication `id` is a pure function of (config, id),
-  // and the merged stream is the id-ordered prefix ending at the
-  // stopping replication — so the statistics are bit-identical for every
-  // jobs/lookahead value. A shard cannot know where the merged stream
-  // stops, so it runs its whole slice; its ids are absolute, so
+  // Streaming ordered merge: keep 2 * jobs replications in flight,
+  // merge strictly in replication-id order as results arrive, and —
+  // unsharded — stop submitting the moment the rule fires on the merged
+  // prefix. Replication `id` is a pure function of (config, id), and the
+  // merged stream is the id-ordered prefix ending at the stopping
+  // replication — so the statistics are bit-identical for every jobs
+  // value. A shard cannot know where the merged stream stops, so it
+  // runs its whole slice; its ids are absolute, so
   // ReplicationSeed(config.seed, id) draws the stream a single process
   // would, and bench_merge's replay is bit-identical by construction.
   const bool adaptive = payloads == nullptr;
@@ -174,7 +172,7 @@ Result<SimulationResult> ParallelExperiment::RunCell(
                               config.confidence_accuracy);
   SimulationResult merged;
   ReorderBuffer buffer;
-  const int window = pool_.size() + lookahead_;
+  const int window = 2 * pool_.size();
   // The stopping rule cannot fire before min(min_rounds, max_rounds)
   // merged rounds, and a shard runs its whole slice: those replications
   // are guaranteed to merge. With a next cell to prepare they all go in

@@ -46,15 +46,6 @@ struct ParallelOptions {
   /// single-threaded behaviour — and, by construction, produces exactly
   /// the same statistics as any other jobs value.
   int jobs = 0;
-  /// Extra replications kept in flight beyond the pool width, so a
-  /// worker finishing early always finds the next replication already
-  /// queued; < 0 means "one extra pool width" (in-flight window =
-  /// 2 * jobs). Lookahead only trades wall time against wasted
-  /// speculative work — it never affects results. It bounds only the
-  /// speculative work past min_rounds: a sweep cell's replications below
-  /// min_rounds go in flight at once while the next cell is prepared
-  /// (ParallelExperiment::RunSweep).
-  int lookahead = -1;
   /// Cross-process sweep shard (core/shard.h). The default ({0, 1}) is
   /// the ordinary single-process run. When shard.count > 1, RunSweep
   /// executes only this shard's replication slice of each cell — all of
@@ -75,12 +66,16 @@ struct ParallelOptions {
 ///    ReplicationSeed(config.seed, id) = seed ^ splitmix64(id)
 ///    (des/random.h), so its outcome depends only on (config, id) — never
 ///    on worker identity or scheduling.
-///  - The coordinator keeps `jobs + lookahead` replications in flight at
-///    all times (no wave barrier: a straggler never idles the rest of the
-///    pool). Completed results land in a reorder buffer and are merged
-///    strictly in replication-id order; each merged replication feeds the
-///    AccuracyController, so the Student-t check runs on the ordered
-///    stream exactly as it would serially.
+///  - The coordinator keeps 2 * jobs replications in flight at all times
+///    (no wave barrier: a straggler never idles the rest of the pool, and
+///    a worker finishing early finds the next replication already
+///    queued). The window bounds only the speculative work past
+///    min_rounds: a sweep cell's replications below min_rounds go in
+///    flight at once while the next cell is prepared. Completed results
+///    land in a reorder buffer and are merged strictly in replication-id
+///    order; each merged replication feeds the AccuracyController, so the
+///    Student-t check runs on the ordered stream exactly as it would
+///    serially.
 ///  - The stopping decision is the streaming cancellation point: once the
 ///    rule fires on the merged prefix, no further replications are
 ///    submitted, and in-flight speculative replications finish but are
@@ -92,7 +87,7 @@ struct ParallelOptions {
 ///    guaranteed replications — the ids the stopping rule cannot end
 ///    before. Replications and merges are untouched.
 ///
-/// Consequence: `Run` is bit-identical for every jobs/lookahead value,
+/// Consequence: `Run` is bit-identical for every jobs value,
 /// and the adaptive stopping behaviour (which replication stops the run)
 /// is preserved exactly. RunTestbed (core/simulator.h) is the jobs = 1
 /// case.
@@ -191,7 +186,6 @@ class ParallelExperiment {
   std::shared_ptr<const ZipfDistribution> ZipfFor(int n, double theta);
 
   ThreadPool pool_;
-  int lookahead_;
   ShardSpec shard_;
   RunTiming timing_;
   std::vector<ShardCell> shard_cells_;

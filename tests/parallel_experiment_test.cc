@@ -161,23 +161,6 @@ TEST(ParallelExperiment, StreamedMergeMatchesWaveReference) {
   }
 }
 
-TEST(ParallelExperiment, LookaheadDoesNotChangeResults) {
-  const TestbedConfig config = SmallConfig(SchemeKind::kFlat);
-  ParallelExperiment narrow({.jobs = 2, .lookahead = 0});
-  ParallelExperiment wide({.jobs = 2, .lookahead = 16});
-  const Result<SimulationResult> a = narrow.Run(config);
-  const Result<SimulationResult> b = wide.Run(config);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectIdenticalResults(a.value(), b.value());
-  // A wider window can only run MORE speculative replications, never
-  // fewer merges.
-  EXPECT_EQ(narrow.timing().replications_merged,
-            wide.timing().replications_merged);
-  EXPECT_LE(narrow.timing().replications_run,
-            wide.timing().replications_run);
-}
-
 TEST(ParallelExperiment, JobsOneAndJobsEightAreBitIdentical) {
   for (const SchemeKind kind :
        {SchemeKind::kFlat, SchemeKind::kDistributed, SchemeKind::kHashing,
