@@ -1,5 +1,6 @@
 #include "bench/bench_main.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -195,7 +196,8 @@ void ApplyWorkloadOptions(const BenchOptions& options,
   config->program_cache_dir = options.program_cache_dir;
 }
 
-bool CheckUnappliedFlags(const BenchOptions& options, const char* program) {
+bool CheckUnappliedFlags(const BenchOptions& options, const char* program,
+                         std::initializer_list<std::string_view> applied) {
   const BenchOptions defaults;
   const MultiChannelParams& mc = options.multichannel;
   const ClientSessionConfig& client = options.client;
@@ -228,13 +230,21 @@ bool CheckUnappliedFlags(const BenchOptions& options, const char* program) {
       {"--retier-requests",
        schedule.retier_requests != defaults.schedule.retier_requests},
   };
+  std::string takes = "--records, --csv, --jobs, --quick";
+  for (const std::string_view flag : applied) {
+    takes += ", ";
+    takes += flag;
+  }
+  takes += " and --json";
   bool ok = true;
   for (const auto& [flag, given] : flags) {
-    if (!given) continue;
+    if (!given || std::find(applied.begin(), applied.end(),
+                            std::string_view(flag)) != applied.end()) {
+      continue;
+    }
     std::fprintf(stderr,
-                 "%s: %s is not applied; this driver takes only --records, "
-                 "--csv, --jobs, --quick and --json\n",
-                 program, flag);
+                 "%s: %s is not applied; this driver takes only %s\n",
+                 program, flag, takes.c_str());
     ok = false;
   }
   return ok;

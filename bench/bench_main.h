@@ -71,7 +71,9 @@
 #define AIRINDEX_BENCH_BENCH_MAIN_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -136,12 +138,15 @@ void ApplyMultiChannelOptions(const BenchOptions& options,
 /// fig_client_cache) skip this call.
 void ApplyWorkloadOptions(const BenchOptions& options, TestbedConfig* config);
 
-/// For drivers that apply only --records, --csv, --jobs, --quick and
-/// --json (the ablations presets, filter_comparison): names on stderr,
-/// after `program`, every other shared flag given a non-default value,
-/// and returns false if there was one. The driver then exits 2 rather
-/// than record in its report a flag that did not shape it.
-bool CheckUnappliedFlags(const BenchOptions& options, const char* program);
+/// For drivers that apply only some of the shared flags: names on
+/// stderr, after `program`, every shared flag given a non-default value
+/// that is neither one of --records, --csv, --jobs, --quick and --json
+/// (which every driver applies) nor in `applied`, and returns false if
+/// there was one. The driver then exits 2 rather than record in its
+/// report a flag that did not shape it. The ablations presets and
+/// filter_comparison apply no others; fig_fleet names its own.
+bool CheckUnappliedFlags(const BenchOptions& options, const char* program,
+                         std::initializer_list<std::string_view> applied = {});
 
 /// Prints one program-cache telemetry line to stderr (no-op on nullptr —
 /// benches call it unconditionally with engine.program_cache()). Kept off

@@ -21,11 +21,15 @@
 // Usage: fig_fleet [--quick] [--csv] [--jobs N] [--records N]
 //                  [--fleet-size N] [--cache-size C] [--zipf T]
 //                  [--session-length K] [--repeat-prob P] [--channels N]
-//                  [--switch-cost B] [--allocation S] [--json PATH]
+//                  [--switch-cost B] [--allocation S]
+//                  [--program-cache DIR] [--json PATH]
 // (shared bench flags — see bench/bench_main.h. --fleet-size and
 // --cache-size replace the bench's size x cache grid with a single
-// cell; --update-rate / --cache-warmup / --cache-policy are
-// single-client extensions the fleet engine rejects.)
+// cell. Any other shared flag exits 2 (CheckUnappliedFlags): the fleet's
+// cache is top-score residency and reads no --cache-policy, the engine
+// rejects --update-rate and --cache-warmup, the driver runs the flat
+// (1,m) layout with no --scheduler, and the fleet engine shards its
+// population internally, so --shard would nest two meanings.)
 
 #include <cmath>
 #include <cstdint>
@@ -68,12 +72,11 @@ std::string FormatRate(double value) {
 
 int Main(int argc, char** argv) {
   const BenchOptions options = ParseBenchOptions(argc, argv);
-  if (options.shard.active()) {
-    // The fleet engine shards its population internally
-    // (core/fleet_runner.h); cross-process sweep sharding would nest the
-    // two meanings, so refuse rather than silently run the full sweep.
-    std::cerr << "fig_fleet does not support --shard (the fleet engine "
-                 "shards internally)\n";
+  if (!CheckUnappliedFlags(
+          options, "fig_fleet",
+          {"--channels", "--switch-cost", "--allocation", "--zipf",
+           "--cache-size", "--session-length", "--repeat-prob",
+           "--fleet-size", "--program-cache"})) {
     return 2;
   }
   const bool quick = options.quick;
