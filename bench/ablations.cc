@@ -3,16 +3,17 @@
 // width) and extend its comparison (signature family, broadcast disks,
 // lossy channels, hybrid index, deadlines). Each ablation is one row of
 // kPresets: it builds its grid of cells and prints its tables from the
-// results; the harness runs the whole grid as one RunSweep, adds the
-// points in grid order and writes the report.
+// results; the sweep harness (SweepMain, bench/bench_main.h) runs the
+// whole grid as one sweep, adds the points in grid order and writes the
+// report.
 //
 // Usage: ablations <preset> [--records N] [--csv] [--jobs N]
 //                           [--quick] [--json PATH]
 //        ablations --list
 // (shared bench flags — see bench/bench_main.h). No preset changes its
 // grid under --quick; the report still records the flag. The presets
-// apply no other shared flag, so one given with a non-default value is
-// rejected (exit 2) rather than recorded in a report it did not shape.
+// apply no other shared flag, so any other one given is rejected (exit
+// 2) rather than recorded in a report it did not shape.
 
 #include <algorithm>
 #include <cstdint>
@@ -26,7 +27,6 @@
 
 #include "analytical/models.h"
 #include "bench/bench_main.h"
-#include "core/experiment.h"
 #include "core/report.h"
 #include "core/simulator.h"
 #include "core/testbed_config.h"
@@ -35,14 +35,6 @@
 
 namespace airindex {
 namespace {
-
-/// One sweep cell: its testbed run and the labels of its report point.
-struct Cell {
-  TestbedConfig config;
-  std::vector<std::pair<std::string, std::string>> labels;
-};
-
-using Results = std::vector<SimulationResult>;
 
 /// A cell of `kind` over `num_records` records with the ablations'
 /// stopping bounds (30..120 replications).
@@ -57,18 +49,14 @@ TestbedConfig CellConfig(SchemeKind kind, int num_records,
   return config;
 }
 
-void PrintTable(const ReportTable& table, bool csv) {
-  csv ? table.PrintCsv(std::cout) : table.Print(std::cout);
-}
-
 // A1: distributed indexing's sensitivity to the number of replicated
 // levels r, and whether the optimal-r rule the paper inherits from
 // Imielinski et al. picks the simulated access minimum.
 
-std::vector<Cell> DistributedRGrid(int num_records) {
+std::vector<SweepCell> DistributedRGrid(int num_records) {
   const BTreeLevelCounts levels =
       ComputeBTreeLevels(num_records, BucketGeometry{}.index_fanout());
-  std::vector<Cell> cells;
+  std::vector<SweepCell> cells;
   for (int r = 0; r < levels.height; ++r) {
     TestbedConfig config =
         CellConfig(SchemeKind::kDistributed, num_records,
@@ -79,8 +67,8 @@ std::vector<Cell> DistributedRGrid(int num_records) {
   return cells;
 }
 
-void PrintDistributedR(int num_records, const std::vector<Cell>& cells,
-                       const Results& results, bool csv) {
+void PrintDistributedR(int num_records, const std::vector<SweepCell>& cells,
+                       const SweepResults& results, bool csv) {
   const BucketGeometry geometry;
   const BTreeLevelCounts levels =
       ComputeBTreeLevels(num_records, geometry.index_fanout());
@@ -122,13 +110,13 @@ void PrintDistributedR(int num_records, const std::vector<Cell>& cells,
 // A2: (1,m) indexing's sensitivity to the index replication count m
 // around the analytical optimum m* = sqrt(Nr/I).
 
-std::vector<Cell> OneMGrid(int num_records) {
+std::vector<SweepCell> OneMGrid(int num_records) {
   const int optimal = OneMOptimalMExact(num_records, BucketGeometry{});
   std::vector<int> ms = {1, 2, optimal, 2 * optimal, 4 * optimal,
                          8 * optimal};
   std::sort(ms.begin(), ms.end());
   ms.erase(std::unique(ms.begin(), ms.end()), ms.end());
-  std::vector<Cell> cells;
+  std::vector<SweepCell> cells;
   for (const int m : ms) {
     TestbedConfig config = CellConfig(SchemeKind::kOneM, num_records,
                                       8000 + static_cast<std::uint64_t>(m));
@@ -138,8 +126,8 @@ std::vector<Cell> OneMGrid(int num_records) {
   return cells;
 }
 
-void PrintOneM(int num_records, const std::vector<Cell>& cells,
-               const Results& results, bool csv) {
+void PrintOneM(int num_records, const std::vector<SweepCell>& cells,
+               const SweepResults& results, bool csv) {
   const BucketGeometry geometry;
   const int optimal = OneMOptimalMExact(num_records, geometry);
   std::cout << "Ablation: (1,m) indexing replication count m\n"
@@ -174,8 +162,8 @@ void PrintOneM(int num_records, const std::vector<Cell>& cells,
 // 2.3): signature length vs tuning time, and access vs tuning time. Sweeps
 // the signature bucket size It with the measured false-drop rate.
 
-std::vector<Cell> SignatureWidthGrid(int num_records) {
-  std::vector<Cell> cells;
+std::vector<SweepCell> SignatureWidthGrid(int num_records) {
+  std::vector<SweepCell> cells;
   for (const Bytes width : {2, 4, 8, 16, 32, 64}) {
     TestbedConfig config =
         CellConfig(SchemeKind::kSignature, num_records,
@@ -186,8 +174,8 @@ std::vector<Cell> SignatureWidthGrid(int num_records) {
   return cells;
 }
 
-void PrintSignatureWidth(int num_records, const std::vector<Cell>& cells,
-                         const Results& results, bool csv) {
+void PrintSignatureWidth(int num_records, const std::vector<SweepCell>& cells,
+                         const SweepResults& results, bool csv) {
   std::cout << "Ablation: signature width It vs false drops\n"
             << "Nr = " << num_records
             << "; smaller signatures shorten the cycle (better access) but "
@@ -220,10 +208,10 @@ void PrintSignatureWidth(int num_records, const std::vector<Cell>& cells,
 // A4 and A7 sweep schemes of the signature family across group sizes;
 // the seed base tells the two grids apart.
 
-std::vector<Cell> GroupCells(
+std::vector<SweepCell> GroupCells(
     int num_records, std::uint64_t seed_base,
     const std::vector<std::pair<SchemeKind, int>>& runs) {
-  std::vector<Cell> cells;
+  std::vector<SweepCell> cells;
   for (const auto& [kind, group] : runs) {
     TestbedConfig config =
         CellConfig(kind, num_records,
@@ -241,7 +229,7 @@ std::vector<Cell> GroupCells(
 // signature indexing; this quantifies what the two extensions buy
 // (tuning) and cost (access) on the same workload.
 
-std::vector<Cell> SignatureFamilyGrid(int num_records) {
+std::vector<SweepCell> SignatureFamilyGrid(int num_records) {
   return GroupCells(num_records, 11000,
                     {{SchemeKind::kSignature, 0},
                      {SchemeKind::kIntegratedSignature, 4},
@@ -252,8 +240,8 @@ std::vector<Cell> SignatureFamilyGrid(int num_records) {
                      {SchemeKind::kMultiLevelSignature, 64}});
 }
 
-void PrintSignatureFamily(int num_records, const std::vector<Cell>& cells,
-                          const Results& results, bool csv) {
+void PrintSignatureFamily(int num_records, const std::vector<SweepCell>& cells,
+                          const SweepResults& results, bool csv) {
   std::cout << "Ablation: signature family (simple / integrated / "
                "multi-level)\n"
             << "Nr = " << num_records
@@ -284,8 +272,8 @@ void PrintSignatureFamily(int num_records, const std::vector<Cell>& cells,
 // grows (the Acharya et al. result), while at theta = 0 their longer
 // cycle makes them strictly worse.
 
-std::vector<Cell> BroadcastDisksGrid(int num_records) {
-  std::vector<Cell> cells;
+std::vector<SweepCell> BroadcastDisksGrid(int num_records) {
+  std::vector<SweepCell> cells;
   for (const double theta : {0.0, 0.4, 0.8, 1.0, 1.2}) {
     for (const SchemeKind kind :
          {SchemeKind::kFlat, SchemeKind::kBroadcastDisks}) {
@@ -303,8 +291,8 @@ std::vector<Cell> BroadcastDisksGrid(int num_records) {
   return cells;
 }
 
-void PrintBroadcastDisks(int num_records, const std::vector<Cell>& cells,
-                         const Results& results, bool csv) {
+void PrintBroadcastDisks(int num_records, const std::vector<SweepCell>& cells,
+                         const SweepResults& results, bool csv) {
   std::cout << "Ablation: broadcast disks vs flat broadcast under Zipf "
                "request skew\n"
             << "Nr = " << num_records
@@ -347,8 +335,8 @@ constexpr SchemeKind kErrorRateSchemes[] = {
     SchemeKind::kFlat, SchemeKind::kDistributed, SchemeKind::kHashing,
     SchemeKind::kSignature};
 
-std::vector<Cell> ErrorRateGrid(int num_records) {
-  std::vector<Cell> cells;
+std::vector<SweepCell> ErrorRateGrid(int num_records) {
+  std::vector<SweepCell> cells;
   for (const double rate : {0.0, 1e-5, 1e-4, 1e-3, 1e-2}) {
     for (const SchemeKind kind : kErrorRateSchemes) {
       TestbedConfig config =
@@ -363,8 +351,8 @@ std::vector<Cell> ErrorRateGrid(int num_records) {
   return cells;
 }
 
-void PrintErrorRate(int num_records, const std::vector<Cell>& cells,
-                    const Results& results, bool csv) {
+void PrintErrorRate(int num_records, const std::vector<SweepCell>& cells,
+                    const SweepResults& results, bool csv) {
   std::cout << "Ablation: access-time inflation on an error-prone channel\n"
             << "Nr = " << num_records
             << "; cells show mean access relative to the lossless run\n\n";
@@ -409,7 +397,7 @@ void PrintErrorRate(int num_records, const std::vector<Cell>& cells,
 // signature sifting keeps tuning near the tree schemes instead of the
 // signature scheme's linear scan.
 
-std::vector<Cell> HybridGrid(int num_records) {
+std::vector<SweepCell> HybridGrid(int num_records) {
   return GroupCells(num_records, 14000,
                     {{SchemeKind::kOneM, 0},
                      {SchemeKind::kDistributed, 0},
@@ -419,8 +407,8 @@ std::vector<Cell> HybridGrid(int num_records) {
                      {SchemeKind::kHybrid, 64}});
 }
 
-void PrintHybrid(int num_records, const std::vector<Cell>& cells,
-                 const Results& results, bool csv) {
+void PrintHybrid(int num_records, const std::vector<SweepCell>& cells,
+                 const SweepResults& results, bool csv) {
   std::cout << "Hybrid index+signature vs its parents\n"
             << "Nr = " << num_records << ", Table 1 geometry\n\n";
 
@@ -457,9 +445,9 @@ Bytes FlatCycle(int num_records) {
   return static_cast<Bytes>(num_records) * 500;
 }
 
-std::vector<Cell> DeadlineGrid(int num_records) {
+std::vector<SweepCell> DeadlineGrid(int num_records) {
   const Bytes flat_cycle = FlatCycle(num_records);
-  std::vector<Cell> cells;
+  std::vector<SweepCell> cells;
   for (const double fraction : kDeadlineFractions) {
     for (const SchemeKind kind : kDeadlineSchemes) {
       TestbedConfig config =
@@ -475,13 +463,14 @@ std::vector<Cell> DeadlineGrid(int num_records) {
   return cells;
 }
 
-void AddFoundRate(const SimulationResult& sim, BenchPoint* point) {
+void AddFoundRate(const SweepCell& /*cell*/, const SimulationResult& sim,
+                  BenchPoint* point) {
   point->metrics.emplace_back(
       "found_rate", BenchMetricValue{sim.found_rate(), 0.0, false});
 }
 
-void PrintDeadline(int num_records, const std::vector<Cell>& cells,
-                   const Results& results, bool csv) {
+void PrintDeadline(int num_records, const std::vector<SweepCell>& cells,
+                   const SweepResults& results, bool csv) {
   std::cout << "Ablation: success rate vs access deadline\n"
             << "Nr = " << num_records
             << "; deadlines as fractions of the flat cycle ("
@@ -504,13 +493,14 @@ void PrintDeadline(int num_records, const std::vector<Cell>& cells,
 struct Preset {
   const char* name;
   int default_records;
-  std::vector<Cell> (*grid)(int num_records);
+  std::vector<SweepCell> (*grid)(int num_records);
   /// Prints the title, tables and footer; results[i] is cells[i]'s run.
-  void (*print)(int num_records, const std::vector<Cell>& cells,
-                const Results& results, bool csv);
+  void (*print)(int num_records, const std::vector<SweepCell>& cells,
+                const SweepResults& results, bool csv);
   /// Attaches metrics beyond access and tuning to a cell's point; null
   /// for none.
-  void (*extras)(const SimulationResult& sim, BenchPoint* point);
+  void (*extras)(const SweepCell& cell, const SimulationResult& sim,
+                 BenchPoint* point);
 };
 
 constexpr Preset kPresets[] = {
@@ -552,39 +542,18 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const BenchOptions options = ParseBenchOptions(argc, argv);
-  if (!CheckUnappliedFlags(options, "ablations")) return 2;
   const int num_records =
       options.records > 0 ? options.records : preset->default_records;
-
-  BenchReporter reporter(preset->name, options);
-  reporter.AddConfig("num_records", std::to_string(num_records));
-
-  const std::vector<Cell> cells = preset->grid(num_records);
-  std::vector<TestbedConfig> configs;
-  for (const Cell& cell : cells) configs.push_back(cell.config);
-  ParallelExperiment experiment({.jobs = options.jobs});
-  std::vector<Result<SimulationResult>> runs = experiment.RunSweep(configs);
-
-  Results results;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!runs[i].ok()) {
-      std::cerr << "simulation failed: " << runs[i].status().ToString()
-                << "\n";
-      return 1;
-    }
-    results.push_back(std::move(runs[i]).value());
-    BenchPoint& point =
-        reporter.AddSimulationPoint(cells[i].labels, results.back());
-    if (preset->extras != nullptr) preset->extras(results.back(), &point);
-  }
-  preset->print(num_records, cells, results, options.csv);
-  std::cout << '\n';
-  PrintTimingSummary(std::cout, experiment.timing());
-  if (Status s = reporter.Finish(experiment.timing()); !s.ok()) {
-    std::cerr << "json report failed: " << s.ToString() << "\n";
-    return 1;
-  }
-  return 0;
+  SweepBench bench{.name = preset->name,
+                   .config = {{"num_records", std::to_string(num_records)}},
+                   .cells = preset->grid(num_records),
+                   .extras = preset->extras};
+  bench.print = [&](const std::vector<SweepCell>& cells,
+                    const SweepResults& results, const RunTiming& /*timing*/,
+                    bool csv) {
+    preset->print(num_records, cells, results, csv);
+  };
+  return SweepMain(options, bench);
 }
 
 }  // namespace

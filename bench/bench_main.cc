@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <utility>
+
+#include "core/experiment.h"
 
 namespace airindex {
 
@@ -42,17 +45,18 @@ double ParseDoubleArg(int argc, char** argv, int* i, const char* flag) {
   return value;
 }
 
-std::string FormatFlagDouble(double value) {
+}  // namespace
+
+std::string FormatG(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%g", value);
   return buffer;
 }
 
-}  // namespace
-
 BenchOptions ParseBenchOptions(int argc, char** argv) {
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
     if (std::strcmp(argv[i], "--quick") == 0) {
       options.quick = true;
     } else if (std::strcmp(argv[i], "--csv") == 0) {
@@ -175,7 +179,10 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
                      argv[i]);
         std::exit(2);
       }
+    } else {
+      continue;  // not a shared flag
     }
+    options.given_flags.emplace(flag);
   }
   return options;
 }
@@ -196,40 +203,24 @@ void ApplyWorkloadOptions(const BenchOptions& options,
   config->program_cache_dir = options.program_cache_dir;
 }
 
+void ApplyQuickRounds(const BenchOptions& options, TestbedConfig* config) {
+  if (!options.quick) return;
+  config->min_rounds = 10;
+  config->max_rounds = 40;
+}
+
+const std::vector<std::string_view> kTestbedFlags = {
+    "--channels",       "--switch-cost",   "--allocation",
+    "--zipf",           "--cache-size",    "--cache-policy",
+    "--session-length", "--repeat-prob",   "--update-rate",
+    "--update-zipf",    "--compact-every", "--cache-warmup",
+    "--program-cache",  "--shard",         "--scheduler",
+    "--disks",          "--retier-requests"};
+
 bool CheckUnappliedFlags(const BenchOptions& options, const char* program,
-                         std::initializer_list<std::string_view> applied) {
-  const BenchOptions defaults;
-  const MultiChannelParams& mc = options.multichannel;
-  const ClientSessionConfig& client = options.client;
-  const ScheduleParams& schedule = options.schedule;
-  const std::pair<const char*, bool> flags[] = {
-      {"--channels", mc.num_channels != defaults.multichannel.num_channels},
-      {"--switch-cost",
-       mc.switch_cost_bytes != defaults.multichannel.switch_cost_bytes},
-      {"--allocation", mc.allocation != defaults.multichannel.allocation},
-      {"--zipf", options.zipf_theta != defaults.zipf_theta},
-      {"--cache-size",
-       client.cache_capacity != defaults.client.cache_capacity},
-      {"--cache-policy", client.cache_policy != defaults.client.cache_policy},
-      {"--session-length",
-       client.session_length != defaults.client.session_length},
-      {"--repeat-prob",
-       client.repeat_probability != defaults.client.repeat_probability},
-      {"--update-rate", client.update_rate != defaults.client.update_rate},
-      {"--update-zipf", client.update_zipf != defaults.client.update_zipf},
-      {"--compact-every",
-       client.compact_every != defaults.client.compact_every},
-      {"--cache-warmup",
-       client.warmup_queries != defaults.client.warmup_queries},
-      {"--fleet-size", options.fleet_size != defaults.fleet_size},
-      {"--program-cache",
-       options.program_cache_dir != defaults.program_cache_dir},
-      {"--shard", options.shard.active()},
-      {"--scheduler", schedule.scheduler != defaults.schedule.scheduler},
-      {"--disks", schedule.num_disks != defaults.schedule.num_disks},
-      {"--retier-requests",
-       schedule.retier_requests != defaults.schedule.retier_requests},
-  };
+                         const std::vector<std::string_view>& applied) {
+  constexpr std::string_view kEveryDriver[] = {"--records", "--csv",
+                                               "--jobs", "--quick", "--json"};
   std::string takes = "--records, --csv, --jobs, --quick";
   for (const std::string_view flag : applied) {
     takes += ", ";
@@ -237,14 +228,14 @@ bool CheckUnappliedFlags(const BenchOptions& options, const char* program,
   }
   takes += " and --json";
   bool ok = true;
-  for (const auto& [flag, given] : flags) {
-    if (!given || std::find(applied.begin(), applied.end(),
-                            std::string_view(flag)) != applied.end()) {
+  for (const std::string& flag : options.given_flags) {
+    if (std::ranges::find(kEveryDriver, flag) != std::end(kEveryDriver) ||
+        std::ranges::find(applied, flag) != applied.end()) {
       continue;
     }
     std::fprintf(stderr,
                  "%s: %s is not applied; this driver takes only %s\n",
-                 program, flag, takes.c_str());
+                 program, flag.c_str(), takes.c_str());
     ok = false;
   }
   return ok;
@@ -270,6 +261,10 @@ void PrintProgramCacheSummary(const ProgramCache* cache,
                static_cast<long long>(metrics.Get("program.snapshot_writes")));
 }
 
+void PrintTable(const ReportTable& table, bool csv) {
+  csv ? table.PrintCsv(std::cout) : table.Print(std::cout);
+}
+
 BenchReporter::BenchReporter(std::string bench_name,
                              const BenchOptions& options)
     : json_path_(options.json_path) {
@@ -290,7 +285,7 @@ BenchReporter::BenchReporter(std::string bench_name,
   // The workload keys follow the same rule: only a flag that left its
   // "not given" default behind is recorded.
   if (options.zipf_theta >= 0.0) {
-    AddConfig("zipf_theta", FormatFlagDouble(options.zipf_theta));
+    AddConfig("zipf_theta", FormatG(options.zipf_theta));
   }
   if (options.client.cache_capacity > 0) {
     AddConfig("cache_policy",
@@ -299,8 +294,8 @@ BenchReporter::BenchReporter(std::string bench_name,
     AddConfig("session_length",
               std::to_string(options.client.session_length));
     AddConfig("repeat_probability",
-              FormatFlagDouble(options.client.repeat_probability));
-    AddConfig("update_rate", FormatFlagDouble(options.client.update_rate));
+              FormatG(options.client.repeat_probability));
+    AddConfig("update_rate", FormatG(options.client.update_rate));
     AddConfig("cache_warmup",
               std::to_string(options.client.warmup_queries));
   }
@@ -333,7 +328,7 @@ BenchReporter::BenchReporter(std::string bench_name,
   AddConfig("resolved.allocation",
             ChannelAllocationToString(options.multichannel.allocation));
   AddConfig("resolved.zipf_theta",
-            options.zipf_theta >= 0.0 ? FormatFlagDouble(options.zipf_theta)
+            options.zipf_theta >= 0.0 ? FormatG(options.zipf_theta)
                                       : "bench-default");
   AddConfig("resolved.cache_size",
             std::to_string(options.client.cache_capacity));
@@ -342,11 +337,11 @@ BenchReporter::BenchReporter(std::string bench_name,
   AddConfig("resolved.session_length",
             std::to_string(options.client.session_length));
   AddConfig("resolved.repeat_probability",
-            FormatFlagDouble(options.client.repeat_probability));
+            FormatG(options.client.repeat_probability));
   AddConfig("resolved.update_rate",
-            FormatFlagDouble(options.client.update_rate));
+            FormatG(options.client.update_rate));
   AddConfig("resolved.update_zipf",
-            FormatFlagDouble(options.client.update_zipf));
+            FormatG(options.client.update_zipf));
   AddConfig("resolved.compact_every",
             std::to_string(options.client.compact_every));
   AddConfig("resolved.cache_warmup",
@@ -397,31 +392,73 @@ void BenchReporter::MergeCounters(const MetricsRegistry& metrics) {
   report_.counters.Merge(metrics);
 }
 
-void BenchReporter::SetShard(const ShardSpec& spec) {
-  if (!spec.active()) return;
-  sharded_ = true;
-  shard_.spec = spec;
-}
-
-void BenchReporter::AttachShardCell(ShardCell cell) {
-  if (!sharded_) return;
-  shard_.cells.push_back(std::move(cell));
-}
-
-void BenchReporter::AddDerivedMetric(const DerivedMetricSpec& spec) {
-  if (!sharded_ || shard_.cells.empty()) return;
-  shard_.cells.back().derived.push_back(spec);
-}
-
-Status BenchReporter::Finish(const RunTiming& timing) {
+Status BenchReporter::Finish(const RunTiming& timing,
+                             const ShardSection* shard) {
   if (json_path_.empty()) return Status::Ok();
   report_.timing = timing;
   JsonValue root = BenchReportToJson(report_);
   // The shard section rides after the standard blocks; unsharded
   // readers (BenchReportFromJson, bench_compare) ignore unknown root
   // keys, so a partial is still a well-formed report.
-  if (sharded_) root.Set("shard", ShardSectionToJson(shard_));
+  if (shard != nullptr) root.Set("shard", ShardSectionToJson(*shard));
   return WriteJsonFile(json_path_, root);
+}
+
+int SweepMain(const BenchOptions& options, const SweepBench& bench) {
+  if (!CheckUnappliedFlags(options, bench.name.c_str(), bench.applied)) {
+    return 2;
+  }
+  std::vector<TestbedConfig> configs;
+  for (const SweepCell& cell : bench.cells) configs.push_back(cell.config);
+  ParallelExperiment experiment(
+      {.jobs = options.jobs, .shard = options.shard});
+  std::vector<Result<SimulationResult>> runs = experiment.RunSweep(configs);
+
+  BenchReporter reporter(bench.name, options);
+  for (const auto& [key, value] : bench.config) reporter.AddConfig(key, value);
+  ShardSection shard;
+  shard.spec = options.shard;
+  SweepResults results;
+  results.reserve(runs.size());
+  for (std::size_t i = 0; i < bench.cells.size(); ++i) {
+    if (!runs[i].ok()) {
+      std::cerr << "simulation failed: " << runs[i].status().ToString()
+                << "\n";
+      return 1;
+    }
+    const SweepCell& cell = bench.cells[i];
+    const SimulationResult& sim =
+        results.emplace_back(std::move(runs[i]).value());
+    BenchPoint& point = reporter.AddSimulationPoint(cell.labels, sim);
+    if (bench.extras) bench.extras(cell, sim, &point);
+    for (const DerivedMetricSpec& spec : cell.ratios) {
+      point.metrics.emplace_back(spec.name,
+                                 BinomialRatioMetric(sim.metrics, spec));
+    }
+    if (options.shard.active()) {
+      shard.cells.push_back(experiment.shard_cells()[i]);
+      shard.cells.back().derived = cell.ratios;
+    }
+    if (sim.anomalies != 0 || sim.outcome_mismatches != 0) {
+      std::cerr << "WARNING: " << bench.name << " cell";
+      for (const auto& [key, value] : cell.labels) {
+        std::cerr << ' ' << key << '=' << value;
+      }
+      std::cerr << ": " << sim.anomalies << " anomalies, "
+                << sim.outcome_mismatches << " outcome mismatches\n";
+    }
+  }
+  bench.print(bench.cells, results, experiment.timing(), options.csv);
+  std::cout << '\n';
+  PrintTimingSummary(std::cout, experiment.timing());
+  PrintProgramCacheSummary(experiment.program_cache(), options.shard);
+  if (Status s = reporter.Finish(experiment.timing(),
+                                 options.shard.active() ? &shard : nullptr);
+      !s.ok()) {
+    std::cerr << "json report failed: " << s.ToString() << "\n";
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace airindex

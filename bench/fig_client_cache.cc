@@ -16,11 +16,12 @@
 //
 // Usage: fig_client_cache [--quick] [--csv] [--jobs N] [--records N]
 //                         [--session-length K] [--repeat-prob P]
-//                         [--cache-warmup N] [--json PATH] [--shard I/N]
-// (shared bench flags — see bench/bench_main.h; cache size, skew,
-// update rate and policy are this bench's sweep axes, so --cache-size /
-// --zipf / --update-rate / --cache-policy are ignored here. With
-// --shard the JSON output is a partial report for tools/bench_merge.)
+//                         [--cache-warmup N] [--program-cache DIR]
+//                         [--json PATH] [--shard I/N]
+// (shared bench flags — see bench/bench_main.h. Cache size, skew, update
+// rate and policy are this bench's sweep axes; any other shared flag
+// exits 2. With --shard the JSON output is a partial report for
+// tools/bench_merge.)
 
 #include <algorithm>
 #include <cmath>
@@ -33,9 +34,7 @@
 #include "analytical/models.h"
 #include "bench_main.h"
 #include "client/client_cache.h"
-#include "core/experiment.h"
 #include "core/report.h"
-#include "core/simulator.h"
 #include "core/testbed_config.h"
 
 namespace airindex {
@@ -51,30 +50,25 @@ constexpr CachePolicy kPolicies[] = {CachePolicy::kLru, CachePolicy::kLfu,
 const DerivedMetricSpec kHitRatioSpec{"hit_ratio", "client.cache_hits",
                                       "client.session_queries", 2.576};
 
-struct SweepCell {
-  int cache_size = 0;
-  double zipf_theta = 0.0;
-  double update_rate = 0.0;
-};
-
-/// Closed-form estimate for one (cell, policy) pair. Under (1,m) every
-/// record is broadcast once per cycle, so the PIX score has a uniform
-/// denominator and its residency equals LFU's.
-ClientSessionEstimate CellModel(const SweepCell& cell, CachePolicy policy,
-                                const TestbedConfig& config,
+/// Closed-form estimate for one cell. Under (1,m) every record is
+/// broadcast once per cycle, so the PIX score has a uniform denominator
+/// and its residency equals LFU's.
+ClientSessionEstimate CellModel(const TestbedConfig& config,
                                 Bytes cycle_bytes) {
+  const int cache_size = config.client.cache_capacity;
+  const double update_rate = config.client.update_rate;
   const std::vector<double> popularity =
-      ZipfPopularity(config.num_records, cell.zipf_theta);
+      ZipfPopularity(config.num_records, config.zipf_theta);
   const std::vector<double> residency =
-      policy == CachePolicy::kLru
-          ? CheLruResidency(popularity, cell.cache_size)
-          : TopScoreResidency(popularity, cell.cache_size);
+      config.client.cache_policy == CachePolicy::kLru
+          ? CheLruResidency(popularity, cache_size)
+          : TopScoreResidency(popularity, cache_size);
 
   ClientSessionModelInputs inputs;
   inputs.popularity = popularity;
   inputs.residency = residency;
   double availability = config.data_availability;
-  if (cell.update_rate > 0.0) {
+  if (update_rate > 0.0) {
     // Real-mutation semantics (src/dynamic): every cycle issues
     // rate * N uniform draws, so a record is hit with probability
     // t = 1 - (1 - 1/N)^(rate * N) per cycle — an effective per-record
@@ -83,16 +77,16 @@ ClientSessionEstimate CellModel(const SweepCell& cell, CachePolicy policy,
     // refetch fails, so its cached copy drops until a re-insert.
     const double n = static_cast<double>(config.num_records);
     const double hit_probability =
-        1.0 - std::pow(1.0 - 1.0 / n, cell.update_rate * n);
+        1.0 - std::pow(1.0 - 1.0 / n, update_rate * n);
     const auto period = static_cast<Bytes>(std::llround(
         static_cast<double>(cycle_bytes) / hit_probability));
     DynamicModelParams dynamic;
     dynamic.universe_size = config.num_records;
-    dynamic.update_rate = cell.update_rate;
+    dynamic.update_rate = update_rate;
     dynamic.update_zipf = config.client.update_zipf;
     dynamic.compact_every = config.client.compact_every;
     dynamic.patchable = true;  // (1,m) is the patchable family
-    dynamic.workload_zipf = cell.zipf_theta;
+    dynamic.workload_zipf = config.zipf_theta;
     dynamic.epochs = 64;  // transient-aware window, near steady state
     availability *= EvaluateDynamicModel(dynamic).live_fraction;
     inputs.freshness =
@@ -114,38 +108,16 @@ ClientSessionEstimate CellModel(const SweepCell& cell, CachePolicy policy,
   return ComposeClientSessionModel(inputs);
 }
 
-std::string FormatRate(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
-}
-
-int Main(int argc, char** argv) {
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  const bool quick = options.quick;
-  const bool csv = options.csv;
-
-  const int num_records = options.records > 0 ? options.records : 4000;
-  const std::vector<int> cache_sizes =
-      quick ? std::vector<int>{64, 256} : std::vector<int>{32, 128, 512};
-  const std::vector<double> thetas =
-      quick ? std::vector<double>{0.9} : std::vector<double>{0.6, 0.9, 1.2};
-  const std::vector<double> update_rates = {0.0, 4.0};
-  const int session_length =
-      options.client.session_length > 1 ? options.client.session_length : 8;
-  const double repeat_probability = options.client.repeat_probability > 0.0
-                                        ? options.client.repeat_probability
-                                        : 0.25;
-
-  std::vector<SweepCell> cells;
-  for (const int size : cache_sizes) {
-    for (const double theta : thetas) {
-      for (const double rate : update_rates) {
-        cells.push_back(SweepCell{size, theta, rate});
-      }
-    }
-  }
-
+void Print(const std::vector<SweepCell>& cells, const SweepResults& results,
+           const RunTiming& /*timing*/, bool csv) {
+  const ClientSessionConfig& first_client = cells.front().config.client;
+  std::cout << "Client cache: hit ratio / access / tuning vs cache size, "
+               "Zipf skew and update rate\n"
+            << cells.front().config.num_records
+            << " records, (1,m) indexing, sessions of "
+            << first_client.session_length << " queries, repeat probability "
+            << first_client.repeat_probability
+            << ", Table 1 settings otherwise\n";
   std::vector<std::string> columns = {"size", "theta", "upd"};
   for (const CachePolicy policy : kPolicies) {
     columns.push_back(std::string(CachePolicyToString(policy)) + " (S)");
@@ -154,123 +126,101 @@ int Main(int argc, char** argv) {
   ReportTable hit_table(columns);
   ReportTable access_table(columns);
   ReportTable tuning_table(columns);
-
-  BenchReporter reporter("fig_client_cache", options);
-  reporter.SetShard(options.shard);
-  reporter.AddConfig("records", std::to_string(num_records));
-  reporter.AddConfig("session_length", std::to_string(session_length));
-  reporter.AddConfig("repeat_probability", FormatRate(repeat_probability));
-
-  std::cout << "Client cache: hit ratio / access / tuning vs cache size, "
-               "Zipf skew and update rate\n"
-            << num_records << " records, (1,m) indexing, sessions of "
-            << session_length << " queries, repeat probability "
-            << repeat_probability << ", Table 1 settings otherwise\n"
-            << std::flush;
-
-  std::vector<TestbedConfig> configs;
-  for (const SweepCell& cell : cells) {
-    for (const CachePolicy policy : kPolicies) {
-      TestbedConfig config;
-      config.scheme = SchemeKind::kOneM;
-      config.num_records = num_records;
-      config.zipf_theta = cell.zipf_theta;
-      config.client.cache_capacity = cell.cache_size;
-      config.client.cache_policy = policy;
-      config.client.session_length = session_length;
-      config.client.repeat_probability = repeat_probability;
-      config.client.update_rate = cell.update_rate;
-      config.client.warmup_queries =
-          options.client.warmup_queries > 0
-              ? options.client.warmup_queries
-              : std::max(1000, 4 * cell.cache_size);
-      config.seed = 777 + static_cast<std::uint64_t>(num_records);
-      config.program_cache_dir = options.program_cache_dir;
-      if (quick) {
-        config.min_rounds = 10;
-        config.max_rounds = 40;
-      }
-      configs.push_back(config);
-    }
-  }
-  ParallelExperiment experiment(
-      {.jobs = options.jobs, .shard = options.shard});
-  const auto runs = experiment.RunSweep(configs);
-
-  std::size_t index = 0;
-  for (const SweepCell& cell : cells) {
-    std::vector<std::string> head = {std::to_string(cell.cache_size),
-                                     FormatRate(cell.zipf_theta),
-                                     FormatRate(cell.update_rate)};
-    std::vector<std::string> hit_row = head;
-    std::vector<std::string> access_row = head;
-    std::vector<std::string> tuning_row = head;
-    for (const CachePolicy policy : kPolicies) {
-      const std::size_t cell_index = index;
-      const TestbedConfig& config = configs[index];
-      const Result<SimulationResult>& run = runs[index++];
-      if (!run.ok()) {
-        std::cerr << "simulation failed: " << run.status().ToString()
-                  << "\n";
-        return 1;
-      }
-      const SimulationResult& sim = run.value();
-      const BenchMetricValue hit =
-          BinomialRatioMetric(sim.metrics, kHitRatioSpec);
-      const double hit_ratio = hit.mean;
-      BenchPoint& point = reporter.AddSimulationPoint(
-          {{"cache_size", std::to_string(cell.cache_size)},
-           {"zipf_theta", FormatRate(cell.zipf_theta)},
-           {"update_rate", FormatRate(cell.update_rate)},
-           {"policy", CachePolicyToString(policy)}},
-          sim);
-      // Binomial 99% half-width, so cross-machine drift in the hit
-      // counters stays inside the bench_compare gate's CI-sum check.
-      point.metrics.emplace_back(kHitRatioSpec.name, hit);
-      if (options.shard.active()) {
-        reporter.AttachShardCell(experiment.shard_cells()[cell_index]);
-        reporter.AddDerivedMetric(kHitRatioSpec);
-      }
-
+  for (std::size_t first = 0; first < cells.size();
+       first += std::size(kPolicies)) {
+    const TestbedConfig& head = cells[first].config;
+    const std::vector<std::string> row_head = {
+        std::to_string(head.client.cache_capacity),
+        FormatG(head.zipf_theta), FormatG(head.client.update_rate)};
+    std::vector<std::string> hit_row = row_head;
+    std::vector<std::string> access_row = row_head;
+    std::vector<std::string> tuning_row = row_head;
+    for (std::size_t i = first; i < first + std::size(kPolicies); ++i) {
+      const SimulationResult& sim = results[i];
       // A shard that owns none of this cell never built its channel
       // (cycle_bytes 0); skip the closed form rather than feed it a
       // zero-length cycle.
       const ClientSessionEstimate model =
-          sim.cycle_bytes > 0 ? CellModel(cell, policy, config,
-                                          sim.cycle_bytes)
+          sim.cycle_bytes > 0 ? CellModel(cells[i].config, sim.cycle_bytes)
                               : ClientSessionEstimate{};
-      hit_row.push_back(FormatDouble(hit_ratio, 3));
+      hit_row.push_back(FormatDouble(
+          BinomialRatioMetric(sim.metrics, kHitRatioSpec).mean, 3));
       hit_row.push_back(FormatDouble(model.hit_ratio, 3));
       access_row.push_back(FormatDouble(sim.access.mean(), 0));
       access_row.push_back(FormatDouble(model.access_bytes, 0));
       tuning_row.push_back(FormatDouble(sim.tuning.mean(), 0));
       tuning_row.push_back(FormatDouble(model.tuning_bytes, 0));
-      if (sim.anomalies != 0 || sim.outcome_mismatches != 0) {
-        std::cerr << "WARNING: " << CachePolicyToString(policy) << " size "
-                  << cell.cache_size << ": " << sim.anomalies
-                  << " anomalies, " << sim.outcome_mismatches
-                  << " outcome mismatches\n";
-      }
     }
     hit_table.AddRow(hit_row);
     access_table.AddRow(access_row);
     tuning_table.AddRow(tuning_row);
   }
-
   std::cout << "\n(a) Fresh-hit ratio vs cache size / skew / update rate\n";
-  csv ? hit_table.PrintCsv(std::cout) : hit_table.Print(std::cout);
+  PrintTable(hit_table, csv);
   std::cout << "\n(b) Access time (bytes)\n";
-  csv ? access_table.PrintCsv(std::cout) : access_table.Print(std::cout);
+  PrintTable(access_table, csv);
   std::cout << "\n(c) Tuning time (bytes)\n";
-  csv ? tuning_table.PrintCsv(std::cout) : tuning_table.Print(std::cout);
-  std::cout << '\n';
-  PrintTimingSummary(std::cout, experiment.timing());
-  PrintProgramCacheSummary(experiment.program_cache(), options.shard);
-  if (Status s = reporter.Finish(experiment.timing()); !s.ok()) {
-    std::cerr << "json report failed: " << s.ToString() << "\n";
-    return 1;
+  PrintTable(tuning_table, csv);
+}
+
+int Main(int argc, char** argv) {
+  const BenchOptions options = ParseBenchOptions(argc, argv);
+  const int num_records = options.records > 0 ? options.records : 4000;
+  const std::vector<int> cache_sizes = options.quick
+                                           ? std::vector<int>{64, 256}
+                                           : std::vector<int>{32, 128, 512};
+  const std::vector<double> thetas = options.quick
+                                         ? std::vector<double>{0.9}
+                                         : std::vector<double>{0.6, 0.9, 1.2};
+  const std::vector<double> update_rates = {0.0, 4.0};
+  const int session_length = options.given("--session-length")
+                                 ? options.client.session_length
+                                 : 8;
+  const double repeat_probability = options.given("--repeat-prob")
+                                        ? options.client.repeat_probability
+                                        : 0.25;
+
+  SweepBench bench{
+      .name = "fig_client_cache",
+      .applied = {"--session-length", "--repeat-prob", "--cache-warmup",
+                  "--program-cache", "--shard"},
+      .config = {{"records", std::to_string(num_records)},
+                 {"session_length", std::to_string(session_length)},
+                 {"repeat_probability", FormatG(repeat_probability)}}};
+  for (const int size : cache_sizes) {
+    for (const double theta : thetas) {
+      for (const double rate : update_rates) {
+        for (const CachePolicy policy : kPolicies) {
+          TestbedConfig config;
+          config.scheme = SchemeKind::kOneM;
+          config.num_records = num_records;
+          config.zipf_theta = theta;
+          config.client.cache_capacity = size;
+          config.client.cache_policy = policy;
+          config.client.session_length = session_length;
+          config.client.repeat_probability = repeat_probability;
+          config.client.update_rate = rate;
+          config.client.warmup_queries =
+              options.given("--cache-warmup")
+                  ? options.client.warmup_queries
+                  : std::max(1000, 4 * size);
+          config.seed = 777 + static_cast<std::uint64_t>(num_records);
+          config.program_cache_dir = options.program_cache_dir;
+          ApplyQuickRounds(options, &config);
+          // Binomial 99% half-width, so cross-machine drift in the hit
+          // counters stays inside the bench_compare gate's CI-sum check.
+          bench.cells.push_back({config,
+                                 {{"cache_size", std::to_string(size)},
+                                  {"zipf_theta", FormatG(theta)},
+                                  {"update_rate", FormatG(rate)},
+                                  {"policy", CachePolicyToString(policy)}},
+                                 {kHitRatioSpec}});
+        }
+      }
+    }
   }
-  return 0;
+  bench.print = Print;
+  return SweepMain(options, bench);
 }
 
 }  // namespace

@@ -8,11 +8,11 @@
 // cycles split between in-place patches and full rebuilds.
 //
 // Usage: fig_dynamic [--quick] [--csv] [--jobs N] [--records N]
-//                    [--json PATH] [--shard I/N]
-// (shared bench flags — see bench/bench_main.h; update rate, update
-// skew and compaction period are this bench's sweep axes, so
-// --update-rate / --update-zipf / --compact-every are ignored here.
-// With --shard the JSON output is a partial for tools/bench_merge.)
+//                    [--program-cache DIR] [--json PATH] [--shard I/N]
+// (shared bench flags — see bench/bench_main.h. Update rate, compaction
+// period and scheme are this bench's sweep axes and the skews are fixed;
+// any other shared flag exits 2. With --shard the JSON output is a
+// partial for tools/bench_merge.)
 
 #include <cmath>
 #include <iostream>
@@ -21,9 +21,7 @@
 
 #include "analytical/dynamic_model.h"
 #include "bench_main.h"
-#include "core/experiment.h"
 #include "core/report.h"
-#include "core/simulator.h"
 #include "core/testbed_config.h"
 #include "dynamic/dynamic_program.h"
 
@@ -42,107 +40,24 @@ const DerivedMetricSpec kStaleRatioSpec{"stale_ratio",
                                         "dynamic.dirty_queries",
                                         "dynamic.queries", 2.576};
 
-struct SweepCell {
-  SchemeKind scheme = SchemeKind::kOneM;
-  double update_rate = 0.0;
-  int compact_every = 0;
-};
-
-std::string FormatRate(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%g", value);
-  return buffer;
-}
-
-int Main(int argc, char** argv) {
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  const bool quick = options.quick;
-  const bool csv = options.csv;
-
-  const int num_records = options.records > 0 ? options.records : 2000;
-  const std::vector<double> update_rates =
-      quick ? std::vector<double>{4.0} : std::vector<double>{1.0, 4.0};
-  const std::vector<int> compact_everys =
-      quick ? std::vector<int>{4} : std::vector<int>{4, 16};
-
-  // One frozen cell per scheme (rate 0, compaction moot) anchors the
-  // sweep: it must match the static testbed exactly, since rate 0
-  // bypasses the dynamic layer entirely.
-  std::vector<SweepCell> cells;
-  for (const SchemeKind scheme : kSchemes) {
-    cells.push_back(SweepCell{scheme, 0.0, 0});
-    for (const double rate : update_rates) {
-      for (const int compact : compact_everys) {
-        cells.push_back(SweepCell{scheme, rate, compact});
-      }
-    }
-  }
-
+void Print(const std::vector<SweepCell>& cells, const SweepResults& results,
+           const RunTiming& /*timing*/, bool csv) {
+  std::cout << "Dynamic datasets: staleness / delta overhead / maintenance "
+               "vs update rate and compaction period\n"
+            << cells.front().config.num_records << " records, Zipf("
+            << kWorkloadZipf << ") workload, Zipf(" << kUpdateZipf
+            << ") mutation targets, Table 1 settings otherwise\n";
   ReportTable table({"scheme", "rate", "compact", "access", "tuning",
                      "stale (S)", "stale (A)", "delta (S)", "delta (A)",
                      "patched", "rebuilt"});
-
-  BenchReporter reporter("fig_dynamic", options);
-  reporter.SetShard(options.shard);
-  reporter.AddConfig("records", std::to_string(num_records));
-  reporter.AddConfig("update_zipf", FormatRate(kUpdateZipf));
-  reporter.AddConfig("zipf_theta", FormatRate(kWorkloadZipf));
-
-  std::cout << "Dynamic datasets: staleness / delta overhead / maintenance "
-               "vs update rate and compaction period\n"
-            << num_records << " records, Zipf(" << kWorkloadZipf
-            << ") workload, Zipf(" << kUpdateZipf
-            << ") mutation targets, Table 1 settings otherwise\n"
-            << std::flush;
-
-  std::vector<TestbedConfig> configs;
-  for (const SweepCell& cell : cells) {
-    TestbedConfig config;
-    config.scheme = cell.scheme;
-    config.num_records = num_records;
-    config.zipf_theta = kWorkloadZipf;
-    config.client.update_rate = cell.update_rate;
-    config.client.update_zipf = kUpdateZipf;
-    config.client.compact_every = cell.compact_every;
-    config.seed = 4242 + static_cast<std::uint64_t>(num_records);
-    config.program_cache_dir = options.program_cache_dir;
-    if (quick) {
-      config.min_rounds = 10;
-      config.max_rounds = 40;
-    }
-    configs.push_back(config);
-  }
-  ParallelExperiment experiment(
-      {.jobs = options.jobs, .shard = options.shard});
-  const auto runs = experiment.RunSweep(configs);
-
-  for (std::size_t index = 0; index < cells.size(); ++index) {
-    const SweepCell& cell = cells[index];
-    const TestbedConfig& config = configs[index];
-    const Result<SimulationResult>& run = runs[index];
-    if (!run.ok()) {
-      std::cerr << "simulation failed: " << run.status().ToString() << "\n";
-      return 1;
-    }
-    const SimulationResult& sim = run.value();
-    BenchPoint& point = reporter.AddSimulationPoint(
-        {{"scheme", SchemeKindToString(cell.scheme)},
-         {"update_rate", FormatRate(cell.update_rate)},
-         {"compact_every", std::to_string(cell.compact_every)}},
-        sim);
-    const bool dynamic_cell = cell.update_rate > 0.0;
-    BenchMetricValue stale{};
-    if (dynamic_cell) {
-      // Binomial 99% half-width, so cross-machine drift in the dirty
-      // counters stays inside the bench_compare gate's CI-sum check.
-      stale = BinomialRatioMetric(sim.metrics, kStaleRatioSpec);
-      point.metrics.emplace_back(kStaleRatioSpec.name, stale);
-    }
-    if (options.shard.active()) {
-      reporter.AttachShardCell(experiment.shard_cells()[index]);
-      if (dynamic_cell) reporter.AddDerivedMetric(kStaleRatioSpec);
-    }
-
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const TestbedConfig& config = cells[i].config;
+    const ClientSessionConfig& client = config.client;
+    const SimulationResult& sim = results[i];
+    const bool dynamic_cell = client.update_rate > 0.0;
+    const BenchMetricValue stale =
+        dynamic_cell ? BinomialRatioMetric(sim.metrics, kStaleRatioSpec)
+                     : BenchMetricValue{};
     const std::int64_t queries = sim.metrics.Get("dynamic.queries");
     const double delta_ratio =
         queries > 0 ? static_cast<double>(sim.metrics.Get(
@@ -154,11 +69,11 @@ int Main(int argc, char** argv) {
     DynamicModelResult model{};
     if (dynamic_cell && sim.rounds > 0) {
       DynamicModelParams params;
-      params.universe_size = num_records;
-      params.update_rate = cell.update_rate;
+      params.universe_size = config.num_records;
+      params.update_rate = client.update_rate;
       params.update_zipf = kUpdateZipf;
-      params.compact_every = cell.compact_every;
-      params.patchable = DynamicRuntime::PatchableScheme(cell.scheme);
+      params.compact_every = client.compact_every;
+      params.patchable = DynamicRuntime::PatchableScheme(config.scheme);
       params.workload_zipf = kWorkloadZipf;
       params.data_availability = config.data_availability;
       params.epochs = static_cast<std::int64_t>(std::llround(
@@ -166,9 +81,9 @@ int Main(int argc, char** argv) {
           static_cast<double>(sim.rounds)));
       model = EvaluateDynamicModel(params);
     }
-    table.AddRow({SchemeKindToString(cell.scheme),
-                  FormatRate(cell.update_rate),
-                  std::to_string(cell.compact_every),
+    table.AddRow({SchemeKindToString(config.scheme),
+                  FormatG(client.update_rate),
+                  std::to_string(client.compact_every),
                   FormatDouble(sim.access.mean(), 0),
                   FormatDouble(sim.tuning.mean(), 0),
                   FormatDouble(stale.mean, 3),
@@ -177,24 +92,56 @@ int Main(int argc, char** argv) {
                   FormatDouble(model.delta_read_probability, 3),
                   std::to_string(sim.metrics.Get("dynamic.patched_cycles")),
                   std::to_string(sim.metrics.Get("dynamic.rebuilt_cycles"))});
-    if (sim.anomalies != 0 || sim.outcome_mismatches != 0) {
-      std::cerr << "WARNING: " << SchemeKindToString(cell.scheme) << " rate "
-                << cell.update_rate << ": " << sim.anomalies
-                << " anomalies, " << sim.outcome_mismatches
-                << " outcome mismatches\n";
+  }
+  std::cout << "\nStaleness, delta reads and maintenance split\n";
+  PrintTable(table, csv);
+}
+
+int Main(int argc, char** argv) {
+  const BenchOptions options = ParseBenchOptions(argc, argv);
+  const int num_records = options.records > 0 ? options.records : 2000;
+  const std::vector<double> update_rates =
+      options.quick ? std::vector<double>{4.0} : std::vector<double>{1.0, 4.0};
+  const std::vector<int> compact_everys =
+      options.quick ? std::vector<int>{4} : std::vector<int>{4, 16};
+
+  SweepBench bench{.name = "fig_dynamic",
+                   .applied = {"--program-cache", "--shard"},
+                   .config = {{"records", std::to_string(num_records)},
+                              {"update_zipf", FormatG(kUpdateZipf)},
+                              {"zipf_theta", FormatG(kWorkloadZipf)}}};
+  const auto add_cell = [&](SchemeKind scheme, double rate, int compact) {
+    TestbedConfig config;
+    config.scheme = scheme;
+    config.num_records = num_records;
+    config.zipf_theta = kWorkloadZipf;
+    config.client.update_rate = rate;
+    config.client.update_zipf = kUpdateZipf;
+    config.client.compact_every = compact;
+    config.seed = 4242 + static_cast<std::uint64_t>(num_records);
+    config.program_cache_dir = options.program_cache_dir;
+    ApplyQuickRounds(options, &config);
+    // Binomial 99% half-width, so cross-machine drift in the dirty
+    // counters stays inside the bench_compare gate's CI-sum check.
+    std::vector<DerivedMetricSpec> ratios;
+    if (rate > 0.0) ratios.push_back(kStaleRatioSpec);
+    bench.cells.push_back({config,
+                           {{"scheme", SchemeKindToString(scheme)},
+                            {"update_rate", FormatG(rate)},
+                            {"compact_every", std::to_string(compact)}},
+                           ratios});
+  };
+  // One frozen cell per scheme (rate 0, compaction moot) anchors the
+  // sweep: it must match the static testbed exactly, since rate 0
+  // bypasses the dynamic layer entirely.
+  for (const SchemeKind scheme : kSchemes) {
+    add_cell(scheme, 0.0, 0);
+    for (const double rate : update_rates) {
+      for (const int compact : compact_everys) add_cell(scheme, rate, compact);
     }
   }
-
-  std::cout << "\nStaleness, delta reads and maintenance split\n";
-  csv ? table.PrintCsv(std::cout) : table.Print(std::cout);
-  std::cout << '\n';
-  PrintTimingSummary(std::cout, experiment.timing());
-  PrintProgramCacheSummary(experiment.program_cache(), options.shard);
-  if (Status s = reporter.Finish(experiment.timing()); !s.ok()) {
-    std::cerr << "json report failed: " << s.ToString() << "\n";
-    return 1;
-  }
-  return 0;
+  bench.print = Print;
+  return SweepMain(options, bench);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 // single-channel testbed (the multichannel engine is bypassed there).
 //
 // Usage: fig_multichannel [--quick] [--csv] [--jobs N] [--records N]
-//                         [--switch-cost B] [--json PATH] [--shard I/N]
-// (shared bench flags — see bench/bench_main.h; the channel grid is this
-// bench's sweep axis, so --channels is ignored here. With --shard the
-// JSON output is a partial report for tools/bench_merge.)
+//                         [--switch-cost B] [--program-cache DIR]
+//                         [--json PATH] [--shard I/N]
+// (shared bench flags — see bench/bench_main.h. Channel count and
+// allocation are this bench's sweep axes; any other shared flag exits 2.
+// With --shard the JSON output is a partial report for
+// tools/bench_merge.)
 
 #include <cmath>
 #include <iostream>
@@ -19,9 +21,7 @@
 
 #include "analytical/models.h"
 #include "bench_main.h"
-#include "core/experiment.h"
 #include "core/report.h"
-#include "core/simulator.h"
 #include "core/testbed_config.h"
 #include "schemes/multichannel.h"
 
@@ -68,54 +68,75 @@ AnalyticalEstimate SeriesModel(const SeriesUnderTest& series, int num_records,
   return {};
 }
 
-int Main(int argc, char** argv) {
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  const bool quick = options.quick;
-  const bool csv = options.csv;
+constexpr SeriesUnderTest kSeries[] = {
+    {SchemeKind::kOneM, ChannelAllocation::kDataPartitioned, "(1,m) part"},
+    {SchemeKind::kDistributed, ChannelAllocation::kDataPartitioned,
+     "dist part"},
+    {SchemeKind::kOneM, ChannelAllocation::kIndexOnOne, "index-on-one"},
+    {SchemeKind::kOneM, ChannelAllocation::kReplicatedIndex,
+     "replicated-index"},
+};
 
-  const std::vector<int> channel_counts =
-      quick ? std::vector<int>{1, 2, 3, 4}
-            : std::vector<int>{1, 2, 3, 4, 6, 8};
-  const int num_records = options.records > 0 ? options.records : 7000;
-  const Bytes switch_cost = options.multichannel.switch_cost_bytes;
-  const std::vector<SeriesUnderTest> series_list = {
-      {SchemeKind::kOneM, ChannelAllocation::kDataPartitioned, "(1,m) part"},
-      {SchemeKind::kDistributed, ChannelAllocation::kDataPartitioned,
-       "dist part"},
-      {SchemeKind::kOneM, ChannelAllocation::kIndexOnOne, "index-on-one"},
-      {SchemeKind::kOneM, ChannelAllocation::kReplicatedIndex,
-       "replicated-index"},
-  };
-
+void Print(const std::vector<SweepCell>& cells, const SweepResults& results,
+           const RunTiming& /*timing*/, bool csv) {
+  const int num_records = cells.front().config.num_records;
+  const Bytes switch_cost =
+      cells.front().config.multichannel.switch_cost_bytes;
+  std::cout << "Multichannel: access/tuning time vs number of channels\n"
+            << num_records << " records, switch cost " << switch_cost
+            << " B/hop, Table 1 settings otherwise\n";
   std::vector<std::string> columns = {"channels"};
-  for (const auto& series : series_list) {
+  for (const auto& series : kSeries) {
     columns.push_back(std::string(series.label) + " (S)");
     columns.push_back(std::string(series.label) + " (A)");
   }
   ReportTable access_table(columns);
   ReportTable tuning_table(columns);
-
-  BenchReporter reporter("fig_multichannel", options);
-  reporter.SetShard(options.shard);
-  {
-    std::string counts;
-    for (const int n : channel_counts) {
-      if (!counts.empty()) counts += ",";
-      counts += std::to_string(n);
+  for (std::size_t first = 0; first < cells.size();
+       first += std::size(kSeries)) {
+    const int channels = cells[first].config.multichannel.num_channels;
+    std::vector<std::string> access_row = {std::to_string(channels)};
+    std::vector<std::string> tuning_row = {std::to_string(channels)};
+    for (std::size_t s = 0; s < std::size(kSeries); ++s) {
+      const SimulationResult& sim = results[first + s];
+      const AnalyticalEstimate model =
+          SeriesModel(kSeries[s], num_records, channels,
+                      cells[first + s].config.geometry, switch_cost);
+      access_row.push_back(FormatDouble(sim.access.mean(), 0));
+      access_row.push_back(FormatDouble(model.access_time, 0));
+      tuning_row.push_back(FormatDouble(sim.tuning.mean(), 0));
+      tuning_row.push_back(FormatDouble(model.tuning_time, 0));
     }
-    reporter.AddConfig("channel_counts", counts);
-    reporter.AddConfig("records", std::to_string(num_records));
-    reporter.AddConfig("switch_cost_bytes", std::to_string(switch_cost));
+    access_table.AddRow(access_row);
+    tuning_table.AddRow(tuning_row);
+  }
+  std::cout << "\n(a) Access time (bytes) vs number of channels\n";
+  PrintTable(access_table, csv);
+  std::cout << "\n(b) Tuning time (bytes) vs number of channels\n";
+  PrintTable(tuning_table, csv);
+}
+
+int Main(int argc, char** argv) {
+  const BenchOptions options = ParseBenchOptions(argc, argv);
+  const std::vector<int> channel_counts =
+      options.quick ? std::vector<int>{1, 2, 3, 4}
+                    : std::vector<int>{1, 2, 3, 4, 6, 8};
+  const int num_records = options.records > 0 ? options.records : 7000;
+  const Bytes switch_cost = options.multichannel.switch_cost_bytes;
+  std::string counts;
+  for (const int n : channel_counts) {
+    if (!counts.empty()) counts += ",";
+    counts += std::to_string(n);
   }
 
-  std::cout << "Multichannel: access/tuning time vs number of channels\n"
-            << num_records << " records, switch cost " << switch_cost
-            << " B/hop, Table 1 settings otherwise\n"
-            << std::flush;
-
-  std::vector<TestbedConfig> configs;
+  SweepBench bench{
+      .name = "fig_multichannel",
+      .applied = {"--switch-cost", "--program-cache", "--shard"},
+      .config = {{"channel_counts", counts},
+                 {"records", std::to_string(num_records)},
+                 {"switch_cost_bytes", std::to_string(switch_cost)}}};
   for (const int channels : channel_counts) {
-    for (const auto& series : series_list) {
+    for (const auto& series : kSeries) {
       TestbedConfig config;
       config.scheme = series.kind;
       config.num_records = num_records;
@@ -124,65 +145,14 @@ int Main(int argc, char** argv) {
       config.multichannel.allocation = series.allocation;
       config.seed = 4242 + static_cast<std::uint64_t>(num_records);
       config.program_cache_dir = options.program_cache_dir;
-      if (quick) {
-        config.min_rounds = 10;
-        config.max_rounds = 40;
-      }
-      configs.push_back(config);
+      ApplyQuickRounds(options, &config);
+      bench.cells.push_back({config,
+                             {{"channels", std::to_string(channels)},
+                              {"series", series.label}}});
     }
   }
-  ParallelExperiment experiment(
-      {.jobs = options.jobs, .shard = options.shard});
-  const auto runs = experiment.RunSweep(configs);
-
-  std::size_t index = 0;
-  for (const int channels : channel_counts) {
-    std::vector<std::string> access_row = {std::to_string(channels)};
-    std::vector<std::string> tuning_row = {std::to_string(channels)};
-    for (const auto& series : series_list) {
-      const std::size_t cell = index;
-      const TestbedConfig& config = configs[index];
-      const Result<SimulationResult>& run = runs[index++];
-      if (!run.ok()) {
-        std::cerr << "simulation failed: " << run.status().ToString() << "\n";
-        return 1;
-      }
-      const SimulationResult& sim = run.value();
-      reporter.AddSimulationPoint(
-          {{"channels", std::to_string(channels)}, {"series", series.label}},
-          sim);
-      if (options.shard.active()) {
-        reporter.AttachShardCell(experiment.shard_cells()[cell]);
-      }
-
-      const AnalyticalEstimate model = SeriesModel(
-          series, num_records, channels, config.geometry, switch_cost);
-      access_row.push_back(FormatDouble(sim.access.mean(), 0));
-      access_row.push_back(FormatDouble(model.access_time, 0));
-      tuning_row.push_back(FormatDouble(sim.tuning.mean(), 0));
-      tuning_row.push_back(FormatDouble(model.tuning_time, 0));
-      if (sim.anomalies != 0 || sim.outcome_mismatches != 0) {
-        std::cerr << "WARNING: " << series.label << " at " << channels
-                  << " channels: " << sim.anomalies << " anomalies, "
-                  << sim.outcome_mismatches << " outcome mismatches\n";
-      }
-    }
-    access_table.AddRow(access_row);
-    tuning_table.AddRow(tuning_row);
-  }
-
-  std::cout << "\n(a) Access time (bytes) vs number of channels\n";
-  csv ? access_table.PrintCsv(std::cout) : access_table.Print(std::cout);
-  std::cout << "\n(b) Tuning time (bytes) vs number of channels\n";
-  csv ? tuning_table.PrintCsv(std::cout) : tuning_table.Print(std::cout);
-  std::cout << '\n';
-  PrintTimingSummary(std::cout, experiment.timing());
-  PrintProgramCacheSummary(experiment.program_cache(), options.shard);
-  if (Status s = reporter.Finish(experiment.timing()); !s.ok()) {
-    std::cerr << "json report failed: " << s.ToString() << "\n";
-    return 1;
-  }
-  return 0;
+  bench.print = Print;
+  return SweepMain(options, bench);
 }
 
 }  // namespace

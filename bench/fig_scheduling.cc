@@ -8,10 +8,9 @@
 // "bound (A)" is the fractional lower bound no schedule can beat.
 //
 // Usage: fig_scheduling [--quick] [--csv] [--jobs N] [--records N]
-//                       [--json PATH] [--shard I/N]
-// (shared bench flags — see bench/bench_main.h; the scheduler/disk/skew
-// grid is this bench's sweep axis, so --scheduler, --disks and --zipf
-// are ignored here.)
+//                       [--program-cache DIR] [--json PATH] [--shard I/N]
+// (shared bench flags — see bench/bench_main.h. Skew, scheduler and disk
+// count are this bench's sweep axes; any other shared flag exits 2.)
 
 #include <cstdint>
 #include <iostream>
@@ -21,9 +20,7 @@
 #include "analytical/models.h"
 #include "bench_main.h"
 #include "broadcast/schedule.h"
-#include "core/experiment.h"
 #include "core/report.h"
-#include "core/simulator.h"
 #include "core/testbed_config.h"
 
 namespace airindex {
@@ -52,46 +49,83 @@ double PlannedModel(int num_records, double theta, int disks,
       geometry.data_bucket_bytes(), popularity);
 }
 
-int Main(int argc, char** argv) {
-  const BenchOptions options = ParseBenchOptions(argc, argv);
-  const bool quick = options.quick;
-  const bool csv = options.csv;
+constexpr double kThetas[] = {0.6, 0.95};
+constexpr SeriesUnderTest kSeries[] = {
+    {SchedulerKind::kFlat, 0, "flat"},
+    {SchedulerKind::kSquareRoot, 4, "sqrt d4"},
+    {SchedulerKind::kSquareRoot, 8, "sqrt d8"},
+    {SchedulerKind::kOnline, 4, "online d4"},
+    {SchedulerKind::kOnline, 8, "online d8"},
+};
 
-  const std::vector<double> thetas = {0.6, 0.95};
-  const int num_records = options.records > 0 ? options.records
-                          : quick             ? 600
-                                              : 800;
-  const std::vector<SeriesUnderTest> series_list = {
-      {SchedulerKind::kFlat, 0, "flat"},
-      {SchedulerKind::kSquareRoot, 4, "sqrt d4"},
-      {SchedulerKind::kSquareRoot, 8, "sqrt d8"},
-      {SchedulerKind::kOnline, 4, "online d4"},
-      {SchedulerKind::kOnline, 8, "online d8"},
-  };
+/// The square-root-rule lower bound at this cell's skew.
+double Bound(const TestbedConfig& config) {
+  return SquareRootRuleBound(
+      ZipfRankPopularity(config.num_records, config.zipf_theta),
+      config.geometry.data_bucket_bytes());
+}
 
+double CellModel(const TestbedConfig& config) {
+  return PlannedModel(config.num_records, config.zipf_theta,
+                      config.params.schedule.num_disks, config.geometry);
+}
+
+void AddModels(const SweepCell& cell, const SimulationResult& /*sim*/,
+               BenchPoint* point) {
+  point->metrics.emplace_back("sqrt_bound_bytes",
+                              BenchMetricValue{Bound(cell.config), 0.0, false});
+  if (cell.config.params.schedule.scheduler != SchedulerKind::kFlat) {
+    point->metrics.emplace_back(
+        "model_access_bytes",
+        BenchMetricValue{CellModel(cell.config), 0.0, false});
+  }
+}
+
+void Print(const std::vector<SweepCell>& cells, const SweepResults& results,
+           const RunTiming& /*timing*/, bool csv) {
+  std::cout << "Scheduling: access time vs skew, scheduler and disk count\n"
+            << cells.front().config.num_records
+            << " records, flat broadcast base, Table 1 settings otherwise\n";
   std::vector<std::string> columns = {"theta", "bound (A)"};
-  for (const auto& series : series_list) {
+  for (const auto& series : kSeries) {
     columns.push_back(std::string(series.label) + " (S)");
     if (series.scheduler == SchedulerKind::kSquareRoot) {
       columns.push_back(std::string(series.label) + " (A)");
     }
   }
   ReportTable access_table(columns);
+  for (std::size_t first = 0; first < cells.size();
+       first += std::size(kSeries)) {
+    const TestbedConfig& head = cells[first].config;
+    std::vector<std::string> access_row = {FormatDouble(head.zipf_theta, 2),
+                                           FormatDouble(Bound(head), 0)};
+    for (std::size_t s = 0; s < std::size(kSeries); ++s) {
+      access_row.push_back(FormatDouble(results[first + s].access.mean(), 0));
+      if (kSeries[s].scheduler == SchedulerKind::kSquareRoot) {
+        access_row.push_back(
+            FormatDouble(CellModel(cells[first + s].config), 0));
+      }
+    }
+    access_table.AddRow(access_row);
+  }
+  std::cout << "\nAccess time (bytes) vs skew: simulated schedulers against "
+               "the square-root-rule bound\n";
+  PrintTable(access_table, csv);
+}
 
-  BenchReporter reporter("fig_scheduling", options);
-  reporter.SetShard(options.shard);
-  reporter.AddConfig("records", std::to_string(num_records));
-  reporter.AddConfig("thetas", "0.6,0.95");
-  reporter.AddConfig("schedulers", "flat,sqrt,online");
+int Main(int argc, char** argv) {
+  const BenchOptions options = ParseBenchOptions(argc, argv);
+  const int num_records = options.records > 0 ? options.records
+                          : options.quick     ? 600
+                                              : 800;
 
-  std::cout << "Scheduling: access time vs skew, scheduler and disk count\n"
-            << num_records
-            << " records, flat broadcast base, Table 1 settings otherwise\n"
-            << std::flush;
-
-  std::vector<TestbedConfig> configs;
-  for (const double theta : thetas) {
-    for (const auto& series : series_list) {
+  SweepBench bench{.name = "fig_scheduling",
+                   .applied = {"--program-cache", "--shard"},
+                   .config = {{"records", std::to_string(num_records)},
+                              {"thetas", "0.6,0.95"},
+                              {"schedulers", "flat,sqrt,online"}}};
+  for (const double theta : kThetas) {
+    for (const auto& series : kSeries) {
       TestbedConfig config;
       config.scheme = SchemeKind::kFlat;
       config.num_records = num_records;
@@ -102,74 +136,15 @@ int Main(int argc, char** argv) {
       }
       config.seed = 4242 + static_cast<std::uint64_t>(num_records);
       config.program_cache_dir = options.program_cache_dir;
-      if (quick) {
-        config.min_rounds = 10;
-        config.max_rounds = 40;
-      }
-      configs.push_back(config);
+      ApplyQuickRounds(options, &config);
+      bench.cells.push_back(
+          {config,
+           {{"theta", FormatDouble(theta, 2)}, {"series", series.label}}});
     }
   }
-  ParallelExperiment experiment(
-      {.jobs = options.jobs, .shard = options.shard});
-  const auto runs = experiment.RunSweep(configs);
-
-  std::size_t index = 0;
-  for (const double theta : thetas) {
-    const double bound =
-        SquareRootRuleBound(ZipfRankPopularity(num_records, theta),
-                            configs.front().geometry.data_bucket_bytes());
-    std::vector<std::string> access_row = {FormatDouble(theta, 2),
-                                           FormatDouble(bound, 0)};
-    for (const auto& series : series_list) {
-      const std::size_t cell = index;
-      const TestbedConfig& config = configs[index];
-      const Result<SimulationResult>& run = runs[index++];
-      if (!run.ok()) {
-        std::cerr << "simulation failed: " << run.status().ToString() << "\n";
-        return 1;
-      }
-      const SimulationResult& sim = run.value();
-      BenchPoint& point = reporter.AddSimulationPoint(
-          {{"theta", FormatDouble(theta, 2)}, {"series", series.label}}, sim);
-      point.metrics.emplace_back("sqrt_bound_bytes",
-                                 BenchMetricValue{bound, 0.0, false});
-      if (series.scheduler != SchedulerKind::kFlat) {
-        point.metrics.emplace_back(
-            "model_access_bytes",
-            BenchMetricValue{PlannedModel(num_records, theta, series.disks,
-                                          config.geometry),
-                             0.0, false});
-      }
-      if (options.shard.active()) {
-        reporter.AttachShardCell(experiment.shard_cells()[cell]);
-      }
-
-      access_row.push_back(FormatDouble(sim.access.mean(), 0));
-      if (series.scheduler == SchedulerKind::kSquareRoot) {
-        access_row.push_back(FormatDouble(
-            PlannedModel(num_records, theta, series.disks, config.geometry),
-            0));
-      }
-      if (sim.anomalies != 0 || sim.outcome_mismatches != 0) {
-        std::cerr << "WARNING: " << series.label << " at theta " << theta
-                  << ": " << sim.anomalies << " anomalies, "
-                  << sim.outcome_mismatches << " outcome mismatches\n";
-      }
-    }
-    access_table.AddRow(access_row);
-  }
-
-  std::cout << "\nAccess time (bytes) vs skew: simulated schedulers against "
-               "the square-root-rule bound\n";
-  csv ? access_table.PrintCsv(std::cout) : access_table.Print(std::cout);
-  std::cout << '\n';
-  PrintTimingSummary(std::cout, experiment.timing());
-  PrintProgramCacheSummary(experiment.program_cache(), options.shard);
-  if (Status s = reporter.Finish(experiment.timing()); !s.ok()) {
-    std::cerr << "json report failed: " << s.ToString() << "\n";
-    return 1;
-  }
-  return 0;
+  bench.extras = AddModels;
+  bench.print = Print;
+  return SweepMain(options, bench);
 }
 
 }  // namespace
