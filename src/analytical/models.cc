@@ -40,31 +40,6 @@ BTreeModelShape BTreeShape(int num_records, const BucketGeometry& geometry) {
   return shape;
 }
 
-AnalyticalEstimate OneMModel(int num_records, const BucketGeometry& geometry,
-                             int m) {
-  const auto dt = static_cast<double>(geometry.data_bucket_bytes());
-  const BTreeModelShape shape = BTreeShape(num_records, geometry);
-  const auto nr = static_cast<double>(num_records);
-  const double index_buckets = shape.index_buckets;
-  const double cycle = static_cast<double>(m) * index_buckets + nr;
-
-  AnalyticalEstimate estimate;
-  // Ft + Pt + Wt with Pt = half the average segment period and Wt = half
-  // the cycle, mirroring the paper's distributed-indexing derivation.
-  estimate.access_time =
-      0.5 * (1.0 + (index_buckets + nr / static_cast<double>(m)) + cycle) * dt;
-  // Initial wait + first bucket + k index probes + download.
-  estimate.tuning_time = (static_cast<double>(shape.levels) + 2.5) * dt;
-  return estimate;
-}
-
-int OneMOptimalM(int num_records, const BucketGeometry& geometry) {
-  const BTreeModelShape shape = BTreeShape(num_records, geometry);
-  const int m = static_cast<int>(std::lround(
-      std::sqrt(static_cast<double>(num_records) / shape.index_buckets)));
-  return std::clamp(m, 1, num_records);
-}
-
 AnalyticalEstimate DistributedModel(int num_records,
                                     const BucketGeometry& geometry, int r) {
   const auto dt = static_cast<double>(geometry.data_bucket_bytes());
@@ -95,21 +70,6 @@ AnalyticalEstimate DistributedModel(int num_records,
       (avg_index_segment + avg_data_segment + total_buckets + 1.0) * dt;
   estimate.tuning_time = (static_cast<double>(k) + 1.5) * dt;
   return estimate;
-}
-
-int DistributedOptimalR(int num_records, const BucketGeometry& geometry) {
-  const BTreeModelShape shape = BTreeShape(num_records, geometry);
-  int best_r = 0;
-  double best_access = DistributedModel(num_records, geometry, 0).access_time;
-  for (int r = 1; r < shape.levels; ++r) {
-    const double access =
-        DistributedModel(num_records, geometry, r).access_time;
-    if (access < best_access) {
-      best_access = access;
-      best_r = r;
-    }
-  }
-  return best_r;
 }
 
 BTreeLevelCounts ComputeBTreeLevels(int num_records, int fanout) {

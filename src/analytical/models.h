@@ -31,16 +31,6 @@ struct BTreeModelShape {
 /// Shape of the complete index tree the analytical formulas assume.
 BTreeModelShape BTreeShape(int num_records, const BucketGeometry& geometry);
 
-/// (1,m) indexing with the whole tree broadcast m times per cycle.
-/// Derived exactly as the paper derives distributed indexing:
-/// At = initial wait + avg probe to next index segment + half cycle;
-/// Tt = initial wait + first bucket + k tree levels + download.
-AnalyticalEstimate OneMModel(int num_records, const BucketGeometry& geometry,
-                             int m);
-
-/// Access-time-optimal m* = sqrt(Nr / I) (clamped to [1, Nr]).
-int OneMOptimalM(int num_records, const BucketGeometry& geometry);
-
 /// Distributed indexing with r replicated levels (paper Section 2.1):
 ///   At = 1/2 ((n^(k-r)-1)/(n-1) + (n^(r+1)-n)/(n^(r+1)-n^r)
 ///             + Nr/n^r + N + 1) * Dt
@@ -48,9 +38,6 @@ int OneMOptimalM(int num_records, const BucketGeometry& geometry);
 /// where N counts all buckets of the cycle.
 AnalyticalEstimate DistributedModel(int num_records,
                                     const BucketGeometry& geometry, int r);
-
-/// r in [0, k-1] minimizing the model's access time.
-int DistributedOptimalR(int num_records, const BucketGeometry& geometry);
 
 /// Node counts of the *actual* (possibly incomplete) bottom-up B+ tree:
 /// count_at_depth[0] == 1 is the root, count_at_depth[height-1] the leaf
@@ -63,14 +50,19 @@ struct BTreeLevelCounts {
 /// Level counts of the tree BTree::Build produces, without building it.
 BTreeLevelCounts ComputeBTreeLevels(int num_records, int fanout);
 
-/// Same formula structure as OneMModel but with the actual tree's index
-/// bucket count instead of the complete-tree closed form. This is the
-/// series to compare against simulation (the paper's Figure 4 shows
-/// simulation matching analysis, which requires consistent tree shapes).
+/// (1,m) indexing with the whole tree broadcast m times per cycle, over
+/// the actual tree's index bucket count I. Derived exactly as the paper
+/// derives distributed indexing:
+/// At = initial wait + avg probe to next index segment + half cycle;
+/// Tt = initial wait + first bucket + k tree levels + download.
+/// This is the series to compare against simulation (the paper's
+/// Figure 4 shows simulation matching analysis, which requires
+/// consistent tree shapes).
 AnalyticalEstimate OneMModelExact(int num_records,
                                   const BucketGeometry& geometry, int m);
 
-/// m* computed from the actual tree size.
+/// Access-time-optimal m* = sqrt(Nr / I) (clamped to [1, Nr]) over the
+/// actual tree size.
 int OneMOptimalMExact(int num_records, const BucketGeometry& geometry);
 
 /// Same formula structure as DistributedModel but with actual level
