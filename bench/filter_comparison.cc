@@ -93,7 +93,7 @@ int Main(int argc, char** argv) {
     point.requests = kQueries;
     reporter.AddPoint(std::move(point));
   }
-  csv ? table.PrintCsv(std::cout) : table.Print(std::cout);
+  PrintTable(table, csv);
   if (Status s = reporter.Finish(RunTiming{}); !s.ok()) {
     std::cerr << "json report failed: " << s.ToString() << "\n";
     return 1;
