@@ -62,7 +62,7 @@ int Main(int argc, char** argv) {
       const int record = static_cast<int>(
           rng.NextBounded(static_cast<std::uint64_t>(num_records)));
       const int attr = static_cast<int>(rng.NextBounded(8));
-      const std::string& value =
+      const std::string_view value =
           dataset->record(record).attributes[static_cast<std::size_t>(attr)];
       const Bytes tune_in = static_cast<Bytes>(rng.NextBounded(10000000));
       const FilterResult sig_result = signature.Filter(value, tune_in);

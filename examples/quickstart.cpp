@@ -48,7 +48,7 @@ int main() {
   // 3. A mobile client tunes in at an arbitrary moment and asks for a
   //    key. Access() walks the paper's protocol and reports both
   //    metrics in bytes.
-  const std::string& key = dataset->record(1234).key;
+  const std::string_view key = dataset->record(1234).key;
   for (const Bytes tune_in : {Bytes{0}, Bytes{400000}, Bytes{999999}}) {
     const AccessResult result = scheme->Access(key, tune_in);
     std::cout << "tune in at byte " << tune_in << ": "

@@ -39,7 +39,7 @@ int main() {
             << scheme.num_segments() << " data segments):\n\n";
   DescribeChannel(scheme.view(), std::cout, 12);
 
-  const auto replay = [&](const char* title, const std::string& key,
+  const auto replay = [&](const char* title, std::string_view key,
                           Bytes tune_in) {
     std::cout << "\n--- " << title << " (key " << key << ", tune in at byte "
               << tune_in << ") ---\n";

@@ -30,9 +30,7 @@ void ArenaWriter::Reserve(const ArenaCounts& counts) {
 }
 
 std::uint64_t ArenaWriter::AllKeyBytes() const {
-  std::uint64_t bytes = 0;
-  for (const Record& record : dataset_->records()) bytes += record.key.size();
-  return bytes;
+  return dataset_->key_bytes();
 }
 
 std::uint32_t ArenaWriter::Narrow(std::size_t value) {
@@ -67,7 +65,7 @@ ArenaStrRef ArenaWriter::Key(int position) {
   }
   ArenaStrRef& ref = key_refs_[static_cast<std::size_t>(position)];
   if (ref.length == 0) {
-    const std::string& key = dataset_->record(position).key;
+    const std::string_view key = dataset_->record(position).key;
     if (key.empty()) return ref;  // {0, 0}, the empty string's ref
     ref = ArenaStrRef{Narrow(strings_.size()), Narrow(key.size())};
     strings_.append(key);

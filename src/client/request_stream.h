@@ -19,7 +19,7 @@ namespace airindex {
 /// One generated user request.
 struct Query {
   /// The key the mobile client asks for — a view into the Dataset's
-  /// interned key storage (record keys or the precomputed absent-key
+  /// interned key storage (its key pool or the precomputed absent-key
   /// table), valid as long as the dataset outlives the query. Carrying a
   /// view keeps query generation allocation-free on the hot path.
   std::string_view key;

@@ -40,10 +40,11 @@ std::string HexU64(std::uint64_t value) {
 
 std::uint64_t DatasetFingerprint(const Dataset& dataset) {
   std::uint64_t h = HashInt(static_cast<std::uint64_t>(dataset.size()), 0);
-  for (const Record& record : dataset.records()) {
+  for (int i = 0; i < dataset.size(); ++i) {
+    const RecordView record = dataset.record(i);
     h = HashStr(record.key, h);
     h = HashInt(record.attributes.size(), h);
-    for (const std::string& attribute : record.attributes) {
+    for (const std::string_view attribute : record.attributes) {
       h = HashStr(attribute, h);
     }
   }

@@ -2,7 +2,11 @@
 #ifndef AIRINDEX_DATA_DATASET_H_
 #define AIRINDEX_DATA_DATASET_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,8 +38,85 @@ struct DatasetConfig {
   std::uint64_t seed = 1;
 };
 
+/// One record's attribute values in its dataset's attribute pool, as
+/// string views. Value i is pool[offsets[i], offsets[i + 1]). The range
+/// and the views it yields live as long as the Dataset they came from,
+/// moves included.
+class AttributeRange {
+ public:
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = std::string_view;
+    using reference = std::string_view;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    Iterator(const char* pool, const std::uint32_t* offset)
+        : pool_(pool), offset_(offset) {}
+
+    std::string_view operator*() const {
+      return std::string_view(pool_ + offset_[0], offset_[1] - offset_[0]);
+    }
+    Iterator& operator++() {
+      ++offset_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++offset_;
+      return before;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.offset_ == b.offset_;
+    }
+
+   private:
+    const char* pool_ = nullptr;
+    const std::uint32_t* offset_ = nullptr;
+  };
+  using iterator = Iterator;
+  using const_iterator = Iterator;
+  using value_type = std::string_view;
+
+  AttributeRange() = default;
+  AttributeRange(const char* pool, const std::uint32_t* offsets,
+                 std::size_t count)
+      : pool_(pool), offsets_(offsets), count_(count) {}
+
+  std::size_t size() const { return count_; }
+  std::string_view operator[](std::size_t i) const {
+    return *Iterator(pool_, offsets_ + i);
+  }
+  Iterator begin() const { return Iterator(pool_, offsets_); }
+  Iterator end() const { return Iterator(pool_, offsets_ + count_); }
+
+  friend bool operator==(const AttributeRange& a, const AttributeRange& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  const char* pool_ = nullptr;
+  const std::uint32_t* offsets_ = nullptr;
+  std::size_t count_ = 0;
+};
+
+/// A record of a Dataset, by value: its key-order id, its key and its
+/// attributes, viewed in the dataset's pools. Valid as long as the
+/// Dataset, moves included.
+struct RecordView {
+  std::uint64_t id = 0;
+  std::string_view key;
+  AttributeRange attributes;
+};
+
 /// An immutable, key-sorted collection of records plus the query-side
 /// helpers the testbed needs (exact lookup and guaranteed-absent keys).
+///
+/// The records live in two flat byte pools: every key back to back, and
+/// every attribute value back to back, each with a table of 32-bit
+/// offsets. record(i) views them; nothing is allocated per record.
 ///
 /// Present keys are the encodings of odd codes 1, 3, 5, ...; the even
 /// codes in between encode keys that are lexicographically interleaved
@@ -43,17 +124,21 @@ struct DatasetConfig {
 /// (paper Section 5.1) draw misses from those.
 class Dataset {
  public:
+  class Writer;
+
   /// Generates a dataset. Fails with InvalidArgument when the
   /// configuration is inconsistent (e.g., the key width cannot encode the
-  /// requested number of distinct keys).
+  /// requested number of distinct keys) or when a pool would pass 32-bit
+  /// offsets (4 GiB of key or attribute bytes, or 2^32 attributes).
   static Result<Dataset> Generate(const DatasetConfig& config);
 
   /// Wraps externally supplied records (the paper's "information is read
   /// from files or databases"). Records are sorted by key and re-ids
-  /// assigned in key order. Fails when empty, when keys repeat, or when
-  /// a key is empty or contains a byte at or below '!' (reserved for
-  /// synthesizing guaranteed-absent probe keys). Bytes compare unsigned,
-  /// as key order does, so UTF-8 keys load.
+  /// assigned in key order. Fails when empty, when keys repeat, when a
+  /// key is empty or contains a byte at or below '!' (reserved for
+  /// synthesizing guaranteed-absent probe keys), or when a pool would
+  /// pass 32-bit offsets. Bytes compare unsigned, as key order does, so
+  /// UTF-8 keys load.
   static Result<Dataset> FromRecords(std::vector<Record> records);
 
   Dataset(const Dataset&) = default;
@@ -61,14 +146,21 @@ class Dataset {
   Dataset(Dataset&&) = default;
   Dataset& operator=(Dataset&&) = default;
 
-  /// All records, sorted by key ascending.
-  const std::vector<Record>& records() const { return records_; }
-
   /// Number of records.
-  int size() const { return static_cast<int>(records_.size()); }
+  int size() const { return static_cast<int>(key_offsets_.size()) - 1; }
 
   /// The record at key-order position `index`.
-  const Record& record(int index) const { return records_[index]; }
+  RecordView record(int index) const {
+    const auto at = static_cast<std::size_t>(index);
+    const std::uint32_t first = record_attributes_[at];
+    return RecordView{at, KeyAt(at),
+                      AttributeRange(attributes_.data(),
+                                     attribute_offsets_.data() + first,
+                                     record_attributes_[at + 1] - first)};
+  }
+
+  /// Bytes of every key together: the key pool's size.
+  std::size_t key_bytes() const { return keys_.size(); }
 
   /// Key-order position of `key`, or -1 if absent: one probe run of the
   /// key table, comparing the keys only of slots whose hash bits match.
@@ -97,8 +189,10 @@ class Dataset {
   }
 
   /// Smallest and largest present key.
-  const std::string& min_key() const { return records_.front().key; }
-  const std::string& max_key() const { return records_.back().key; }
+  std::string_view min_key() const { return KeyAt(0); }
+  std::string_view max_key() const {
+    return KeyAt(static_cast<std::size_t>(size() - 1));
+  }
 
   /// The generator configuration this dataset was built from.
   const DatasetConfig& config() const { return config_; }
@@ -108,25 +202,41 @@ class Dataset {
   bool synthetic() const { return synthetic_; }
 
  private:
-  explicit Dataset(DatasetConfig config) : config_(config) {}
+  Dataset(DatasetConfig config, bool synthetic)
+      : config_(config), synthetic_(synthetic) {}
 
-  /// Lays out the absent keys once records_ is final (both factories
-  /// call it).
+  std::string_view KeyAt(std::size_t at) const {
+    return std::string_view(keys_.data() + key_offsets_[at],
+                            key_offsets_[at + 1] - key_offsets_[at]);
+  }
+
+  /// Lays out the absent keys once the pools are final (Writer::Finish
+  /// calls it).
   void InternAbsentKeys();
 
-  /// Builds the key table once records_ is final (both factories call
+  /// Builds the key table once the pools are final (Writer::Finish calls
   /// it): one pass in key order that hashes each key and inserts it, so
   /// the table's cache misses overlap and no other buffer is allocated.
   void BuildKeyTable();
 
   DatasetConfig config_;
-  std::vector<Record> records_;
+  // The pools are vectors, not strings: a move keeps their heap buffers
+  // (no short-string copy), so views handed out before a move stay valid.
+  /// Every key in key order; key i is keys_[key_offsets_[i],
+  /// key_offsets_[i + 1]).
+  std::vector<char> keys_;
+  std::vector<std::uint32_t> key_offsets_{0};
+  /// Every attribute value, record by record; value j is
+  /// attributes_[attribute_offsets_[j], attribute_offsets_[j + 1]), and
+  /// record i holds values record_attributes_[i] up to (not including)
+  /// record_attributes_[i + 1].
+  std::vector<char> attributes_;
+  std::vector<std::uint32_t> attribute_offsets_{0};
+  std::vector<std::uint32_t> record_attributes_{0};
   /// AbsentKey(0..size()) back to back, so the hot path never allocates.
-  /// A vector, not a string: a move keeps its heap buffer (no short-string
-  /// copy), so views handed out before a move stay valid.
   std::vector<char> absent_keys_;
   /// Absent key i is absent_keys_[absent_offsets_[i], absent_offsets_[i+1]).
-  std::vector<std::size_t> absent_offsets_;
+  std::vector<std::uint32_t> absent_offsets_;
   /// Open-addressing table of key positions, linear probing: a power of
   /// two of at least 2·size() slots, so load stays at or below ½ and
   /// every probe run ends at an empty slot. A slot is 0 when empty, else
@@ -136,6 +246,50 @@ class Dataset {
   std::vector<std::uint32_t> key_slots_;
   std::uint32_t position_mask_ = 0;
   bool synthetic_ = true;
+};
+
+/// Writes a dataset's pools record by record, in key order: the one way
+/// a Dataset is laid out. Generate and FromRecords write through it once
+/// they have checked their input; a dataset taken from another dataset's
+/// records (a multichannel partition, a compaction's live records)
+/// copies the source's spans and checks nothing again. So the writer
+/// trusts its caller: records come in strictly increasing key order
+/// (bytes compared unsigned), and every key is non-empty with no byte at
+/// or below '!'.
+class Dataset::Writer {
+ public:
+  /// A writer of an external dataset (absent keys "!" and key + '!').
+  Writer() : dataset_(DatasetConfig{}, false) {}
+
+  /// Sizes the pools for `records` records, `key_bytes` key bytes and
+  /// `attributes` attribute values of `attribute_bytes` bytes in all, so
+  /// nothing is reallocated below that. Optional; an estimate is enough,
+  /// since Finish gives back what was not used.
+  void Reserve(std::size_t records, std::size_t key_bytes,
+               std::size_t attributes, std::size_t attribute_bytes);
+
+  /// Appends a record whose key is `key_width` bytes, and returns them
+  /// for the caller to fill. The span is valid until the next Add call.
+  std::span<char> AddRecord(std::size_t key_width);
+
+  /// Appends a `width`-byte attribute value to the last record, and
+  /// returns its bytes for the caller to fill. The span is valid until
+  /// the next Add call.
+  std::span<char> AddAttribute(std::size_t width);
+
+  /// The dataset written: the pools trimmed to their size, then the key
+  /// table and the absent keys laid out. InvalidArgument when no record
+  /// was added or a pool passed 32-bit offsets. The writer is spent.
+  Result<Dataset> Finish() &&;
+
+ private:
+  friend class Dataset;
+
+  /// A writer of the synthetic dataset `config` describes (absent keys
+  /// the even codes).
+  explicit Writer(const DatasetConfig& config) : dataset_(config, true) {}
+
+  Dataset dataset_;
 };
 
 /// Encodes `code` as a fixed-width lowercase base-26 string whose

@@ -49,9 +49,10 @@ Status SaveDatasetToFile(const Dataset& dataset, const std::string& path,
   if (!out) {
     return Status::Internal("cannot open for writing: " + path);
   }
-  for (const Record& record : dataset.records()) {
+  for (int i = 0; i < dataset.size(); ++i) {
+    const RecordView record = dataset.record(i);
     out << record.key;
-    for (const std::string& attribute : record.attributes) {
+    for (const std::string_view attribute : record.attributes) {
       out << delimiter << attribute;
     }
     out << '\n';

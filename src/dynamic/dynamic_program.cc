@@ -1,29 +1,34 @@
 // Layer: 4 (dynamic) — see docs/ARCHITECTURE.md for the layer map.
 #include "dynamic/dynamic_program.h"
 
-#include <string>
+#include <algorithm>
+#include <span>
+#include <string_view>
 #include <utility>
 
-#include "data/record.h"
 #include "des/random.h"
 
 namespace airindex {
 
 namespace {
 
-/// Rewrites `attribute` in place into its deterministic mutated value:
-/// same width, lowercase letters, derived from (original value, record
-/// version). Version 0 is the original; any later version produces a
-/// different string, which is what makes a mutated dataset change its
+/// Writes the deterministic mutated value of `attribute` to `out` (of
+/// the same width): lowercase letters, derived from (original value,
+/// record version). Version 0 is the original; any later version produces
+/// a different string, which is what makes a mutated dataset change its
 /// content fingerprint (core/program_cache.h, DatasetFingerprint).
-void MutateAttribute(std::string& attribute, std::int64_t version) {
-  if (version == 0) return;
+void MutateAttribute(std::string_view attribute, std::int64_t version,
+                     std::span<char> out) {
+  if (version == 0) {
+    std::ranges::copy(attribute, out.begin());
+    return;
+  }
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : attribute) {
     h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
   }
   h ^= static_cast<std::uint64_t>(version) * 0x9e3779b97f4a7c15ULL;
-  for (char& c : attribute) {
+  for (char& c : out) {
     h = Mix64(h);
     c = static_cast<char>('a' + (h % 26));
   }
@@ -202,27 +207,32 @@ Result<std::shared_ptr<const Dataset>> DynamicRuntime::MaterializeDataset()
   if (!active_) {
     return Status::FailedPrecondition("dynamic runtime is inactive");
   }
-  // The universe is in key order, so the live records arrive in key
-  // order too and FromRecords keeps them as they are. A kind that never
-  // reads attributes builds the same program over the keys alone, so
-  // its records carry none and nothing is copied or rewritten.
+  // The live records are a subsequence of the universe, which is checked
+  // and in key order, so their key spans are appended as they are. A
+  // kind that never reads attributes builds the same program over the
+  // keys alone, so its records carry none and nothing is copied or
+  // rewritten; the others' attribute bytes are rewritten into the pool.
   const bool attributes = ReadsAttributes(kind_);
-  std::vector<Record> records;
-  records.reserve(static_cast<std::size_t>(log_->live_count()));
+  const DatasetConfig& config = universe_->config();
+  const auto live = static_cast<std::size_t>(log_->live_count());
+  const std::size_t values =
+      attributes ? live * static_cast<std::size_t>(config.num_attributes) : 0;
+  Dataset::Writer writer;
+  writer.Reserve(live, live * static_cast<std::size_t>(config.key_width),
+                 values,
+                 values * static_cast<std::size_t>(config.attribute_width));
   for (int r = 0; r < universe_->size(); ++r) {
     if (!log_->live(r)) continue;
-    const Record& source = universe_->record(r);
-    Record& record = records.emplace_back();
-    record.id = static_cast<std::uint64_t>(records.size() - 1);
-    record.key = source.key;
+    const RecordView source = universe_->record(r);
+    std::ranges::copy(source.key, writer.AddRecord(source.key.size()).begin());
     if (!attributes) continue;
-    record.attributes = source.attributes;
     const std::int64_t version = log_->version(r);
-    for (std::string& attribute : record.attributes) {
-      MutateAttribute(attribute, version);
+    for (const std::string_view attribute : source.attributes) {
+      MutateAttribute(attribute, version,
+                      writer.AddAttribute(attribute.size()));
     }
   }
-  Result<Dataset> dataset = Dataset::FromRecords(std::move(records));
+  Result<Dataset> dataset = std::move(writer).Finish();
   if (!dataset.ok()) return dataset.status();
   return std::make_shared<const Dataset>(std::move(dataset).value());
 }

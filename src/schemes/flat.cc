@@ -13,9 +13,9 @@ Result<FlatBroadcast> FlatBroadcast::Build(
   }
   ArenaWriter writer(*dataset);
   writer.Reserve({.buckets = static_cast<std::uint64_t>(dataset->size())});
-  for (const Record& record : dataset->records()) {
+  for (int r = 0; r < dataset->size(); ++r) {
     writer.Append(BucketKind::kData, geometry.data_bucket_bytes()).record_id =
-        static_cast<std::int64_t>(record.id);
+        r;
   }
   Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
   if (!view.ok()) return view.status();

@@ -47,10 +47,10 @@ Result<SimpleHashing> SimpleHashing::Build(
   // chain_begin[s + 1]).
   std::vector<int> slot_of(static_cast<std::size_t>(num_records));
   std::vector<int> chain_begin(static_cast<std::size_t>(allocated) + 1, 0);
-  for (const Record& record : dataset->records()) {
-    const auto slot = static_cast<int>(
-        HashString(record.key) % static_cast<std::uint64_t>(allocated));
-    slot_of[record.id] = slot;
+  for (int r = 0; r < num_records; ++r) {
+    const auto slot = static_cast<int>(HashString(dataset->record(r).key) %
+                                       static_cast<std::uint64_t>(allocated));
+    slot_of[static_cast<std::size_t>(r)] = slot;
     ++chain_begin[static_cast<std::size_t>(slot) + 1];
   }
   std::size_t num_buckets = 0;
@@ -163,8 +163,7 @@ AccessResult HashingWalk(const ArenaChannelView& view, std::string_view key,
     current_in_hand = false;
     if (bucket.hash_value() != hash) break;  // chain over: not on air
     if (scanned > 0) ++result.overflow_hops;
-    const Record& record = dataset.record(static_cast<int>(bucket.record_id()));
-    if (record.key == key) {
+    if (dataset.record(static_cast<int>(bucket.record_id())).key == key) {
       result.found = true;
       break;
     }

@@ -223,8 +223,7 @@ AccessResult HybridWalk(const ArenaChannelView& view, std::string_view key,
       t += data.size();
       result.tuning_time += data.size();
       ++result.probes;
-      const Record& record = dataset.record(static_cast<int>(data.record_id()));
-      if (record.key == key) {
+      if (dataset.record(static_cast<int>(data.record_id())).key == key) {
         result.found = true;
         break;
       }
@@ -276,15 +275,11 @@ FilterResult HybridIndexing::Filter(std::string_view value,
       t += data.size();
       result.tuning_time += data.size();
       ++result.probes;
-      const Record& record =
+      const RecordView record =
           dataset_->record(static_cast<int>(data.record_id()));
-      bool carries = false;
-      for (const std::string& attribute : record.attributes) {
-        if (attribute == value) {
-          carries = true;
-          break;
-        }
-      }
+      const bool carries =
+          std::find(record.attributes.begin(), record.attributes.end(),
+                    value) != record.attributes.end();
       if (carries) {
         result.matches.push_back(static_cast<int>(record.id));
       } else {

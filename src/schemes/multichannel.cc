@@ -27,6 +27,22 @@ std::pair<int, int> PartitionRange(int num_records, int partitions, int p) {
   return {lo, hi};
 }
 
+/// Records [lo, hi) of `dataset` as a dataset of their own, renumbered
+/// from 0: the parent's key and attribute spans copied into new pools. A
+/// run of a checked dataset is in key order, so nothing is checked again.
+Result<Dataset> Slice(const Dataset& dataset, int lo, int hi) {
+  Dataset::Writer writer;
+  for (int r = lo; r < hi; ++r) {
+    const RecordView record = dataset.record(r);
+    std::ranges::copy(record.key, writer.AddRecord(record.key.size()).begin());
+    for (const std::string_view attribute : record.attributes) {
+      std::ranges::copy(attribute,
+                        writer.AddAttribute(attribute.size()).begin());
+    }
+  }
+  return std::move(writer).Finish();
+}
+
 // --- conflict-aware placement ------------------------------------------
 //
 // Channels tick the same byte clock, so bucket index x of a channel with
@@ -169,7 +185,7 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
   for (int p = 0; p < partitions; ++p) {
     const auto [lo, hi] = PartitionRange(num_records, partitions, p);
     (void)hi;
-    program->partition_first_keys_.push_back(dataset->record(lo).key);
+    program->partition_first_keys_.emplace_back(dataset->record(lo).key);
   }
 
   const Bytes bucket_bytes = geometry.data_bucket_bytes();
@@ -179,9 +195,7 @@ Result<std::unique_ptr<MultiChannelProgram>> MultiChannelProgram::Build(
     std::vector<PlacedHotSlots> placed;
     for (int p = 0; p < partitions; ++p) {
       const auto [lo, hi] = PartitionRange(num_records, partitions, p);
-      std::vector<Record> chunk(dataset->records().begin() + lo,
-                                dataset->records().begin() + hi);
-      Result<Dataset> sub = Dataset::FromRecords(std::move(chunk));
+      Result<Dataset> sub = Slice(*dataset, lo, hi);
       if (!sub.ok()) return sub.status();
       auto sub_dataset = std::make_shared<const Dataset>(std::move(sub).value());
       // A scheduled partition plans its slice under the *conditional*

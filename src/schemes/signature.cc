@@ -57,7 +57,7 @@ void SignatureGenerator::SuperimposeFields(std::uint64_t* h, int lanes,
   }
 }
 
-void SignatureGenerator::SuperimposeRecord(const Record& record,
+void SignatureGenerator::SuperimposeRecord(const RecordView& record,
                                            std::uint64_t* sig) const {
   // Fields per interleaved pass: a default record's key and 8 attributes
   // take one.
@@ -73,7 +73,7 @@ void SignatureGenerator::SuperimposeRecord(const Record& record,
     lanes = 0;
   };
   h[lanes++] = HashField(record.key);
-  for (const std::string& attribute : record.attributes) {
+  for (const std::string_view attribute : record.attributes) {
     if (lanes == kLanes) superimpose();
     h[lanes++] = HashField(attribute);
   }
@@ -95,7 +95,7 @@ QueryBits SignatureGenerator::Query(std::string_view value) const {
 }
 
 std::vector<std::uint64_t> SignatureGenerator::RecordSignature(
-    const Record& record) const {
+    const RecordView& record) const {
   std::vector<std::uint64_t> sig(static_cast<std::size_t>(words_), 0);
   SuperimposeRecord(record, sig.data());
   return sig;
@@ -139,12 +139,12 @@ Result<SignatureIndexing> SignatureIndexing::Build(
   ArenaWriter writer(*dataset);
   writer.Reserve({.buckets = 2 * num_records,
                   .words = num_records * static_cast<std::uint64_t>(words)});
-  for (const Record& record : dataset->records()) {
+  for (int r = 0; r < dataset->size(); ++r) {
     writer.Append(BucketKind::kSignature, geometry.signature_bucket_bytes())
-        .record_id = static_cast<std::int64_t>(record.id);
-    generator.SuperimposeRecord(record, writer.AddWords(words));
+        .record_id = r;
+    generator.SuperimposeRecord(dataset->record(r), writer.AddWords(words));
     writer.Append(BucketKind::kData, geometry.data_bucket_bytes()).record_id =
-        static_cast<std::int64_t>(record.id);
+        r;
   }
 
   Result<ArenaChannelView> view = ArenaChannelView::Bind(std::move(writer));
@@ -355,14 +355,10 @@ FilterResult SignatureIndexing::Filter(std::string_view value,
           static_cast<int>(w * 64) + std::countr_zero(word);
       result.tuning_time += dt;
       ++result.probes;
-      const Record& record = dataset_->record(position);
-      bool carries = false;
-      for (const std::string& attribute : record.attributes) {
-        if (attribute == value) {
-          carries = true;
-          break;
-        }
-      }
+      const AttributeRange attributes = dataset_->record(position).attributes;
+      const bool carries =
+          std::find(attributes.begin(), attributes.end(), value) !=
+          attributes.end();
       if (carries) {
         result.matches.push_back(position);
       } else {

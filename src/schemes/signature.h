@@ -96,7 +96,7 @@ class SignatureGenerator {
   /// members in turn their group signature. Builders write straight into
   /// the arena's word pool this way. The fields' chains are independent,
   /// so they run interleaved.
-  void SuperimposeRecord(const Record& record, std::uint64_t* sig) const;
+  void SuperimposeRecord(const RecordView& record, std::uint64_t* sig) const;
 
   /// The set bits of the query signature of `value`, a key or an
   /// attribute value.
@@ -111,7 +111,7 @@ class SignatureGenerator {
   }
 
   /// Full record signature (key + all attributes superimposed) as words.
-  std::vector<std::uint64_t> RecordSignature(const Record& record) const;
+  std::vector<std::uint64_t> RecordSignature(const RecordView& record) const;
 
   /// Query signature for a primary-key lookup, as words.
   std::vector<std::uint64_t> QuerySignature(std::string_view key) const;

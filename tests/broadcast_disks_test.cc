@@ -69,7 +69,7 @@ TEST(BroadcastDisks, HotOccurrencesAreEvenlySpread) {
   // A hot record's four occurrences split the cycle into gaps no larger
   // than ~half the cycle (perfect spacing would be cycle/4).
   const Bytes cycle = scheme.view().cycle_bytes();
-  const std::string& hot = dataset->record(3).key;
+  const std::string_view hot = dataset->record(3).key;
   Bytes worst_gap = 0;
   Bytes t = 0;
   for (int i = 0; i < 8; ++i) {
@@ -89,8 +89,10 @@ TEST(BroadcastDisks, FindsEveryKeyAndMatchesReference) {
   for (int trial = 0; trial < 2000; ++trial) {
     const bool present = rng.NextBernoulli(0.7);
     const std::string key =
-        present ? dataset->record(static_cast<int>(rng.NextBounded(60))).key
-                : dataset->AbsentKey(static_cast<int>(rng.NextBounded(61)));
+        present
+            ? std::string(
+                  dataset->record(static_cast<int>(rng.NextBounded(60))).key)
+            : dataset->AbsentKey(static_cast<int>(rng.NextBounded(61)));
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
             3 * scheme.view().cycle_bytes())));

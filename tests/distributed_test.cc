@@ -50,7 +50,9 @@ TEST(Distributed, PaperFigure1ReplicationCounts) {
     }
   }
   // The root's full range appears 3 times.
-  EXPECT_EQ((occurrences[{dataset->min_key(), dataset->max_key()}]), 3);
+  EXPECT_EQ((occurrences[{std::string(dataset->min_key()),
+                          std::string(dataset->max_key())}]),
+            3);
 }
 
 TEST(Distributed, FirstSegmentEmitsFullPath) {

@@ -14,6 +14,11 @@
 namespace airindex {
 namespace {
 
+// A record's attribute values as strings, to compare with a literal list.
+std::vector<std::string> Values(const AttributeRange& attributes) {
+  return std::vector<std::string>(attributes.begin(), attributes.end());
+}
+
 class FileSourceTest : public testing::Test {
  protected:
   void SetUp() override {
@@ -43,7 +48,7 @@ TEST_F(FileSourceTest, LoadsAndSortsRecords) {
   EXPECT_EQ(dataset.record(0).key, "apple");
   EXPECT_EQ(dataset.record(1).key, "mango");
   EXPECT_EQ(dataset.record(2).key, "zebra");
-  EXPECT_EQ(dataset.record(0).attributes,
+  EXPECT_EQ(Values(dataset.record(0).attributes),
             (std::vector<std::string>{"fruit", "red"}));
   EXPECT_FALSE(dataset.synthetic());
   EXPECT_EQ(dataset.FindIndex("mango"), 1);
@@ -111,7 +116,7 @@ TEST_F(FileSourceTest, CrlfAndCustomDelimiter) {
   WriteFile("a|1|2\r\nb|3\r\n");
   const Dataset dataset = LoadDatasetFromFile(path_, '|').value();
   ASSERT_EQ(dataset.size(), 2);
-  EXPECT_EQ(dataset.record(0).attributes,
+  EXPECT_EQ(Values(dataset.record(0).attributes),
             (std::vector<std::string>{"1", "2"}));
 }
 
@@ -215,7 +220,7 @@ TEST(FromRecords, KeepsSortedInputAndReassignsIds) {
       const std::size_t given =
           reversed ? keys.size() - 1 - static_cast<std::size_t>(i)
                    : static_cast<std::size_t>(i);
-      EXPECT_EQ(dataset.record(i).attributes,
+      EXPECT_EQ(Values(dataset.record(i).attributes),
                 (std::vector<std::string>{std::to_string(given)}));
     }
     EXPECT_EQ(dataset.config().key_width, 2);

@@ -37,14 +37,14 @@ BucketGeometry SmallGeometry() {
 
 TEST(Filter, DatasetGroundTruth) {
   const auto dataset = MakeDataset(500);
-  const std::string value = dataset->record(42).attributes[1];
+  const std::string value(dataset->record(42).attributes[1]);
   const std::vector<int> matches = dataset->FindByAttribute(value);
   // Record 42 itself must be in the list; 3-char pseudo-words repeat, so
   // typically others carry it too.
   EXPECT_NE(std::find(matches.begin(), matches.end(), 42), matches.end());
   for (const int m : matches) {
     bool carries = false;
-    for (const std::string& attribute : dataset->record(m).attributes) {
+    for (const std::string_view attribute : dataset->record(m).attributes) {
       carries = carries || attribute == value;
     }
     EXPECT_TRUE(carries) << m;
@@ -60,8 +60,8 @@ TEST(Filter, SignatureFindsExactlyTheCarriers) {
   for (int trial = 0; trial < 30; ++trial) {
     const int record = static_cast<int>(rng.NextBounded(400));
     const int attr = static_cast<int>(rng.NextBounded(4));
-    const std::string value = dataset->record(record).attributes[
-        static_cast<std::size_t>(attr)];
+    const std::string value(dataset->record(record).attributes[
+        static_cast<std::size_t>(attr)]);
     const Bytes tune_in = static_cast<Bytes>(rng.NextBounded(100000));
     const FilterResult result = scheme.Filter(value, tune_in);
     EXPECT_EQ(result.matches, dataset->FindByAttribute(value));
@@ -105,8 +105,7 @@ FilterResult FilterOracle(const SignatureIndexing& scheme,
       result.tuning_time += channel.bucket(data).size;
       ++result.probes;
       const int position = static_cast<int>(channel.bucket(data).record_id);
-      const std::vector<std::string>& attributes =
-          dataset.record(position).attributes;
+      const AttributeRange attributes = dataset.record(position).attributes;
       if (std::find(attributes.begin(), attributes.end(), value) !=
           attributes.end()) {
         result.matches.push_back(position);
@@ -143,10 +142,11 @@ TEST(Filter, SignatureEqualsBucketOracle) {
         // attribute alphabet).
         const std::string value =
             rng.NextBernoulli(0.7)
-                ? dataset
-                      ->record(static_cast<int>(
-                          rng.NextBounded(static_cast<std::uint64_t>(n))))
-                      .attributes[rng.NextBounded(4)]
+                ? std::string(
+                      dataset
+                          ->record(static_cast<int>(
+                              rng.NextBounded(static_cast<std::uint64_t>(n))))
+                          .attributes[rng.NextBounded(4)])
                 : std::to_string(trial).insert(0, 1, '!');
         const FilterResult fast = scheme.Filter(value, tune_in);
         const FilterResult oracle =
@@ -171,7 +171,7 @@ TEST(Filter, SignatureTunesFarLessThanFlat) {
   const SignatureIndexing signature =
       SignatureIndexing::Build(dataset, geometry).value();
   const FlatBroadcast flat = FlatBroadcast::Build(dataset, geometry).value();
-  const std::string value = dataset->record(7).attributes[0];
+  const std::string value(dataset->record(7).attributes[0]);
   const FilterResult sig_result = signature.Filter(value, 1234);
   const FilterResult flat_result = flat.Filter(value, 1234);
   EXPECT_EQ(sig_result.matches, flat_result.matches);

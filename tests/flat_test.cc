@@ -42,10 +42,10 @@ void ExpectScanWalkMatchesOracle(const BroadcastScheme& scheme,
         rng.NextBounded(static_cast<std::uint64_t>(3 * cycle)));
     const bool present = rng.NextBernoulli(0.7);
     const std::string key =
-        present ? dataset
-                      .record(static_cast<int>(rng.NextBounded(
-                          static_cast<std::uint64_t>(n))))
-                      .key
+        present ? std::string(dataset
+                                  .record(static_cast<int>(rng.NextBounded(
+                                      static_cast<std::uint64_t>(n))))
+                                  .key)
                 : dataset.AbsentKey(static_cast<int>(
                       rng.NextBounded(static_cast<std::uint64_t>(n + 1))));
     const AccessResult fast = scheme.Access(key, tune_in);

@@ -234,7 +234,7 @@ void Walk(const BroadcastScheme& scheme, const Dataset& dataset, Rng* rng) {
     EXPECT_GE(present.access_time, 0);
     EXPECT_GE(absent.tuning_time, 0);
   }
-  const std::string value = dataset.record(dataset.size() / 2).attributes[0];
+  const std::string value(dataset.record(dataset.size() / 2).attributes[0]);
   for (const Bytes tune_in : {Bytes{0}, Bytes{12345}}) {
     if (const auto* flat = dynamic_cast<const FlatBroadcast*>(&scheme)) {
       flat->Filter(value, tune_in);
@@ -466,7 +466,7 @@ TEST(TrustBoundaryFuzz, CsvMutantsLoadOrFailCleanly) {
     const Dataset& d = dataset.value();
     ASSERT_GT(d.size(), 0);
     for (int i = 0; i < d.size(); ++i) {
-      const std::string& key = d.record(i).key;
+      const std::string_view key = d.record(i).key;
       ASSERT_FALSE(key.empty());
       for (const char c : key) ASSERT_GT(static_cast<unsigned char>(c), '!');
       EXPECT_EQ(d.record(i).id, static_cast<std::uint64_t>(i));

@@ -130,7 +130,7 @@ TEST(Hybrid, FilterMatchesGroundTruth) {
   Rng rng(43);
   for (int trial = 0; trial < 20; ++trial) {
     const int rec = static_cast<int>(rng.NextBounded(240));
-    const std::string value = dataset->record(rec).attributes[0];
+    const std::string value(dataset->record(rec).attributes[0]);
     const FilterResult result = scheme.Filter(value, 777 * trial);
     EXPECT_EQ(result.matches, dataset->FindByAttribute(value));
   }

@@ -219,11 +219,12 @@ TEST(SignatureGenerator, InterleavedChainsEqualTheScalarReference) {
         const auto words = static_cast<std::size_t>(generator.words());
         std::vector<std::uint64_t> group(words, 0);
         std::vector<std::uint64_t> reference_group(words, 0);
-        for (const Record& record : dataset.records()) {
+        for (int i = 0; i < dataset.size(); ++i) {
+          const RecordView record = dataset.record(i);
           std::vector<std::uint64_t> key_words(words, 0);
           ReferenceSuperimpose(record.key, bits, weight, &key_words);
           std::vector<std::uint64_t> want = key_words;
-          for (const std::string& attribute : record.attributes) {
+          for (const std::string_view attribute : record.attributes) {
             ReferenceSuperimpose(attribute, bits, weight, &want);
           }
           ASSERT_EQ(generator.RecordSignature(record), want);
@@ -262,8 +263,9 @@ TEST(SignatureGenerator, WideQueriesEqualTheOracle) {
   int spilled = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const int record = static_cast<int>(rng.NextBounded(300));
-    const std::string key = trial % 3 == 0 ? dataset->AbsentKey(record)
-                                           : dataset->record(record).key;
+    const std::string key =
+        trial % 3 == 0 ? dataset->AbsentKey(record)
+                       : std::string(dataset->record(record).key);
     if (scheme.generator().Query(key).size() > QueryBits::kInline) ++spilled;
     const auto tune_in = static_cast<Bytes>(rng.NextBounded(
         static_cast<std::uint64_t>(2 * scheme.view().cycle_bytes())));

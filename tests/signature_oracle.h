@@ -60,9 +60,8 @@ inline AccessResult SignatureOracle(const SignatureIndexing& scheme,
       t += data_bucket.size();
       result.tuning_time += data_bucket.size();
       ++result.probes;
-      const Record& record =
-          dataset.record(static_cast<int>(data_bucket.record_id()));
-      if (record.key == key) {
+      if (dataset.record(static_cast<int>(data_bucket.record_id())).key ==
+          key) {
         result.found = true;
         break;
       }

@@ -35,7 +35,8 @@ TEST(SignatureGenerator, QueryIsAlwaysContainedInOwnRecord) {
   SignatureParams params;
   params.bits_per_attribute = 6;
   const SignatureGenerator generator(SmallGeometry(), params);
-  for (const Record& record : dataset->records()) {
+  for (int i = 0; i < dataset->size(); ++i) {
+    const RecordView record = dataset->record(i);
     const auto record_sig = generator.RecordSignature(record);
     const auto query_sig = generator.QuerySignature(record.key);
     EXPECT_TRUE(SignatureGenerator::Matches(record_sig.data(),
@@ -120,9 +121,11 @@ TEST(Signature, FastPathEqualsReferenceEverywhere) {
                 3 * scheme.view().cycle_bytes())));
         const bool present = rng.NextBernoulli(0.6);
         const std::string key =
-            present ? dataset->record(static_cast<int>(rng.NextBounded(
-                                          static_cast<std::uint64_t>(n))))
-                          .key
+            present ? std::string(
+                          dataset
+                              ->record(static_cast<int>(rng.NextBounded(
+                                  static_cast<std::uint64_t>(n))))
+                              .key)
                     : dataset->AbsentKey(static_cast<int>(
                           rng.NextBounded(static_cast<std::uint64_t>(n + 1))));
         const AccessResult fast = scheme.Access(key, tune_in);

@@ -1656,8 +1656,9 @@ TEST(SnapshotTest, ProgramCacheServesConcurrentCallers) {
   const auto walks = [](const BroadcastScheme& scheme, const Dataset& data) {
     std::vector<Bytes> out;
     for (const std::string& key :
-         {data.record(0).key, data.record(data.size() / 2).key,
-          data.record(data.size() - 1).key, data.AbsentKey(3)}) {
+         {std::string(data.record(0).key),
+          std::string(data.record(data.size() / 2).key),
+          std::string(data.record(data.size() - 1).key), data.AbsentKey(3)}) {
       for (const Bytes tune_in : {Bytes{0}, Bytes{98765}}) {
         const AccessResult result = scheme.Access(key, tune_in);
         out.insert(out.end(), {result.found ? 1 : 0, result.access_time,

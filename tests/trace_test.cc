@@ -38,8 +38,10 @@ TEST(Trace, TracedEqualsUntraced) {
   for (int trial = 0; trial < 500; ++trial) {
     const bool present = rng.NextBernoulli(0.7);
     const std::string key =
-        present ? dataset->record(static_cast<int>(rng.NextBounded(81))).key
-                : dataset->AbsentKey(static_cast<int>(rng.NextBounded(82)));
+        present
+            ? std::string(
+                  dataset->record(static_cast<int>(rng.NextBounded(81))).key)
+            : dataset->AbsentKey(static_cast<int>(rng.NextBounded(82)));
     const Bytes tune_in =
         static_cast<Bytes>(rng.NextBounded(static_cast<std::uint64_t>(
             2 * scheme.view().cycle_bytes())));
@@ -114,7 +116,7 @@ t=      1860      conclude  +       0  key falls in a gap between children: not 
 std::string ExplorerReplays(const DistributedIndexing& scheme,
                             const Dataset& dataset) {
   std::ostringstream out;
-  const auto replay = [&](const std::string& key, Bytes tune_in) {
+  const auto replay = [&](std::string_view key, Bytes tune_in) {
     AccessTrace trace;
     scheme.AccessTraced(key, tune_in, &trace);
     PrintTrace(trace, scheme.view(), out);
@@ -154,8 +156,8 @@ TEST(Trace, EventsAreConsistentWithTheResult) {
       DistributedIndexing::Build(dataset, SmallGeometry(), 2).value();
   Rng rng(9);
   for (int trial = 0; trial < 200; ++trial) {
-    const std::string key =
-        dataset->record(static_cast<int>(rng.NextBounded(81))).key;
+    const std::string key(
+        dataset->record(static_cast<int>(rng.NextBounded(81))).key);
     const Bytes tune_in = static_cast<Bytes>(rng.NextBounded(10000));
     AccessTrace trace;
     const AccessResult result = scheme.AccessTraced(key, tune_in, &trace);
