@@ -17,6 +17,7 @@
 #include <vector>
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include "bench_main.h"
 #include "broadcast/snapshot.h"
@@ -141,11 +142,23 @@ void BM_DatasetFingerprint(benchmark::State& state) {
 
 /// Dataset::Generate at the paper's 25-byte keys: records, attributes and
 /// the query-side helpers (absent keys, key lookup). Items processed =
-/// records.
+/// records. Counter bytes_per_record: the heap one generated dataset
+/// holds (mallinfo2's allocated bytes, mmapped chunks included), per
+/// record.
 void BM_DatasetGenerate(benchmark::State& state) {
   DatasetConfig config;
   config.num_records = static_cast<int>(state.range(0));
   config.key_width = 25;
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<double>(info.uordblks + info.hblkhd);
+  };
+  {
+    const double before = heap_in_use();
+    const Result<Dataset> held = Dataset::Generate(config);
+    state.counters["bytes_per_record"] =
+        (heap_in_use() - before) / config.num_records;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(Dataset::Generate(config));
   }
